@@ -1,7 +1,7 @@
 """Exact-arithmetic audit toolkit for the weight-descent induction.
 
 Modules:
-  numeric  - rationals, directed-rounded enclosures, small helpers
+  numeric  - exact rational constants and directed-rounded enclosures
   primes   - segmented sieve and consecutive-prime iteration
   descent  - the reduction recipe, reference table and descent graph
   gaps     - ratio certificates, Chebyshev threshold, quotient grid
@@ -40,12 +40,8 @@ from .numeric import (
     CHEBYSHEV_B,
     RATIO_BOUND,
     SHIFTED_RATIO_BOUND,
-    SIX_FIFTHS,
-    Rational,
     RealEnclosure,
-    euler_phi,
     pow_enclosure,
-    rational_cmp,
 )
 from .primes import PrimeTable, consecutive_pairs, next_prime, sieve
 

@@ -176,8 +176,3 @@ class Cyclo:
         return f"[{inner}] over conductor {self.conductor}"
 
     __repr__ = __str__
-
-
-def galois_conj(x: Cyclo, j: int) -> Cyclo:
-    """Galois conjugation of a cyclotomic value (function form)."""
-    return x.galois(j)

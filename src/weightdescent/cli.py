@@ -14,7 +14,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -67,30 +66,6 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    format: str = "text"
-    strict: bool = False
-    k: int = 0
-    policy: str = "hi-branch"
-    max_k: int = 1_000_000
-    low: int = 37
-    high: int = gaps.X0
-    bound: Fraction | None = None
-    a: Fraction = RATIO_BOUND
-    b: Fraction = CHEBYSHEV_B
-    digits: int = 30
-    typo_variant: bool = False
-    m_max: int = 200
-    d_max: int = 200
-    group: str = "S3"
-    seed: int = 0
-    draws: int = 50
-    trials: int = 100
-    char_mode: str = "demo"
-
-
 def _fmt_step(step) -> str:
     line = (
         f"k = {step.k}, p = {step.p}: d = {step.d}, m = {step.m}, "
@@ -105,41 +80,29 @@ def _fmt_step(step) -> str:
     return line
 
 
-def _cmd_table(cfg: RunConfig):
+def _cmd_table(args):
     rows = descent.reference_table(_table_for(64))
     payload = {"rows": [r.to_dict() for r in rows]}
     lines = [_fmt_step(r) for r in rows]
     divergent = [r.k for r in rows if not r.matches_paper]
     if divergent:
         lines.append(f"divergent rows: {divergent}")
-    passed = not (cfg.strict and divergent)
+    passed = not (args.strict and divergent)
     return payload, lines, passed
 
 
-def _cmd_reduce(cfg: RunConfig):
-    table = _table_for(cfg.k + 512)
-    step = descent.reduction_step(cfg.k, table)
+def _cmd_reduce(args):
+    table = _table_for(args.k + 512)
+    step = descent.reduction_step(args.k, table)
     return step.to_dict(), [_fmt_step(step)], True
 
 
-def _chain_weights(k: int, path, policy: str) -> list[int]:
-    if not path:
-        return [k]
-    weights = [s.k for s in path]
-    last = path[-1]
-    # the final hop: lo-branch takes k_lo; hi-branch takes k_hi; a longest
-    # walk only terminates when both children are base, where ties go hi
-    weights.append(last.k_lo if policy == "lo-branch" else last.k_hi)
-    return weights
-
-
-def _cmd_chain(cfg: RunConfig):
-    table = _table_for(cfg.k + 512)
-    path = descent.chain(cfg.k, cfg.policy, table)
-    walked = _chain_weights(cfg.k, path, cfg.policy)
+def _cmd_chain(args):
+    table = _table_for(args.k + 512)
+    path, walked = descent.chain(args.k, args.policy, table)
     payload = {
-        "k": cfg.k,
-        "policy": cfg.policy,
+        "k": args.k,
+        "policy": args.policy,
         "length": len(path),
         "path": walked,
         "steps": [s.to_dict() for s in path],
@@ -148,9 +111,9 @@ def _cmd_chain(cfg: RunConfig):
     return payload, lines, True
 
 
-def _cmd_audit(cfg: RunConfig):
-    table = _table_for(cfg.max_k + 512)
-    report = descent.audit(cfg.max_k, table)
+def _cmd_audit(args):
+    table = _table_for(args.max_k + 512)
+    report = descent.audit(args.max_k, table)
     term = report.termination
     lines = [
         f"audit to max_k = {report.max_k}: {'pass' if report.passed else 'FAIL'}",
@@ -183,21 +146,22 @@ def _gap_lines(report) -> list[str]:
     return lines
 
 
-def _cmd_gaps(cfg: RunConfig, shifted: bool):
-    table = _table_for(cfg.high)
-    bound = cfg.bound
+def _cmd_gaps(args):
+    shifted = args.command == "gaps-shifted"
+    table = _table_for(args.high)
+    bound = args.bound
     if bound is None:
         bound = SHIFTED_RATIO_BOUND if shifted else RATIO_BOUND
     fn = gaps.verify_shifted_ratio if shifted else gaps.verify_ratio
-    report = fn(table, cfg.low, cfg.high, bound)
+    report = fn(table, args.low, args.high, bound)
     return report.to_dict(), _gap_lines(report), report.passed
 
 
-def _cmd_threshold(cfg: RunConfig):
+def _cmd_threshold(args):
     result = gaps.chebyshev_threshold(
-        A=CHEBYSHEV_A, B=cfg.b, a=cfg.a, digits=cfg.digits, typo_variant=cfg.typo_variant,
+        A=CHEBYSHEV_A, B=args.b, a=args.a, digits=args.digits, typo_variant=args.typo_variant,
     )
-    formula = "a*C/(a-C)" if cfg.typo_variant else "a^(C/(a-C))"
+    formula = "a*C/(a-C)" if args.typo_variant else "a^(C/(a-C))"
     lines = [
         f"A = 1, B = {result.B}, a = {result.a}, C = {result.C}",
         f"exponent C/(a-C) in {result.exponent}",
@@ -207,8 +171,8 @@ def _cmd_threshold(cfg: RunConfig):
     return result.to_dict(), lines, result.below_x0
 
 
-def _cmd_star(cfg: RunConfig):
-    report = gaps.star_inequality_check(cfg.m_max, cfg.d_max)
+def _cmd_star(args):
+    report = gaps.star_inequality_check(args.m_max, args.d_max)
     lines = [
         f"grid m in (6, {report.m_max}], d in [1, {report.d_max}]: "
         f"{report.checked} cells, {len(report.failures)} failures",
@@ -220,9 +184,9 @@ def _cmd_star(cfg: RunConfig):
     return report.to_dict(), lines, report.passed
 
 
-def _cmd_mbound(cfg: RunConfig):
-    table = _table_for(cfg.max_k + 512)
-    report = gaps.m_bound_check(table, cfg.max_k)
+def _cmd_mbound(args):
+    table = _table_for(args.max_k + 512)
+    report = gaps.m_bound_check(table, args.max_k)
     lines = [
         f"even k in (36, {report.k_max}]: {report.checked} weights checked, "
         f"{len(report.failures)} failures",
@@ -234,15 +198,13 @@ def _cmd_mbound(cfg: RunConfig):
     return report.to_dict(), lines, report.passed
 
 
-def _cmd_char(cfg: RunConfig):
-    if cfg.char_mode == "verify":
-        names = None if cfg.group in ("all", "suite") else (cfg.group,)
-        kwargs = {} if names is None else {"names": names}
+def _cmd_char(args):
+    if args.mode == "verify":
+        kwargs = {} if args.group in ("all", "suite") else {"names": (args.group,)}
         reports = [
-            frobenius_campaign(draws=cfg.draws, seed=cfg.seed, **kwargs),
-            mackey_campaign(draws=cfg.draws, seed=cfg.seed, **kwargs),
-            invariance_campaign(trials=cfg.trials, seed=cfg.seed,
-                                **({} if names is None else {"names": names})),
+            frobenius_campaign(draws=args.draws, seed=args.seed, **kwargs),
+            mackey_campaign(draws=args.draws, seed=args.seed, **kwargs),
+            invariance_campaign(trials=args.trials, seed=args.seed, **kwargs),
         ]
         payload = {"campaigns": [r.to_dict() for r in reports]}
         lines = [
@@ -253,15 +215,15 @@ def _cmd_char(cfg: RunConfig):
         return payload, lines, all(r.passed for r in reports)
 
     # demo: one seeded combination on the chosen group, conjugated and checked
-    group = _load_cli_group(cfg.group)
-    rng = random.Random(cfg.seed)
+    group = _load_cli_group(args.group)
+    rng = random.Random(args.seed)
     spec = random_brauer_spec(rng, group)
     n = spec.conductor()
     j = next((x for x in range(2, n) if gcd(x, n) == 1), 1)
     report = verify_conjugation_invariance(spec, j)
     payload = {
         "group": group.name,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "summands": [
             {"coefficient": s.coefficient, "subgroup_order": s.subgroup.order}
             for s in spec.summands
@@ -269,7 +231,7 @@ def _cmd_char(cfg: RunConfig):
         "invariance": report.to_dict(),
     }
     lines = [
-        f"group {group.name}, seed {cfg.seed}: combination of "
+        f"group {group.name}, seed {args.seed}: combination of "
         f"{len(spec.summands)} induced twisted characters",
         f"(rho, rho) = {report.self_product}",
         f"(rho^gamma, rho^gamma) = {report.conjugated_self_product}  (j = {report.j})",
@@ -277,29 +239,6 @@ def _cmd_char(cfg: RunConfig):
         + (f", exactly equal: {report.equal_exactly}" if report.rational else ""),
     ]
     return payload, lines, report.passed
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit status."""
-    handlers = {
-        "table": _cmd_table,
-        "reduce": _cmd_reduce,
-        "chain": _cmd_chain,
-        "audit": _cmd_audit,
-        "gaps": lambda c: _cmd_gaps(c, shifted=False),
-        "gaps-shifted": lambda c: _cmd_gaps(c, shifted=True),
-        "threshold": _cmd_threshold,
-        "star": _cmd_star,
-        "mbound": _cmd_mbound,
-        "char": _cmd_char,
-    }
-    payload, lines, passed = handlers[cfg.command](cfg)
-    if cfg.format == "json":
-        print(canonical_json(payload))
-    else:
-        for line in lines:
-            print(line)
-    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,28 +252,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", parents=[common], help="the 12 reference rows, flagged")
+    p.set_defaults(handler=_cmd_table)
     p.add_argument("--strict", action="store_true",
                    help="fail (exit 1) when a row diverges from the published values")
 
     p = sub.add_parser("reduce", parents=[common], help="one reduction step")
+    p.set_defaults(handler=_cmd_reduce)
     p.add_argument("k", type=_even_weight)
 
     p = sub.add_parser("chain", parents=[common], help="a descent path to the base set")
+    p.set_defaults(handler=_cmd_chain)
     p.add_argument("k", type=_even_weight)
     p.add_argument("--policy", choices=descent.CHAIN_POLICIES, default="hi-branch")
 
     p = sub.add_parser("audit", parents=[common], help="full descent audit")
+    p.set_defaults(handler=_cmd_audit)
     p.add_argument("--max-k", type=_even_weight, default=1_000_000)
 
     for name, help_text in (("gaps", "consecutive-prime ratio scan"),
                             ("gaps-shifted", "(p-1)-shifted ratio scan")):
         p = sub.add_parser(name, parents=[common], help=help_text)
+        p.set_defaults(handler=_cmd_gaps)
         p.add_argument("--low", type=int, default=37)
         p.add_argument("--high", type=int, default=gaps.X0)
         p.add_argument("--bound", type=_fraction, default=None,
                        help="rational bound, e.g. 143/125 (defaults per subcommand)")
 
     p = sub.add_parser("threshold", parents=[common], help="Chebyshev threshold enclosure")
+    p.set_defaults(handler=_cmd_threshold)
     p.add_argument("--a", type=_fraction, default=RATIO_BOUND)
     p.add_argument("--b", type=_fraction, default=CHEBYSHEV_B)
     p.add_argument("--digits", type=int, default=30)
@@ -342,13 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate a*C/(a-C) instead of a^(C/(a-C))")
 
     p = sub.add_parser("star", parents=[common], help="twist-family quotient grid")
+    p.set_defaults(handler=_cmd_star)
     p.add_argument("--m-max", type=int, default=200)
     p.add_argument("--d-max", type=int, default=200)
 
     p = sub.add_parser("mbound", parents=[common], help="m > 6 bound scan")
+    p.set_defaults(handler=_cmd_mbound)
     p.add_argument("--max-k", type=int, default=1_000_000)
 
     p = sub.add_parser("char", parents=[common], help="character-suite demo or verification")
+    p.set_defaults(handler=_cmd_char)
     p.add_argument("mode", choices=("demo", "verify"))
     p.add_argument("--group", default="S3",
                    help="builtin name (C<n>, D<n>, S3, S4, Q8), 'all', or a .json table")
@@ -358,28 +306,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {"command": args.command, "format": args.format}
-    for name in ("strict", "k", "policy", "low", "high", "bound", "a", "b",
-                 "digits", "typo_variant", "m_max", "d_max", "group", "seed",
-                 "draws", "trials"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    if hasattr(args, "max_k"):
-        fields["max_k"] = args.max_k
-    if hasattr(args, "mode"):
-        fields["char_mode"] = args.mode
-    return RunConfig(**fields)
-
-
 def main(argv=None) -> int:
+    """Execute one subcommand; returns the process exit status."""
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
     try:
-        return run(cfg)
+        payload, lines, passed = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        print(canonical_json(payload))
+    else:
+        for line in lines:
+            print(line)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -19,10 +19,6 @@ BASE_WEIGHTS = frozenset({2, 4, 6, 8, 12, 14})
 
 CHAIN_POLICIES = ("hi-branch", "lo-branch", "longest")
 
-# Candidate primes examined per weight before giving up; the audit never
-# needs more than 3.
-MAX_PRIME_CANDIDATES = 1000
-
 
 class DescentError(Exception):
     """A reduction step could not be formed or violated its invariants."""
@@ -112,6 +108,8 @@ def select_prime(k: int, table: PrimeTable) -> tuple[int, int]:
     _check_weight(k)
     skips = 0
     p = next_prime(k, table)
+    # Ends: once p - 1 > 6(k - 2), m >= (p - 1)/(k - 2) > 6, and every m >= 7
+    # is admissible in choose_t.
     while True:
         m = (p - 1) // gcd(p - 1, k - 2)
         try:
@@ -119,8 +117,6 @@ def select_prime(k: int, table: PrimeTable) -> tuple[int, int]:
             return p, skips
         except InadmissibleM:
             skips += 1
-            if skips >= MAX_PRIME_CANDIDATES:
-                raise DescentError(f"no admissible prime found above k = {k}")
             p = next_prime(p, table)
 
 
@@ -186,21 +182,11 @@ class DescentGraph:
 
     max_k: int
     base_set: frozenset[int]
-    edges: dict[int, tuple[int, int]]
     steps: dict[int, ReductionStep]
 
     @property
     def nodes(self) -> range:
         return range(2, self.max_k + 1, 2)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_k": self.max_k,
-            "base_set": sorted(self.base_set),
-            "nodes": list(self.nodes),
-            "edges": {str(k): list(e) for k, e in sorted(self.edges.items())},
-            "steps": {str(k): s.to_dict() for k, s in sorted(self.steps.items())},
-        }
 
 
 def build_graph(max_k: int, table: PrimeTable | None = None) -> DescentGraph:
@@ -210,15 +196,10 @@ def build_graph(max_k: int, table: PrimeTable | None = None) -> DescentGraph:
         raise ValueError("max_k must be an even integer >= 14")
     if table is None:
         table = sieve(max_k + 512)
-    edges: dict[int, tuple[int, int]] = {}
-    steps: dict[int, ReductionStep] = {}
-    for k in range(10, max_k + 1, 2):
-        if k in (12, 14):
-            continue
-        step = reduction_step(k, table)
-        steps[k] = step
-        edges[k] = (step.k_hi, step.k_lo)
-    return DescentGraph(max_k=max_k, base_set=BASE_WEIGHTS, edges=edges, steps=steps)
+    steps = {
+        k: reduction_step(k, table) for k in range(10, max_k + 1, 2) if k not in (12, 14)
+    }
+    return DescentGraph(max_k=max_k, base_set=BASE_WEIGHTS, steps=steps)
 
 
 @dataclass(frozen=True)
@@ -244,33 +225,35 @@ class TerminationReport:
 
 
 def verify_termination(graph: DescentGraph) -> TerminationReport:
-    """Walk every node down to the base set and report chain statistics."""
+    """Walk every node down to the base set and report chain statistics.
+
+    Chain depths live in one list indexed by k // 2.  A step whose child is
+    not an even weight in [2, k) breaks termination and stays at depth 0, so
+    no index outside the graph is ever read.
+    """
     base = graph.base_set
-    depth: dict[int, int] = {}
-    reaches: dict[int, bool] = {}
+    depth = [0] * (graph.max_k // 2 + 1)
+    terminates = True
     for k in graph.nodes:
         if k in base:
-            depth[k] = 0
-            reaches[k] = True
             continue
-        hi, lo = graph.edges[k]
-        depth[k] = 1 + max(depth[hi], depth[lo])
-        reaches[k] = reaches[hi] and reaches[lo]
+        step = graph.steps[k]
+        hi, lo = step.k_hi, step.k_lo
+        if hi % 2 or lo % 2 or not (2 <= hi < k and 2 <= lo < k):
+            terminates = False
+            continue
+        depth[k // 2] = 1 + max(depth[hi // 2], depth[lo // 2])
 
-    terminates = all(reaches.values())
-    longest = 0
-    start = None
-    for k in graph.nodes:
-        if depth[k] > longest:
-            longest = depth[k]
-            start = k
+    # walk down from the first deepest node; depth 0 marks a base or broken node
+    longest = max(depth)
     path: list[int] = []
-    if start is not None:
-        node = start
+    if longest:
+        node = 2 * depth.index(longest)
         path.append(node)
-        while node not in base:
-            hi, lo = graph.edges[node]
-            node = hi if depth[hi] >= depth[lo] else lo
+        while depth[node // 2]:
+            step = graph.steps[node]
+            hi, lo = step.k_hi, step.k_lo
+            node = hi if depth[hi // 2] >= depth[lo // 2] else lo
             path.append(node)
 
     histogram: dict[int, int] = {}
@@ -285,8 +268,8 @@ def verify_termination(graph: DescentGraph) -> TerminationReport:
         longest_chain_path=tuple(path),
         weights_with_skips=tuple(sorted(skippers)),
         skip_histogram=histogram,
-        node_count=len(list(graph.nodes)),
-        edge_count=len(graph.edges),
+        node_count=len(graph.nodes),
+        edge_count=len(graph.steps),
     )
 
 
@@ -357,15 +340,18 @@ def audit(max_k: int, table: PrimeTable | None = None) -> AuditReport:
     )
 
 
-def chain(k: int, policy: str = "hi-branch", table: PrimeTable | None = None) -> list[ReductionStep]:
+def chain(
+    k: int, policy: str = "hi-branch", table: PrimeTable | None = None
+) -> tuple[list[ReductionStep], list[int]]:
     """A concrete descent path from k to the base set under a branch policy.
 
-    Base weights give the empty path.
+    Returns the steps taken and the weights walked, k first and a base
+    weight last.  Base weights give no steps and the walk [k].
     """
     if policy not in CHAIN_POLICIES:
         raise ValueError(f"policy must be one of {CHAIN_POLICIES}")
     if k in BASE_WEIGHTS:
-        return []
+        return [], [k]
     _check_weight(k)
     if table is None:
         table = sieve(k + 512)
@@ -387,6 +373,7 @@ def chain(k: int, policy: str = "hi-branch", table: PrimeTable | None = None) ->
         return depth_memo[w]
 
     path = []
+    walked = [k]
     node = k
     while node not in BASE_WEIGHTS:
         s = step_of(node)
@@ -397,4 +384,5 @@ def chain(k: int, policy: str = "hi-branch", table: PrimeTable | None = None) ->
             node = s.k_lo
         else:
             node = s.k_hi if depth(s.k_hi) >= depth(s.k_lo) else s.k_lo
-    return path
+        walked.append(node)
+    return path, walked

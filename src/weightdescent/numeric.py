@@ -1,10 +1,10 @@
 """Exact arithmetic kernel.
 
-Unbounded rationals (`fractions.Fraction`), directed-rounded decimal
-enclosures, and a couple of elementary number-theoretic helpers.  Every
-pass/fail comparison elsewhere in the package goes through exact rational
-arithmetic; the enclosure type exists only to certify the one transcendental
-quantity (a rational power of a rational) with outward rounding.
+The exact rational constants of the audits (`fractions.Fraction`) and
+directed-rounded decimal enclosures.  Every pass/fail comparison elsewhere in
+the package goes through exact rational arithmetic; the enclosure type exists
+only to certify the one transcendental quantity (a rational power of a
+rational) with outward rounding.
 
 All values are immutable and all operations are pure.
 """
@@ -15,47 +15,14 @@ from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 
-Rational = Fraction
-
 # Exact forms of the decimal constants driving the audits.  The decimal
 # literals are finite, so these identifications are lossless.
 RATIO_BOUND = Fraction(143, 125)          # 1.144
 SHIFTED_RATIO_BOUND = Fraction(23, 20)    # 1.15
-SIX_FIFTHS = Fraction(6, 5)
 CHEBYSHEV_A = Fraction(1)
 CHEBYSHEV_B = Fraction(1130289, 1000000)  # 1.130289
 
 DEFAULT_DIGITS = 50
-
-
-def rational_cmp(a, b) -> int:
-    """Three-way exact comparison of rationals by cross-multiplication.
-
-    Returns -1, 0 or +1.  Inputs may be anything `Fraction` accepts.
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    lhs = a.numerator * b.denominator
-    rhs = b.numerator * a.denominator
-    return (lhs > rhs) - (lhs < rhs)
-
-
-def euler_phi(m: int) -> int:
-    """Count of units modulo m, via trial-division factorization."""
-    if m < 1:
-        raise ValueError("euler_phi requires m >= 1")
-    result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
-    return result
 
 
 def _ctx(digits: int, rounding: str) -> Context:
@@ -115,9 +82,6 @@ class RealEnclosure:
     def contains(self, value) -> bool:
         value = Fraction(value)
         return Fraction(self.lower) <= value <= Fraction(self.upper)
-
-    def is_point(self) -> bool:
-        return self.lower == self.upper
 
     def add(self, other: "RealEnclosure", digits: int = DEFAULT_DIGITS) -> "RealEnclosure":
         lo = _ctx(digits, ROUND_FLOOR).add(self.lower, other.lower)

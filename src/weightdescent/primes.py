@@ -43,25 +43,15 @@ def _simple_sieve(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-def _segment_primes(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi], sieving only that window."""
-    lo = max(lo, 2)
-    if hi < lo:
-        return []
-    root = isqrt(hi)
-    base = _simple_sieve(root)
-    out = [p for p in base if p >= lo]
-    seg_lo = max(lo, root + 1)
-    if seg_lo > hi:
-        return out
-    flags = bytearray(b"\x01") * (hi - seg_lo + 1)
+def _mark_segment(base: list[int], lo: int, hi: int) -> list[int]:
+    """Primes in [lo, hi]; base holds every prime up to isqrt(hi), and lo > isqrt(hi)."""
+    flags = bytearray(b"\x01") * (hi - lo + 1)
     for p in base:
-        start = max(p * p, ((seg_lo + p - 1) // p) * p)
+        start = max(p * p, ((lo + p - 1) // p) * p)
         if start > hi:
             continue
-        flags[start - seg_lo :: p] = b"\x00" * ((hi - start) // p + 1)
-    out.extend(i + seg_lo for i, f in enumerate(flags) if f)
-    return out
+        flags[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
+    return [i + lo for i, f in enumerate(flags) if f]
 
 
 def sieve(limit: int, segment_size: int = SEGMENT_SIZE) -> PrimeTable:
@@ -73,15 +63,8 @@ def sieve(limit: int, segment_size: int = SEGMENT_SIZE) -> PrimeTable:
     root = isqrt(limit)
     base = _simple_sieve(root)
     primes = list(base)
-    for seg_lo in range(root + 1, limit + 1, segment_size):
-        seg_hi = min(seg_lo + segment_size - 1, limit)
-        flags = bytearray(b"\x01") * (seg_hi - seg_lo + 1)
-        for p in base:
-            start = max(p * p, ((seg_lo + p - 1) // p) * p)
-            if start > seg_hi:
-                continue
-            flags[start - seg_lo :: p] = b"\x00" * ((seg_hi - start) // p + 1)
-        primes.extend(i + seg_lo for i, f in enumerate(flags) if f)
+    for lo in range(root + 1, limit + 1, segment_size):
+        primes.extend(_mark_segment(base, lo, min(lo + segment_size - 1, limit)))
     return PrimeTable(limit, tuple(primes))
 
 
@@ -100,7 +83,9 @@ def next_prime(n: int, table: PrimeTable | None = None) -> int:
     lo = n + 1
     while True:
         hi = lo + SEGMENT_SIZE - 1
-        found = _segment_primes(lo, hi)
+        root = isqrt(hi)
+        base = _simple_sieve(root)
+        found = [p for p in base if p >= lo] or _mark_segment(base, max(lo, root + 1), hi)
         if found:
             return found[0]
         lo = hi + 1

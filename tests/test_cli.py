@@ -3,16 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from weightdescent.cli import RunConfig, canonical_json, main
+from weightdescent.cli import build_parser, canonical_json, main
 
 
-def test_runconfig_defaults_reproduce_canonical_parameters():
-    cfg = RunConfig(command="gaps")
-    assert (cfg.low, cfg.high) == (37, 100000)
-    assert cfg.a == Fraction(143, 125)
-    assert cfg.b == Fraction(1130289, 1000000)
-    assert cfg.max_k == 10**6
-    assert cfg.bound is None  # per-subcommand: 143/125 plain, 23/20 shifted
+def test_parser_defaults_reproduce_canonical_parameters():
+    parser = build_parser()
+    args = parser.parse_args(["gaps"])
+    assert (args.low, args.high) == (37, 100000)
+    assert args.bound is None  # per-subcommand: 143/125 plain, 23/20 shifted
+    args = parser.parse_args(["threshold"])
+    assert args.a == Fraction(143, 125)
+    assert args.b == Fraction(1130289, 1000000)
+    assert parser.parse_args(["audit"]).max_k == 10**6
+    assert parser.parse_args(["mbound"]).max_k == 10**6
 
 
 def run_cli(capsys, *argv):

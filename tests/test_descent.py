@@ -5,7 +5,9 @@ import pytest
 from weightdescent.descent import (
     BASE_WEIGHTS,
     DescentError,
+    DescentGraph,
     InadmissibleM,
+    ReductionStep,
     audit,
     build_graph,
     chain,
@@ -117,14 +119,14 @@ class TestReferenceTable:
 class TestGraph:
     def test_small_graph_edges(self, table_2k):
         g = build_graph(20, table_2k)
-        assert g.edges[10] == (8, 6)
-        assert g.edges[16] == (12, 8)
-        assert 12 not in g.edges and 14 not in g.edges
+        assert (g.steps[10].k_hi, g.steps[10].k_lo) == (8, 6)
+        assert (g.steps[16].k_hi, g.steps[16].k_lo) == (12, 8)
+        assert 12 not in g.steps and 14 not in g.steps
         assert set(g.nodes) == set(range(2, 21, 2))
 
     def test_max_k_14_reduces_only_weight_10(self, table_2k):
         g = build_graph(14, table_2k)
-        assert set(g.edges) == {10}
+        assert set(g.steps) == {10}
 
     def test_precondition(self, table_2k):
         with pytest.raises(ValueError):
@@ -140,41 +142,56 @@ class TestGraph:
         assert rep.longest_chain_path[0] == 32
         assert rep.longest_chain_path[-1] in BASE_WEIGHTS
 
-    def test_graph_dict_schema(self, table_2k):
-        d = build_graph(20, table_2k).to_dict()
-        assert d["base_set"] == [2, 4, 6, 8, 12, 14]
-        assert d["edges"]["10"] == [8, 6]
-        assert d["steps"]["10"]["p"] == 11
+    def test_child_outside_the_graph_breaks_termination(self):
+        # k_lo = -2 fails validate(); built by hand, it must not be read as
+        # the depth of some other weight
+        bad = ReductionStep(k=10, p=11, d=2, m=5, t=3, dt=6, k_hi=8, k_lo=-2, prime_skips=0)
+        with pytest.raises(DescentError):
+            bad.validate()
+        graph = DescentGraph(max_k=14, base_set=BASE_WEIGHTS, steps={10: bad})
+        rep = verify_termination(graph)
+        assert rep.terminates is False
+        assert rep.node_count == 7 and rep.edge_count == 1
 
 
 class TestChain:
     def test_base_weight_gives_empty_path(self, table_2k):
-        assert chain(12, "hi-branch", table_2k) == []
-        assert chain(2, "longest", table_2k) == []
+        assert chain(12, "hi-branch", table_2k) == ([], [12])
+        assert chain(2, "longest", table_2k) == ([], [2])
 
     def test_k10_hi(self, table_2k):
-        path = chain(10, "hi-branch", table_2k)
+        path, walked = chain(10, "hi-branch", table_2k)
         assert len(path) == 1
         assert path[0].k_hi == 8
+        assert walked == [10, 8]
 
     def test_k36_hi(self, table_2k):
-        path = chain(36, "hi-branch", table_2k)
+        path, walked = chain(36, "hi-branch", table_2k)
         assert [s.k for s in path] == [36, 24, 20]
         assert path[-1].k_hi == 14
-        assert len(path) == 3
+        assert walked == [36, 24, 20, 14]
 
     def test_policies_differ(self, table_2k):
-        lo = chain(36, "lo-branch", table_2k)
+        lo, walked = chain(36, "lo-branch", table_2k)
         assert [s.k for s in lo] == [36, 16]
         assert lo[-1].k_lo == 8
-        longest = chain(36, "longest", table_2k)
+        assert walked == [36, 16, 8]
+        longest, _ = chain(36, "longest", table_2k)
         assert len(longest) >= 3
+
+    def test_walk_follows_the_steps(self, table_2k):
+        for policy in ("hi-branch", "lo-branch", "longest"):
+            for k in (30, 36, 100, 1000):
+                path, walked = chain(k, policy, table_2k)
+                assert walked[:-1] == [s.k for s in path]
+                assert all(w in (s.k_hi, s.k_lo) for s, w in zip(path, walked[1:]))
+                assert walked[-1] in BASE_WEIGHTS
 
     def test_longest_is_maximal_among_policies(self, table_2k):
         for k in (30, 36, 100):
-            n = len(chain(k, "longest", table_2k))
-            assert n >= len(chain(k, "hi-branch", table_2k))
-            assert n >= len(chain(k, "lo-branch", table_2k))
+            n = len(chain(k, "longest", table_2k)[0])
+            assert n >= len(chain(k, "hi-branch", table_2k)[0])
+            assert n >= len(chain(k, "lo-branch", table_2k)[0])
 
     def test_bad_policy(self, table_2k):
         with pytest.raises(ValueError):

@@ -9,13 +9,9 @@ from weightdescent.numeric import (
     CHEBYSHEV_B,
     RATIO_BOUND,
     SHIFTED_RATIO_BOUND,
-    SIX_FIFTHS,
     RealEnclosure,
-    euler_phi,
     pow_enclosure,
-    rational_cmp,
 )
-from weightdescent.primes import sieve
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=999
@@ -25,47 +21,7 @@ rationals = st.fractions(
 def test_constants_are_the_exact_decimals():
     assert RATIO_BOUND == Fraction(1144, 1000)
     assert SHIFTED_RATIO_BOUND == Fraction(115, 100)
-    assert SIX_FIFTHS == Fraction(12, 10)
     assert CHEBYSHEV_B == Fraction("1.130289")
-
-
-def test_rational_cmp_examples():
-    assert rational_cmp(Fraction(127, 113), Fraction(143, 125)) == -1
-    assert 127 * 125 == 15875 and 113 * 143 == 16159  # the cross products
-    assert rational_cmp(Fraction(36, 30), Fraction(6, 5)) == 0
-    assert rational_cmp(Fraction(143, 125), Fraction(6, 5)) == -1
-
-
-@given(rationals, rationals)
-def test_rational_cmp_matches_cross_multiplication(a, b):
-    lhs = a.numerator * b.denominator
-    rhs = b.numerator * a.denominator
-    assert rational_cmp(a, b) == (lhs > rhs) - (lhs < rhs)
-
-
-@given(rationals, rationals, rationals)
-def test_rational_cmp_transitive(a, b, c):
-    if rational_cmp(a, b) <= 0 and rational_cmp(b, c) <= 0:
-        assert rational_cmp(a, c) <= 0
-
-
-@given(rationals, rationals)
-def test_cmp_agrees_with_difference_sign(a, b):
-    assert (rational_cmp(a, b) < 0) == (rational_cmp(a - b, 0) < 0)
-
-
-def test_euler_phi_examples():
-    assert euler_phi(1) == 1
-    assert euler_phi(5) == 4
-    assert euler_phi(6) == 2
-    assert euler_phi(12) == 4
-    with pytest.raises(ValueError):
-        euler_phi(0)
-
-
-def test_euler_phi_on_primes_matches_sieve():
-    for p in sieve(10000).primes:
-        assert euler_phi(p) == p - 1
 
 
 class TestRealEnclosure:
