@@ -1,11 +1,13 @@
 """Byte-for-byte golden outputs of the CLI.
 
 Each case runs `cli.main(argv)` in-process and compares its stdout with
-`tests/golden/<name>.txt` and its exit status with `tests/golden/status.json`.
-The files were captured from the CLI before the refactor that gave each
-concept one implementation, so any change to an output byte, an exit status
-or a verdict fails here.  Every argv set runs in text mode and with
-`--format json`.
+`tests/golden/<name>.txt` and its exit status with the entry of the same name
+in one of the `tests/golden/status*.json` files.  Each file was captured from
+the CLI before a refactor it guards (`status.json` and its outputs before the
+one that gave each concept one implementation, `status-audit.json` and the
+small audits before the one-pass descent audit), so any change to an output
+byte, an exit status or a verdict fails here.  Every argv set runs in text
+mode and with `--format json`.
 """
 
 import contextlib
@@ -27,6 +29,8 @@ ARGV_SETS = {
     "chain-36-lo": ["chain", "36", "--policy", "lo-branch"],
     "chain-36-longest": ["chain", "36", "--policy", "longest"],
     "chain-999998-longest": ["chain", "999998", "--policy", "longest"],
+    "audit-14": ["audit", "--max-k", "14"],
+    "audit-38": ["audit", "--max-k", "38"],
     "audit-100000": ["audit", "--max-k", "100000"],
     "gaps": ["gaps"],
     "gaps-20-32": ["gaps", "--low", "20", "--high", "32"],
@@ -56,7 +60,12 @@ def run_main(argv: list[str]) -> tuple[int, bytes]:
 
 @pytest.fixture(scope="module")
 def statuses():
-    return json.loads((GOLDEN / "status.json").read_text(encoding="utf-8"))
+    merged: dict[str, int] = {}
+    for path in sorted(GOLDEN.glob("status*.json")):
+        part = json.loads(path.read_text(encoding="utf-8"))
+        assert not set(part) & set(merged), f"{path.name} repeats a case"
+        merged.update(part)
+    return merged
 
 
 def test_every_golden_file_has_a_case(statuses):
