@@ -1,7 +1,9 @@
 """Command-line surface: every audit as a subcommand, text or JSON output.
 
 Exit status: 0 when every check passed, 1 on any violation (a reference-
-table divergence only fails `table` under --strict), 2 on usage errors.
+table divergence only fails `table` under --strict), 2 on usage or input
+errors, among them a gap range holding no adjacent prime pair, a
+non-positive draw or trial count and an unreadable group file.
 Defaults reproduce the canonical parameters: gap range (37, 100000],
 bounds 143/125 and 23/20, A = 1, B = 1130289/1000000, a = 143/125,
 audit max_k = 10^6.
@@ -47,8 +49,11 @@ def _table_for(limit: int):
 
 def _load_cli_group(name_or_path: str):
     if name_or_path.endswith(".json"):
-        with open(name_or_path, encoding="utf-8") as fh:
-            return load_group(json.load(fh))
+        try:
+            with open(name_or_path, encoding="utf-8") as fh:
+                return load_group(json.load(fh))
+        except OSError as exc:
+            raise ValueError(f"cannot read group file {name_or_path}: {exc.strerror}") from exc
     return builtin_group(name_or_path)
 
 
@@ -57,6 +62,13 @@ def _even_weight(text: str) -> int:
     if k % 2 != 0 or k <= 0:
         raise argparse.ArgumentTypeError(f"{k} is not a positive even weight")
     return k
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"{n} is not a positive count")
+    return n
 
 
 def _fraction(text: str) -> Fraction:
@@ -154,6 +166,8 @@ def _cmd_gaps(args):
         bound = SHIFTED_RATIO_BOUND if shifted else RATIO_BOUND
     fn = gaps.verify_shifted_ratio if shifted else gaps.verify_ratio
     report = fn(table, args.low, args.high, bound)
+    if report.pairs_checked == 0:
+        raise ValueError(f"no adjacent prime pair in ({args.low}, {args.high}]")
     return report.to_dict(), _gap_lines(report), report.passed
 
 
@@ -301,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default="S3",
                    help="builtin name (C<n>, D<n>, S3, S4, Q8), 'all', or a .json table")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--draws", type=int, default=50)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--draws", type=_positive_int, default=50)
+    p.add_argument("--trials", type=_positive_int, default=100)
     return parser
 
 

@@ -3,13 +3,15 @@
 For an even weight k (k = 10 or k >= 16) pick the smallest usable prime
 p > k, set d = gcd(p-1, k-2) and m = (p-1)/d, choose the halfway twist
 exponent t, and reduce to the two candidate weights dt+2 and p+1-dt.  Both
-are strictly smaller than k, which is what the descent graph certifies all
-the way down to the base weights.
+are strictly smaller than k, so a weight is settled once both children are.
+The audit is therefore one ascending pass over k that settles every weight
+down to the base weights while holding one step at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import asdict, dataclass, replace
 from math import gcd
 
 from .numeric import RATIO_BOUND
@@ -86,18 +88,7 @@ class ReductionStep:
             raise DescentError(f"twist reproduces the original exponent at k = {k}")
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "p": self.p,
-            "d": self.d,
-            "m": self.m,
-            "t": self.t,
-            "dt": self.dt,
-            "k_hi": self.k_hi,
-            "k_lo": self.k_lo,
-            "prime_skips": self.prime_skips,
-            "matches_paper": self.matches_paper,
-        }
+        return asdict(self)
 
 
 def select_prime(k: int, table: PrimeTable) -> tuple[int, int]:
@@ -181,7 +172,6 @@ class DescentGraph:
     """Directed graph on even weights: k -> (k_hi, k_lo) for non-base nodes."""
 
     max_k: int
-    base_set: frozenset[int]
     steps: dict[int, ReductionStep]
 
     @property
@@ -189,17 +179,22 @@ class DescentGraph:
         return range(2, self.max_k + 1, 2)
 
 
+def _graph_table(max_k: int, table: PrimeTable | None) -> PrimeTable:
+    if max_k < 14 or max_k % 2 != 0:
+        raise ValueError("max_k must be an even integer >= 14")
+    return sieve(max_k + 512) if table is None else table
+
+
+def _steps(max_k: int, table: PrimeTable) -> Iterator[ReductionStep]:
+    """The validated step of every non-base weight <= max_k, ascending in k."""
+    return (reduction_step(k, table) for k in range(10, max_k + 1, 2) if k not in BASE_WEIGHTS)
+
+
 def build_graph(max_k: int, table: PrimeTable | None = None) -> DescentGraph:
     """Graph over all even weights <= max_k, one validated step per non-base
     node (memoized: each weight is reduced exactly once)."""
-    if max_k < 14 or max_k % 2 != 0:
-        raise ValueError("max_k must be an even integer >= 14")
-    if table is None:
-        table = sieve(max_k + 512)
-    steps = {
-        k: reduction_step(k, table) for k in range(10, max_k + 1, 2) if k not in (12, 14)
-    }
-    return DescentGraph(max_k=max_k, base_set=BASE_WEIGHTS, steps=steps)
+    table = _graph_table(max_k, table)
+    return DescentGraph(max_k=max_k, steps={s.k: s for s in _steps(max_k, table)})
 
 
 @dataclass(frozen=True)
@@ -224,53 +219,58 @@ class TerminationReport:
         }
 
 
-def verify_termination(graph: DescentGraph) -> TerminationReport:
-    """Walk every node down to the base set and report chain statistics.
+def _fold(
+    max_k: int, steps: Iterable[ReductionStep], step_at: Callable[[int], ReductionStep]
+) -> TerminationReport:
+    """Termination and chain statistics in one pass over steps ascending in k.
 
-    Chain depths live in one list indexed by k // 2.  A step whose child is
-    not an even weight in [2, k) breaks termination and stays at depth 0, so
-    no index outside the graph is ever read.
+    level[w // 2] is 0 while weight w is unsettled and 1 + its chain depth
+    once settled (a byte: a depth above 254 raises instead of wrapping).  Base
+    weights start settled; a step settles k once both children are settled
+    even weights in [2, k).  Termination needs every weight <= max_k settled.
+    The longest chain is then walked down through step_at.
     """
-    base = graph.base_set
-    depth = [0] * (graph.max_k // 2 + 1)
-    terminates = True
-    for k in graph.nodes:
-        if k in base:
-            continue
-        step = graph.steps[k]
-        hi, lo = step.k_hi, step.k_lo
-        if hi % 2 or lo % 2 or not (2 <= hi < k and 2 <= lo < k):
-            terminates = False
-            continue
-        depth[k // 2] = 1 + max(depth[hi // 2], depth[lo // 2])
-
-    # walk down from the first deepest node; depth 0 marks a base or broken node
-    longest = max(depth)
-    path: list[int] = []
-    if longest:
-        node = 2 * depth.index(longest)
-        path.append(node)
-        while depth[node // 2]:
-            step = graph.steps[node]
-            hi, lo = step.k_hi, step.k_lo
-            node = hi if depth[hi // 2] >= depth[lo // 2] else lo
-            path.append(node)
-
+    level = bytearray(max_k // 2 + 1)
+    for w in BASE_WEIGHTS:
+        level[w // 2] = 1
     histogram: dict[int, int] = {}
     skippers = []
-    for k, step in graph.steps.items():
-        histogram[step.prime_skips] = histogram.get(step.prime_skips, 0) + 1
-        if step.prime_skips > 0:
+    for step in steps:
+        k, hi, lo, skips = step.k, step.k_hi, step.k_lo, step.prime_skips
+        histogram[skips] = histogram.get(skips, 0) + 1
+        if skips:
             skippers.append(k)
+        if hi % 2 == 0 and lo % 2 == 0 and 2 <= hi < k and 2 <= lo < k:
+            l_hi, l_lo = level[hi // 2], level[lo // 2]
+            if l_hi and l_lo:
+                level[k // 2] = 1 + max(l_hi, l_lo)
+
+    # walk down from the first deepest node to a base weight (level 1)
+    top = max(level)
+    path: list[int] = []
+    if top > 1:
+        node = 2 * level.index(top)
+        path.append(node)
+        while level[node // 2] > 1:
+            step = step_at(node)
+            hi, lo = step.k_hi, step.k_lo
+            node = hi if level[hi // 2] >= level[lo // 2] else lo
+            path.append(node)
     return TerminationReport(
-        terminates=terminates,
-        longest_chain_length=longest,
+        terminates=level.find(0, 1) == -1,
+        longest_chain_length=top - 1,
         longest_chain_path=tuple(path),
-        weights_with_skips=tuple(sorted(skippers)),
+        weights_with_skips=tuple(skippers),
         skip_histogram=histogram,
-        node_count=len(graph.nodes),
-        edge_count=len(graph.steps),
+        node_count=max_k // 2,
+        edge_count=sum(histogram.values()),
     )
+
+
+def verify_termination(graph: DescentGraph) -> TerminationReport:
+    """Walk every node down to the base set and report chain statistics."""
+    steps = graph.steps
+    return _fold(graph.max_k, (steps[k] for k in sorted(steps)), steps.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -298,36 +298,34 @@ class AuditReport:
 
 
 def audit(max_k: int, table: PrimeTable | None = None) -> AuditReport:
-    """Full descent audit up to max_k.
+    """Full descent audit up to max_k, in one ascending pass over the weights.
 
     Requires, for every k > 36: no skipped primes, m > 6, and both exact
     ratios p/k_hi and p/k_lo above RATIO_BOUND; and for the whole graph:
-    termination with 32 as the only weight needing a skipped prime.
+    termination with 32 as the only weight needing a skipped prime.  One
+    step is held at a time; the longest chain's steps are formed again.
     """
-    graph = build_graph(max_k, table)
-    term = verify_termination(graph)
+    table = _graph_table(max_k, table)
     num, den = RATIO_BOUND.numerator, RATIO_BOUND.denominator
-    ratio_failures = []
-    m_bound_failures = []
-    skip_failures = []
-    for k, step in graph.steps.items():
-        if k <= 36:
-            continue
-        if step.prime_skips != 0:
-            skip_failures.append(k)
-        if step.m <= 6:
-            m_bound_failures.append(k)
-        if den * step.p <= num * step.k_hi:
-            ratio_failures.append((k, "hi", step.p, step.k_hi))
-        if den * step.p <= num * step.k_lo:
-            ratio_failures.append((k, "lo", step.p, step.k_lo))
+    ratio_failures, m_bound_failures, skip_failures = [], [], []
+
+    def checked() -> Iterator[ReductionStep]:
+        for step in _steps(max_k, table):
+            if step.k > 36:
+                if step.prime_skips != 0:
+                    skip_failures.append(step.k)
+                if step.m <= 6:
+                    m_bound_failures.append(step.k)
+                if den * step.p <= num * step.k_hi:
+                    ratio_failures.append((step.k, "hi", step.p, step.k_hi))
+                if den * step.p <= num * step.k_lo:
+                    ratio_failures.append((step.k, "lo", step.p, step.k_lo))
+            yield step
+
+    term = _fold(max_k, checked(), lambda k: reduction_step(k, table))
     unexpected = tuple(k for k in term.weights_with_skips if k != 32)
-    passed = (
-        term.terminates
-        and not ratio_failures
-        and not m_bound_failures
-        and not skip_failures
-        and not unexpected
+    passed = term.terminates and not (
+        ratio_failures or m_bound_failures or skip_failures or unexpected
     )
     return AuditReport(
         max_k=max_k,

@@ -105,6 +105,16 @@ class TestGaps:
         assert code == 1  # 53/47 > 9/8
         assert json.loads(out)["bound"] == "9/8"
 
+    @pytest.mark.parametrize("command", ["gaps", "gaps-shifted"])
+    @pytest.mark.parametrize("bounds", [["--high", "1"], ["--low", "37", "--high", "40"]])
+    def test_range_without_pairs_is_usage_error(self, capsys, command, bounds):
+        code = main([command, *bounds])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: no adjacent prime pair")
+        assert captured.err.count("\n") == 1
+
 
 class TestThreshold:
     def test_defaults(self, capsys):
@@ -154,6 +164,18 @@ class TestChar:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["campaigns"]) == 3
+
+    def test_verify_rejects_non_positive_counts(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["char", "verify", "--draws", "-1", "--trials", "0"])
+        assert exc.value.code == 2
+        assert "--draws" in capsys.readouterr().err
+
+    def test_demo_missing_group_file_is_usage_error(self, capsys, tmp_path):
+        code = main(["char", "demo", "--group", str(tmp_path / "missing.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot read group file") and err.count("\n") == 1
 
 
 class TestAudit:

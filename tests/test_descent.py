@@ -1,7 +1,11 @@
+import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from weightdescent import descent
 from weightdescent.descent import (
     BASE_WEIGHTS,
     DescentError,
@@ -18,6 +22,7 @@ from weightdescent.descent import (
     select_prime,
     verify_termination,
 )
+from weightdescent.primes import sieve
 
 
 class TestChooseT:
@@ -148,10 +153,26 @@ class TestGraph:
         bad = ReductionStep(k=10, p=11, d=2, m=5, t=3, dt=6, k_hi=8, k_lo=-2, prime_skips=0)
         with pytest.raises(DescentError):
             bad.validate()
-        graph = DescentGraph(max_k=14, base_set=BASE_WEIGHTS, steps={10: bad})
+        graph = DescentGraph(max_k=14, steps={10: bad})
         rep = verify_termination(graph)
         assert rep.terminates is False
         assert rep.node_count == 7 and rep.edge_count == 1
+
+    def test_missing_step_of_a_child_breaks_termination(self, table_2k):
+        steps = dict(build_graph(20, table_2k).steps)
+        assert 10 in (steps[18].k_hi, steps[18].k_lo)
+        del steps[10]
+        rep = verify_termination(DescentGraph(max_k=20, steps=steps))
+        assert rep.terminates is False
+        assert rep.edge_count == len(steps)
+
+    def test_report_does_not_depend_on_dict_order(self, table_2k):
+        g = build_graph(1000, table_2k)
+        shuffled = dict(reversed(list(g.steps.items())))
+        assert list(shuffled) != list(g.steps)
+        rep = verify_termination(DescentGraph(max_k=1000, steps=shuffled))
+        assert rep == verify_termination(g)
+        assert rep.terminates
 
 
 class TestChain:
@@ -199,6 +220,35 @@ class TestChain:
 
 
 class TestAudit:
+    @pytest.mark.parametrize("n", [14, 16, 36, 38, 1000, 10000])
+    def test_pass_agrees_with_the_stored_graph(self, n):
+        assert audit(n).termination == verify_termination(build_graph(n))
+
+    def test_holds_one_step_at_a_time(self):
+        table = sieve(20_000 + 512)
+        tracemalloc.start()
+        try:
+            report = audit(20_000, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 1_000_000
+
+    def test_checks_run_on_every_weight_above_36(self, monkeypatch, table_2k):
+        real = descent.reduction_step
+        monkeypatch.setattr(descent, "reduction_step",
+                            lambda k, table: replace(real(k, table), m=6, prime_skips=1))
+        monkeypatch.setattr(descent, "RATIO_BOUND", Fraction(10**6))
+        report = audit(100, table_2k)
+        above = tuple(range(38, 101, 2))
+        assert report.skip_failures == above
+        assert report.m_bound_failures == above
+        assert [f[:2] for f in report.ratio_failures] == [
+            (k, side) for k in above for side in ("hi", "lo")
+        ]
+        assert report.termination.terminates and not report.passed
+
     def test_audit_to_10k(self):
         report = audit(10000)
         assert report.passed
