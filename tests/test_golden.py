@@ -5,9 +5,10 @@ Each case runs `cli.main(argv)` in-process and compares its stdout with
 in one of the `tests/golden/status*.json` files.  Each file was captured from
 the CLI before a refactor it guards (`status.json` and its outputs before the
 one that gave each concept one implementation, `status-audit.json` and the
-small audits before the one-pass descent audit), so any change to an output
-byte, an exit status or a verdict fails here.  Every argv set runs in text
-mode and with `--format json`.
+small audits before the one-pass descent audit, `status-audit-1000000.json`
+and the full audit before the sweep over consecutive primes), so any change
+to an output byte, an exit status or a verdict fails here.  Every argv set
+runs in text mode and with `--format json`.
 """
 
 import contextlib
@@ -32,6 +33,7 @@ ARGV_SETS = {
     "audit-14": ["audit", "--max-k", "14"],
     "audit-38": ["audit", "--max-k", "38"],
     "audit-100000": ["audit", "--max-k", "100000"],
+    "audit-1000000": ["audit", "--max-k", "1000000"],
     "gaps": ["gaps"],
     "gaps-20-32": ["gaps", "--low", "20", "--high", "32"],
     "gaps-shifted": ["gaps-shifted"],
