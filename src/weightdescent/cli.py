@@ -3,7 +3,10 @@
 Exit status: 0 when every check passed, 1 on any violation (a reference-
 table divergence only fails `table` under --strict), 2 on usage or input
 errors, among them a gap range holding no adjacent prime pair, a
-non-positive draw or trial count and an unreadable group file.
+non-positive draw or trial count and an unreadable group file, and 3 when
+the verdict is inconclusive (a `threshold` enclosure straddling x0, reported
+as "inconclusive" and `below_x0: null`) or a reduction step breaks its
+invariants (a DescentError, reported on one `error:` line).
 Defaults reproduce the canonical parameters: gap range (37, 100000],
 bounds 143/125 and 23/20, A = 1, B = 1130289/1000000, a = 143/125,
 audit max_k = 10^6.
@@ -171,6 +174,9 @@ def _cmd_gaps(args):
     return report.to_dict(), _gap_lines(report), report.passed
 
 
+_VERDICT_WORDS = {True: "true", False: "false", None: "inconclusive"}
+
+
 def _cmd_threshold(args):
     result = gaps.chebyshev_threshold(
         A=CHEBYSHEV_A, B=args.b, a=args.a, digits=args.digits, typo_variant=args.typo_variant,
@@ -180,7 +186,7 @@ def _cmd_threshold(args):
         f"A = 1, B = {result.B}, a = {result.a}, C = {result.C}",
         f"exponent C/(a-C) in {result.exponent}",
         f"{formula} in {result.threshold}  (width {result.threshold.width()})",
-        f"below x0 = {gaps.X0}: {'true' if result.below_x0 else 'false'}",
+        f"below x0 = {gaps.X0}: {_VERDICT_WORDS[result.below_x0]}",
     ]
     return result.to_dict(), lines, result.below_x0
 
@@ -328,11 +334,16 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except descent.DescentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     if args.format == "json":
         print(canonical_json(payload))
     else:
         for line in lines:
             print(line)
+    if passed is None:
+        return 3
     return 0 if passed else 1
 
 

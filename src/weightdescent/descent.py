@@ -2,20 +2,24 @@
 
 For an even weight k (k = 10 or k >= 16) pick the smallest usable prime
 p > k, set d = gcd(p-1, k-2) and m = (p-1)/d, choose the halfway twist
-exponent t, and reduce to the two candidate weights dt+2 and p+1-dt.  Both
-are strictly smaller than k, so a weight is settled once both children are.
-The audit is therefore one ascending pass over k that settles every weight
-down to the base weights while holding one step at a time.
+exponent t, and reduce to the two candidate weights dt+2 and p+1-dt.  One
+kernel runs this recipe for every caller and checks each invariant of the
+step in integers.  Both candidate weights are strictly smaller than k, so a
+weight is settled once both children are.  The audit is therefore one
+ascending sweep over k: a pointer walking the consecutive primes supplies
+each next prime, the kernel's plain tuple is checked on the spot, and no step
+object is formed except along the longest chain.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, replace
 from math import gcd
 
 from .numeric import RATIO_BOUND
-from .primes import PrimeTable, next_prime, sieve
+from .primes import PrimeTable, next_prime, next_primes, sieve
 
 BASE_WEIGHTS = frozenset({2, 4, 6, 8, 12, 14})
 
@@ -73,22 +77,69 @@ class ReductionStep:
     matches_paper: bool | None = None
 
     def validate(self) -> None:
-        k, p, d, m, t, dt = self.k, self.p, self.d, self.m, self.t, self.dt
-        if d != gcd(p - 1, k - 2) or m * d != p - 1 or dt != d * t:
-            raise DescentError(f"inconsistent arithmetic in step at k = {k}")
-        if gcd(t, m) != 1 or not (1 < t < m - 1):
-            raise DescentError(f"invalid twist exponent t = {t} at k = {k}")
-        if self.k_hi != dt + 2 or self.k_lo != p + 1 - dt:
-            raise DescentError(f"candidate weights mismatch at k = {k}")
-        if self.k_hi % 2 or self.k_lo % 2:
-            raise DescentError(f"odd candidate weight at k = {k}")
-        if not (self.k_hi < k and self.k_lo < k):
-            raise DescentError(f"non-decreasing step at k = {k}")
-        if dt % (p - 1) in ((k - 2) % (p - 1), (2 - k) % (p - 1)):
-            raise DescentError(f"twist reproduces the original exponent at k = {k}")
+        error = _broken_invariant(
+            self.k, self.p, self.d, self.m, self.t, self.dt, self.k_hi, self.k_lo
+        )
+        if error:
+            raise DescentError(error)
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _broken_invariant(
+    k: int, p: int, d: int, m: int, t: int, dt: int, k_hi: int, k_lo: int
+) -> str | None:
+    """The first invariant the step at k breaks, or None when it holds them all."""
+    n = p - 1
+    if d != gcd(n, k - 2) or m * d != n or dt != d * t:
+        return f"inconsistent arithmetic in step at k = {k}"
+    if gcd(t, m) != 1 or not (1 < t < m - 1):
+        return f"invalid twist exponent t = {t} at k = {k}"
+    if k_hi != dt + 2 or k_lo != p + 1 - dt:
+        return f"candidate weights mismatch at k = {k}"
+    if k_hi % 2 or k_lo % 2:
+        return f"odd candidate weight at k = {k}"
+    if k_hi >= k or k_lo >= k:
+        return f"non-decreasing step at k = {k}"
+    r = dt % n
+    if r == (k - 2) % n or r == (2 - k) % n:
+        return f"twist reproduces the original exponent at k = {k}"
+    return None
+
+
+def _recipe(k: int, p: int, table: PrimeTable) -> tuple[int, int, int, int, int, int, int, int]:
+    """The recipe at weight k from p, the smallest prime above k.
+
+    Skips primes whose m admits no twist exponent and returns
+    (p, skips, d, m, t, dt, k_hi, k_lo) after checking every invariant of
+    ReductionStep.validate; raises DescentError if one fails.
+    """
+    skips = 0
+    # Ends: once p - 1 > 6(k - 2), m >= (p - 1)/(k - 2) > 6, and every m >= 7
+    # is admissible in choose_t.
+    while True:
+        d = gcd(p - 1, k - 2)
+        m = (p - 1) // d
+        try:
+            t = choose_t(m)
+            break
+        except InadmissibleM:
+            skips += 1
+            p = next_prime(p, table)
+    dt = d * t
+    k_hi, k_lo = dt + 2, p + 1 - dt
+    error = _broken_invariant(k, p, d, m, t, dt, k_hi, k_lo)
+    if error:
+        raise DescentError(error)
+    return p, skips, d, m, t, dt, k_hi, k_lo
+
+
+def _step(k: int, recipe: tuple[int, ...]) -> ReductionStep:
+    p, skips, d, m, t, dt, k_hi, k_lo = recipe
+    return ReductionStep(
+        k=k, p=p, d=d, m=m, t=t, dt=dt, k_hi=k_hi, k_lo=k_lo, prime_skips=skips
+    )
 
 
 def select_prime(k: int, table: PrimeTable) -> tuple[int, int]:
@@ -97,33 +148,18 @@ def select_prime(k: int, table: PrimeTable) -> tuple[int, int]:
     Returns (p, skips) where skips counts the rejected smaller primes.
     """
     _check_weight(k)
-    skips = 0
-    p = next_prime(k, table)
-    # Ends: once p - 1 > 6(k - 2), m >= (p - 1)/(k - 2) > 6, and every m >= 7
-    # is admissible in choose_t.
-    while True:
-        m = (p - 1) // gcd(p - 1, k - 2)
-        try:
-            choose_t(m)
-            return p, skips
-        except InadmissibleM:
-            skips += 1
-            p = next_prime(p, table)
+    return _recipe(k, next_prime(k, table), table)[:2]
 
 
 def reduction_step(k: int, table: PrimeTable) -> ReductionStep:
     """Fully populated, validated reduction step at weight k."""
-    p, skips = select_prime(k, table)
-    d = gcd(p - 1, k - 2)
-    m = (p - 1) // d
-    t = choose_t(m)
-    dt = d * t
-    step = ReductionStep(
-        k=k, p=p, d=d, m=m, t=t, dt=dt,
-        k_hi=dt + 2, k_lo=p + 1 - dt, prime_skips=skips,
-    )
-    step.validate()
-    return step
+    _check_weight(k)
+    return _step(k, _recipe(k, next_prime(k, table), table))
+
+
+def _reducible(max_k: int) -> Iterator[int]:
+    """Every non-base weight <= max_k, ascending: 10 and then every even k >= 16."""
+    return itertools.chain((10,), range(16, max_k + 1, 2))
 
 
 # Published values of the twelve hand-checkable rows.  For k = 34 and 36
@@ -185,16 +221,13 @@ def _graph_table(max_k: int, table: PrimeTable | None) -> PrimeTable:
     return sieve(max_k + 512) if table is None else table
 
 
-def _steps(max_k: int, table: PrimeTable) -> Iterator[ReductionStep]:
-    """The validated step of every non-base weight <= max_k, ascending in k."""
-    return (reduction_step(k, table) for k in range(10, max_k + 1, 2) if k not in BASE_WEIGHTS)
-
-
 def build_graph(max_k: int, table: PrimeTable | None = None) -> DescentGraph:
     """Graph over all even weights <= max_k, one validated step per non-base
     node (memoized: each weight is reduced exactly once)."""
     table = _graph_table(max_k, table)
-    return DescentGraph(max_k=max_k, steps={s.k: s for s in _steps(max_k, table)})
+    return DescentGraph(max_k=max_k, steps={
+        k: _step(k, _recipe(k, p, table)) for k, p in next_primes(_reducible(max_k), table)
+    })
 
 
 @dataclass(frozen=True)
@@ -220,9 +253,12 @@ class TerminationReport:
 
 
 def _fold(
-    max_k: int, steps: Iterable[ReductionStep], step_at: Callable[[int], ReductionStep]
+    max_k: int,
+    steps: Iterable[tuple[int, int, int, int]],
+    step_at: Callable[[int], ReductionStep],
 ) -> TerminationReport:
-    """Termination and chain statistics in one pass over steps ascending in k.
+    """Termination and chain statistics in one pass over the steps, given as
+    (k, k_hi, k_lo, prime_skips) ascending in k.
 
     level[w // 2] is 0 while weight w is unsettled and 1 + its chain depth
     once settled (a byte: a depth above 254 raises instead of wrapping).  Base
@@ -233,17 +269,20 @@ def _fold(
     level = bytearray(max_k // 2 + 1)
     for w in BASE_WEIGHTS:
         level[w // 2] = 1
-    histogram: dict[int, int] = {}
+    skipped: dict[int, int] = {}
     skippers = []
-    for step in steps:
-        k, hi, lo, skips = step.k, step.k_hi, step.k_lo, step.prime_skips
-        histogram[skips] = histogram.get(skips, 0) + 1
+    edges = 0
+    for k, hi, lo, skips in steps:
+        edges += 1
         if skips:
             skippers.append(k)
+            skipped[skips] = skipped.get(skips, 0) + 1
         if hi % 2 == 0 and lo % 2 == 0 and 2 <= hi < k and 2 <= lo < k:
             l_hi, l_lo = level[hi // 2], level[lo // 2]
             if l_hi and l_lo:
-                level[k // 2] = 1 + max(l_hi, l_lo)
+                level[k // 2] = 1 + (l_hi if l_hi >= l_lo else l_lo)
+    unskipped = edges - len(skippers)
+    histogram = ({0: unskipped} if unskipped else {}) | skipped
 
     # walk down from the first deepest node to a base weight (level 1)
     top = max(level)
@@ -263,14 +302,17 @@ def _fold(
         weights_with_skips=tuple(skippers),
         skip_histogram=histogram,
         node_count=max_k // 2,
-        edge_count=sum(histogram.values()),
+        edge_count=edges,
     )
 
 
 def verify_termination(graph: DescentGraph) -> TerminationReport:
     """Walk every node down to the base set and report chain statistics."""
     steps = graph.steps
-    return _fold(graph.max_k, (steps[k] for k in sorted(steps)), steps.__getitem__)
+    ordered = (steps[k] for k in sorted(steps))
+    return _fold(
+        graph.max_k, ((s.k, s.k_hi, s.k_lo, s.prime_skips) for s in ordered), steps.__getitem__
+    )
 
 
 @dataclass(frozen=True)
@@ -298,29 +340,32 @@ class AuditReport:
 
 
 def audit(max_k: int, table: PrimeTable | None = None) -> AuditReport:
-    """Full descent audit up to max_k, in one ascending pass over the weights.
+    """Full descent audit up to max_k, in one ascending sweep over the weights.
 
     Requires, for every k > 36: no skipped primes, m > 6, and both exact
     ratios p/k_hi and p/k_lo above RATIO_BOUND; and for the whole graph:
-    termination with 32 as the only weight needing a skipped prime.  One
-    step is held at a time; the longest chain's steps are formed again.
+    termination with 32 as the only weight needing a skipped prime.  Each
+    weight's next prime comes from one pointer walk over the table and its
+    recipe is checked by the kernel; no step object is formed except the
+    longest chain's, formed again at the end.
     """
     table = _graph_table(max_k, table)
     num, den = RATIO_BOUND.numerator, RATIO_BOUND.denominator
     ratio_failures, m_bound_failures, skip_failures = [], [], []
 
-    def checked() -> Iterator[ReductionStep]:
-        for step in _steps(max_k, table):
-            if step.k > 36:
-                if step.prime_skips != 0:
-                    skip_failures.append(step.k)
-                if step.m <= 6:
-                    m_bound_failures.append(step.k)
-                if den * step.p <= num * step.k_hi:
-                    ratio_failures.append((step.k, "hi", step.p, step.k_hi))
-                if den * step.p <= num * step.k_lo:
-                    ratio_failures.append((step.k, "lo", step.p, step.k_lo))
-            yield step
+    def checked() -> Iterator[tuple[int, int, int, int]]:
+        for k, p in next_primes(_reducible(max_k), table):
+            p, skips, _, m, _, _, k_hi, k_lo = _recipe(k, p, table)
+            if k > 36:
+                if skips:
+                    skip_failures.append(k)
+                if m <= 6:
+                    m_bound_failures.append(k)
+                if den * p <= num * k_hi:
+                    ratio_failures.append((k, "hi", p, k_hi))
+                if den * p <= num * k_lo:
+                    ratio_failures.append((k, "lo", p, k_lo))
+            yield k, k_hi, k_lo, skips
 
     term = _fold(max_k, checked(), lambda k: reduction_step(k, table))
     unexpected = tuple(k for k in term.weights_with_skips if k != 32)

@@ -8,7 +8,6 @@ decision is an exact rational comparison.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -22,7 +21,7 @@ from .numeric import (
     RealEnclosure,
     pow_enclosure,
 )
-from .primes import PrimeTable, consecutive_pairs, next_prime
+from .primes import PrimeTable, consecutive_pairs, next_primes
 
 X0 = 100000
 
@@ -97,7 +96,7 @@ def verify_shifted_ratio(table: PrimeTable, low: int, high: int, bound=SHIFTED_R
 @dataclass(frozen=True)
 class ThresholdResult:
     """Certified enclosure of a^(C/(a-C)) with C = B/A, and its verdict
-    against x0 = 100000."""
+    against x0 = 100000: below_x0 is None when the enclosure straddles x0."""
 
     A: Fraction
     B: Fraction
@@ -105,7 +104,7 @@ class ThresholdResult:
     C: Fraction
     exponent: RealEnclosure
     threshold: RealEnclosure
-    below_x0: bool
+    below_x0: bool | None
 
     def to_dict(self) -> dict:
         return {
@@ -144,7 +143,12 @@ def chebyshev_threshold(
         threshold = RealEnclosure.from_rational(a * exponent_value, digits)
     else:
         threshold = pow_enclosure(a, exponent, digits)
-    below_x0 = Fraction(threshold.upper) < X0
+    if Fraction(threshold.upper) < X0:
+        below_x0 = True
+    elif Fraction(threshold.lower) >= X0:
+        below_x0 = False
+    else:  # too wide to decide at this precision
+        below_x0 = None
     return ThresholdResult(
         A=A, B=B, a=a, C=C,
         exponent=exponent, threshold=threshold, below_x0=below_x0,
@@ -263,14 +267,9 @@ def m_bound_check(table: PrimeTable, k_max: int) -> MBoundReport:
     5(p-1) < 6(k-2) and m = (p-1)/gcd(p-1, k-2) > 6 exactly."""
     if k_max < 38:
         raise ValueError("k_max must be >= 38")
-    ps = table.primes
-    idx = bisect_right(ps, 38)
     failures = []
     checked = 0
-    for k in range(38, k_max + 1, 2):
-        while idx < len(ps) and ps[idx] <= k:
-            idx += 1
-        p = ps[idx] if idx < len(ps) else next_prime(k, table)
+    for k, p in next_primes(range(38, k_max + 1, 2), table):
         checked += 1
         m = (p - 1) // gcd(p - 1, k - 2)
         if 5 * (p - 1) >= 6 * (k - 2) or m <= 6:

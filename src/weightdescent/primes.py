@@ -8,6 +8,7 @@ the limit never see an error.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import isqrt
 
@@ -89,6 +90,24 @@ def next_prime(n: int, table: PrimeTable | None = None) -> int:
         if found:
             return found[0]
         lo = hi + 1
+
+
+def next_primes(ns: Iterable[int], table: PrimeTable) -> Iterator[tuple[int, int]]:
+    """(n, next_prime(n, table)) for each n of an ascending sequence.
+
+    One pointer walks table.primes forward; past the table's end next_prime
+    sieves further, once per prime reached.  While n stays below the last
+    prime found, that prime is still the smallest one above n.
+    """
+    ps = table.primes
+    i, end = 0, len(ps)
+    p = 0
+    for n in ns:
+        if p <= n:
+            while i < end and ps[i] <= n:
+                i += 1
+            p = ps[i] if i < end else next_prime(n, table)
+        yield n, p
 
 
 def consecutive_pairs(table: PrimeTable, low: int, high: int) -> list[tuple[int, int]]:

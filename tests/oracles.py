@@ -8,7 +8,7 @@ implementations it checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from weightdescent.charconj.cyclotomic import Cyclo
 
@@ -30,6 +30,32 @@ def trial_division_is_prime(n: int) -> bool:
 
 def trial_division_primes(limit: int) -> list[int]:
     return [n for n in range(2, limit + 1) if trial_division_is_prime(n)]
+
+
+def trial_division_next_prime(n: int) -> int:
+    q = n + 1
+    while not trial_division_is_prime(q):
+        q += 1
+    return q
+
+
+def recipe_oracle(k: int) -> tuple[int, int, int, int, int, int, int, int]:
+    """(p, skips, d, m, t, dt, k_hi, k_lo) at weight k, from the definitions.
+
+    p runs over the primes above k in order; d = gcd(p-1, k-2), m = (p-1)/d,
+    and t is the least integer above m/2 prime to m.  A prime is skipped
+    unless 1 < t < m-1.
+    """
+    p, skips = trial_division_next_prime(k), 0
+    while True:
+        d = gcd(p - 1, k - 2)
+        m = (p - 1) // d
+        t = m // 2 + 1
+        while gcd(t, m) != 1:
+            t += 1
+        if 1 < t < m - 1:
+            return p, skips, d, m, t, d * t, d * t + 2, p + 1 - d * t
+        p, skips = trial_division_next_prime(p), skips + 1
 
 
 def max_ratio_pair_scan(

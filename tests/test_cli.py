@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import weightdescent
+from weightdescent import descent
 from weightdescent.cli import build_parser, canonical_json, main
 
 
@@ -128,6 +134,14 @@ class TestThreshold:
         assert code == 0
         assert "94.30" in out
 
+    def test_straddling_enclosure_is_inconclusive(self, capsys):
+        code, out = run_cli(capsys, "threshold", "--digits", "2")
+        assert code == 3
+        assert "below x0 = 100000: inconclusive" in out
+        code, out = run_cli(capsys, "threshold", "--digits", "2", "--format", "json")
+        assert code == 3
+        assert json.loads(out)["below_x0"] is None
+
     def test_degenerate_is_usage_error(self, capsys):
         code = main(["threshold", "--a", "1130289/1000000"])
         assert code == 2
@@ -185,6 +199,28 @@ class TestAudit:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert payload["termination"]["weights_with_skips"] == [32]
+
+
+class TestDescentError:
+    def test_broken_step_is_one_error_line_and_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(descent, "_broken_invariant", lambda k, *rest: f"broken at k = {k}")
+        for argv in (["reduce", "16"], ["audit", "--max-k", "100"]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert captured.err.startswith("error: broken at k = ")
+            assert captured.err.count("\n") == 1
+
+
+def test_package_runs_as_a_module():
+    src = str(Path(weightdescent.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("WEIGHTDESCENT_SIEVE_LIMIT", None)
+    done = subprocess.run([sys.executable, "-m", "weightdescent", "reduce", "16"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == "k = 16, p = 17: d = 2, m = 8, t = 5, dt = 10; k' = 12 or 8\n"
 
 
 class TestJsonRoundTrip:

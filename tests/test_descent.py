@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -23,6 +22,8 @@ from weightdescent.descent import (
     verify_termination,
 )
 from weightdescent.primes import sieve
+
+from oracles import recipe_oracle
 
 
 class TestChooseT:
@@ -101,6 +102,25 @@ class TestReductionStep:
             "prime_skips", "matches_paper",
         }
         assert d["matches_paper"] is None
+
+
+class TestRecipeOracle:
+    NON_BASE = [10] + list(range(16, 20_001, 2))
+
+    @staticmethod
+    def fields(step):
+        return (step.p, step.prime_skips, step.d, step.m, step.t, step.dt, step.k_hi, step.k_lo)
+
+    def test_reduction_step_matches_the_oracle_to_20000(self):
+        table = sieve(20_000 + 512)
+        for k in self.NON_BASE:
+            assert self.fields(reduction_step(k, table)) == recipe_oracle(k), k
+
+    def test_swept_steps_match_the_oracle_to_20000(self):
+        steps = build_graph(20_000).steps
+        assert sorted(steps) == self.NON_BASE
+        for k in self.NON_BASE:
+            assert self.fields(steps[k]) == recipe_oracle(k), k
 
 
 class TestReferenceTable:
@@ -235,10 +255,27 @@ class TestAudit:
         assert report.passed
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("n", [14, 38, 1000, 10000])
+    def test_sweep_runs_past_the_end_of_the_table(self, n):
+        table = sieve(n)
+        assert table.primes[-1] < n
+        assert audit(n, table) == audit(n)
+
+    def test_forms_steps_only_along_the_longest_chain(self, monkeypatch):
+        formed = []
+        real = descent._step
+        monkeypatch.setattr(descent, "_step", lambda k, recipe: formed.append(k) or real(k, recipe))
+        term = audit(10000).termination
+        assert formed == list(term.longest_chain_path[:-1])
+
     def test_checks_run_on_every_weight_above_36(self, monkeypatch, table_2k):
-        real = descent.reduction_step
-        monkeypatch.setattr(descent, "reduction_step",
-                            lambda k, table: replace(real(k, table), m=6, prime_skips=1))
+        real = descent._recipe
+
+        def skipping_m6(k, p, table):
+            p, _, d, _, t, dt, k_hi, k_lo = real(k, p, table)
+            return p, 1, d, 6, t, dt, k_hi, k_lo
+
+        monkeypatch.setattr(descent, "_recipe", skipping_m6)
         monkeypatch.setattr(descent, "RATIO_BOUND", Fraction(10**6))
         report = audit(100, table_2k)
         above = tuple(range(38, 101, 2))

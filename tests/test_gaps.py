@@ -105,6 +105,17 @@ class TestChebyshevThreshold:
         with pytest.raises(ValueError):
             chebyshev_threshold(A=0, digits=10)
 
+    def test_verdict_is_three_way(self):
+        assert chebyshev_threshold(digits=20).below_x0 is True
+        wide = chebyshev_threshold(digits=2)
+        assert Fraction(wide.threshold.lower) < X0 <= Fraction(wide.threshold.upper)
+        assert wide.below_x0 is None
+        assert wide.to_dict()["below_x0"] is None
+        # C = 1.14 against a = 1.144 puts a^(C/(a-C)) near 10^16
+        high = chebyshev_threshold(B=Fraction(114, 100), digits=30)
+        assert Fraction(high.threshold.lower) >= X0
+        assert high.below_x0 is False
+
     def test_result_dict(self):
         d = chebyshev_threshold(digits=20).to_dict()
         assert d["a"] == "143/125"

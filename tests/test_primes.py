@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from weightdescent.primes import PrimeTable, consecutive_pairs, next_prime, sieve
+from weightdescent.primes import PrimeTable, consecutive_pairs, next_prime, next_primes, sieve
 
-from oracles import trial_division_is_prime, trial_division_primes
+from oracles import trial_division_is_prime, trial_division_next_prime, trial_division_primes
 
 
 def test_sieve_30():
@@ -58,6 +58,12 @@ def test_next_prime_extends_past_table():
     assert next_prime(29, small) == 31
     assert next_prime(96, small) == 97
     assert next_prime(100000, small) == 100003
+
+
+@pytest.mark.parametrize("limit", [0, 2, 30, 1000])
+def test_next_primes_walks_into_and_past_the_table(limit):
+    ns = [1, 2, 2, 3, 10, 11, 12, 29, 30, 31, 96, 500, 996, 997, 1000, 1008, 1010]
+    assert list(next_primes(ns, sieve(limit))) == [(n, trial_division_next_prime(n)) for n in ns]
 
 
 def test_consecutive_pairs_examples(table_100k):
