@@ -3,13 +3,16 @@
 Exit status: 0 when every check passed, 1 on any violation (a reference-
 table divergence only fails `table` under --strict), 2 on usage or input
 errors, among them a gap range holding no adjacent prime pair, a
-non-positive draw or trial count and an unreadable group file, and 3 when
-the verdict is inconclusive (a `threshold` enclosure straddling x0, reported
-as "inconclusive" and `below_x0: null`) or a reduction step breaks its
-invariants (a DescentError, reported on one `error:` line).
+non-positive draw, trial or digit count and an unreadable group file, and 3
+when the verdict is inconclusive (a `threshold` enclosure straddling x0,
+reported as "inconclusive" and `below_x0: null`) or a reduction step breaks
+its invariants (a DescentError, reported on one `error:` line).
 Defaults reproduce the canonical parameters: gap range (37, 100000],
 bounds 143/125 and 23/20, A = 1, B = 1130289/1000000, a = 143/125,
 audit max_k = 10^6.
+Only `table`, `gaps` and `gaps-shifted` build a table of primes, and only
+they honour WEIGHTDESCENT_SIEVE_LIMIT as a minimum table limit; the other
+descent commands take their primes from a stream or a small window.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from .numeric import CHEBYSHEV_A, CHEBYSHEV_B, RATIO_BOUND, SHIFTED_RATIO_BOUND
 from .primes import sieve
 
 SIEVE_LIMIT_ENV = "WEIGHTDESCENT_SIEVE_LIMIT"
+# Text mode lists at most this many gap violations; JSON lists them all.
+TEXT_VIOLATIONS = 20
 
 
 def canonical_json(payload) -> str:
@@ -107,14 +112,12 @@ def _cmd_table(args):
 
 
 def _cmd_reduce(args):
-    table = _table_for(args.k + 512)
-    step = descent.reduction_step(args.k, table)
+    step = descent.reduction_step(args.k)
     return step.to_dict(), [_fmt_step(step)], True
 
 
 def _cmd_chain(args):
-    table = _table_for(args.k + 512)
-    path, walked = descent.chain(args.k, args.policy, table)
+    path, walked = descent.chain(args.k, args.policy)
     payload = {
         "k": args.k,
         "policy": args.policy,
@@ -127,8 +130,7 @@ def _cmd_chain(args):
 
 
 def _cmd_audit(args):
-    table = _table_for(args.max_k + 512)
-    report = descent.audit(args.max_k, table)
+    report = descent.audit(args.max_k)
     term = report.termination
     lines = [
         f"audit to max_k = {report.max_k}: {'pass' if report.passed else 'FAIL'}",
@@ -152,7 +154,10 @@ def _gap_lines(report) -> list[str]:
         f"pairs checked: {report.pairs_checked}",
     ]
     if report.violations:
-        lines.append(f"violations: {[list(v) for v in report.violations]}")
+        shown = report.violations[:TEXT_VIOLATIONS]
+        more = len(report.violations) - len(shown)
+        lines.append(f"violations: {[list(v) for v in shown]}"
+                     + (f" ... and {more} more" if more else ""))
     else:
         lines.append("violations: none")
     if report.max_ratio_pair:
@@ -205,8 +210,7 @@ def _cmd_star(args):
 
 
 def _cmd_mbound(args):
-    table = _table_for(args.max_k + 512)
-    report = gaps.m_bound_check(table, args.max_k)
+    report = gaps.m_bound_check(args.max_k)
     lines = [
         f"even k in (36, {report.k_max}]: {report.checked} weights checked, "
         f"{len(report.failures)} failures",
@@ -302,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_threshold)
     p.add_argument("--a", type=_fraction, default=RATIO_BOUND)
     p.add_argument("--b", type=_fraction, default=CHEBYSHEV_B)
-    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("--digits", type=_positive_int, default=30)
     p.add_argument("--typo-variant", action="store_true",
                    help="evaluate a*C/(a-C) instead of a^(C/(a-C))")
 

@@ -6,9 +6,11 @@ exponent t, and reduce to the two candidate weights dt+2 and p+1-dt.  One
 kernel runs this recipe for every caller and checks each invariant of the
 step in integers.  Both candidate weights are strictly smaller than k, so a
 weight is settled once both children are.  The audit is therefore one
-ascending sweep over k: a pointer walking the consecutive primes supplies
-each next prime, the kernel's plain tuple is checked on the spot, and no step
-object is formed except along the longest chain.
+ascending sweep over k: one stream of consecutive primes supplies each next
+prime, the kernel's plain tuple is checked on the spot, and no step object is
+formed except along the longest chain.  The audit holds no table of primes,
+and a step given no table takes its prime from a window of a few hundred
+integers just above k.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 from math import gcd
 
 from .numeric import RATIO_BOUND
-from .primes import PrimeTable, next_prime, next_primes, sieve
+from .primes import PrimeTable, next_prime, next_primes
 
 BASE_WEIGHTS = frozenset({2, 4, 6, 8, 12, 14})
 
@@ -108,7 +110,7 @@ def _broken_invariant(
     return None
 
 
-def _recipe(k: int, p: int, table: PrimeTable) -> tuple[int, int, int, int, int, int, int, int]:
+def _recipe(k: int, p: int) -> tuple[int, int, int, int, int, int, int, int]:
     """The recipe at weight k from p, the smallest prime above k.
 
     Skips primes whose m admits no twist exponent and returns
@@ -126,7 +128,7 @@ def _recipe(k: int, p: int, table: PrimeTable) -> tuple[int, int, int, int, int,
             break
         except InadmissibleM:
             skips += 1
-            p = next_prime(p, table)
+            p = next_prime(p)
     dt = d * t
     k_hi, k_lo = dt + 2, p + 1 - dt
     error = _broken_invariant(k, p, d, m, t, dt, k_hi, k_lo)
@@ -148,13 +150,17 @@ def select_prime(k: int, table: PrimeTable) -> tuple[int, int]:
     Returns (p, skips) where skips counts the rejected smaller primes.
     """
     _check_weight(k)
-    return _recipe(k, next_prime(k, table), table)[:2]
+    return _recipe(k, next_prime(k, table))[:2]
 
 
-def reduction_step(k: int, table: PrimeTable) -> ReductionStep:
-    """Fully populated, validated reduction step at weight k."""
+def reduction_step(k: int, table: PrimeTable | None = None) -> ReductionStep:
+    """Fully populated, validated reduction step at weight k.
+
+    The first prime above k comes from the table when it holds it, otherwise
+    from a window sieved just above k.
+    """
     _check_weight(k)
-    return _step(k, _recipe(k, next_prime(k, table), table))
+    return _step(k, _recipe(k, next_prime(k, table)))
 
 
 def _reducible(max_k: int) -> Iterator[int]:
@@ -189,8 +195,6 @@ def published_row(k: int) -> tuple:
 def reference_table(table: PrimeTable | None = None) -> list[ReductionStep]:
     """The 12 rows for k = 10 and 16..36, each flagged against the published
     values (matches_paper False marks a divergence)."""
-    if table is None:
-        table = sieve(64)
     rows = []
     for k in TABLE_WEIGHTS:
         step = reduction_step(k, table)
@@ -215,18 +219,21 @@ class DescentGraph:
         return range(2, self.max_k + 1, 2)
 
 
-def _graph_table(max_k: int, table: PrimeTable | None) -> PrimeTable:
+def _check_max_k(max_k: int) -> None:
     if max_k < 14 or max_k % 2 != 0:
         raise ValueError("max_k must be an even integer >= 14")
-    return sieve(max_k + 512) if table is None else table
 
 
 def build_graph(max_k: int, table: PrimeTable | None = None) -> DescentGraph:
-    """Graph over all even weights <= max_k, one validated step per non-base
-    node (memoized: each weight is reduced exactly once)."""
-    table = _graph_table(max_k, table)
+    """Graph over all even weights <= max_k, one validated reduction_step per
+    non-base node (memoized: each weight is reduced exactly once).
+
+    Each step finds its own prime, in the table when given, so the graph is
+    a route to the audit's verdict independent of the audit's prime stream.
+    """
+    _check_max_k(max_k)
     return DescentGraph(max_k=max_k, steps={
-        k: _step(k, _recipe(k, p, table)) for k, p in next_primes(_reducible(max_k), table)
+        k: reduction_step(k, table) for k in _reducible(max_k)
     })
 
 
@@ -339,23 +346,24 @@ class AuditReport:
         }
 
 
-def audit(max_k: int, table: PrimeTable | None = None) -> AuditReport:
+def audit(max_k: int) -> AuditReport:
     """Full descent audit up to max_k, in one ascending sweep over the weights.
 
     Requires, for every k > 36: no skipped primes, m > 6, and both exact
     ratios p/k_hi and p/k_lo above RATIO_BOUND; and for the whole graph:
     termination with 32 as the only weight needing a skipped prime.  Each
-    weight's next prime comes from one pointer walk over the table and its
+    weight's next prime comes from one stream of consecutive primes and its
     recipe is checked by the kernel; no step object is formed except the
-    longest chain's, formed again at the end.
+    longest chain's, formed again at the end, each from a window sieved just
+    above its weight.  Memory is the depth byte per weight and one window.
     """
-    table = _graph_table(max_k, table)
+    _check_max_k(max_k)
     num, den = RATIO_BOUND.numerator, RATIO_BOUND.denominator
     ratio_failures, m_bound_failures, skip_failures = [], [], []
 
     def checked() -> Iterator[tuple[int, int, int, int]]:
-        for k, p in next_primes(_reducible(max_k), table):
-            p, skips, _, m, _, _, k_hi, k_lo = _recipe(k, p, table)
+        for k, p in next_primes(_reducible(max_k)):
+            p, skips, _, m, _, _, k_hi, k_lo = _recipe(k, p)
             if k > 36:
                 if skips:
                     skip_failures.append(k)
@@ -367,7 +375,7 @@ def audit(max_k: int, table: PrimeTable | None = None) -> AuditReport:
                     ratio_failures.append((k, "lo", p, k_lo))
             yield k, k_hi, k_lo, skips
 
-    term = _fold(max_k, checked(), lambda k: reduction_step(k, table))
+    term = _fold(max_k, checked(), reduction_step)
     unexpected = tuple(k for k in term.weights_with_skips if k != 32)
     passed = term.terminates and not (
         ratio_failures or m_bound_failures or skip_failures or unexpected
@@ -396,8 +404,6 @@ def chain(
     if k in BASE_WEIGHTS:
         return [], [k]
     _check_weight(k)
-    if table is None:
-        table = sieve(k + 512)
     memo: dict[int, ReductionStep] = {}
 
     def step_of(w: int) -> ReductionStep:

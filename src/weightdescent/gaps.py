@@ -262,14 +262,15 @@ class MBoundReport:
         }
 
 
-def m_bound_check(table: PrimeTable, k_max: int) -> MBoundReport:
+def m_bound_check(k_max: int) -> MBoundReport:
     """For every even k in (36, k_max] with p the next prime after k, check
-    5(p-1) < 6(k-2) and m = (p-1)/gcd(p-1, k-2) > 6 exactly."""
+    5(p-1) < 6(k-2) and m = (p-1)/gcd(p-1, k-2) > 6 exactly.  The primes come
+    from one stream, so no table is held."""
     if k_max < 38:
         raise ValueError("k_max must be >= 38")
     failures = []
     checked = 0
-    for k, p in next_primes(range(38, k_max + 1, 2), table):
+    for k, p in next_primes(range(38, k_max + 1, 2)):
         checked += 1
         m = (p - 1) // gcd(p - 1, k - 2)
         if 5 * (p - 1) >= 6 * (k - 2) or m <= 6:

@@ -1,8 +1,12 @@
 """Prime generation and consecutive-prime iteration.
 
-A segmented sieve keeps memory flat while producing every prime up to the
-requested limit; `next_prime` keeps sieving past the table so callers near
-the limit never see an error.
+One segmented stream, `iter_primes`, produces the primes of a range in
+increasing order.  It sieves one window at a time, starting a few hundred
+integers wide and doubling up to SEGMENT_SIZE, so it holds one window plus
+the base primes up to the square root of the window's end, and taking a
+single prime (`next_prime`) sieves only a few hundred integers.  `sieve`
+materialises the stream into a `PrimeTable`, which holds every prime up to
+its limit, for the scans that index consecutive pairs.
 """
 
 from __future__ import annotations
@@ -10,9 +14,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 
 SEGMENT_SIZE = 1 << 16
+# Width of a stream's first window.  The largest gap between primes below
+# 10^6 is 114 (after 492113), so one window almost always holds the prime
+# after any such n; the stream widens when it does not.
+_FIRST_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -41,39 +50,56 @@ def _simple_sieve(limit: int) -> list[int]:
         if flags[p]:
             start = p * p
             flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
-    return [i for i, f in enumerate(flags) if f]
+    return list(compress(range(limit + 1), flags))
 
 
-def _mark_segment(base: list[int], lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi]; base holds every prime up to isqrt(hi), and lo > isqrt(hi)."""
+def _mark_segment(base: list[int], lo: int, hi: int) -> Iterator[int]:
+    """Primes in [lo, hi], ascending; lo >= 2 and base holds every prime up to isqrt(hi)."""
     flags = bytearray(b"\x01") * (hi - lo + 1)
     for p in base:
         start = max(p * p, ((lo + p - 1) // p) * p)
         if start > hi:
             continue
         flags[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
-    return [i + lo for i, f in enumerate(flags) if f]
+    return compress(range(lo, hi + 1), flags)
+
+
+def iter_primes(lo: int = 2, hi: int | None = None, segment_size: int = SEGMENT_SIZE) -> Iterator[int]:
+    """Every prime p with lo <= p <= hi in increasing order; with hi None, every
+    prime from lo on, without end.
+
+    Windows start _FIRST_WINDOW wide and double up to segment_size; the base
+    primes are re-sieved, to at least twice their old bound, only when a
+    window's end outgrows them.
+    """
+    lo = max(lo, 2)
+    width = min(_FIRST_WINDOW, segment_size)
+    base, root = [], 1  # base holds every prime <= root
+    while hi is None or lo <= hi:
+        top = lo + width - 1 if hi is None else min(lo + width - 1, hi)
+        if isqrt(top) > root:
+            root = max(isqrt(top), 2 * root)
+            base = _simple_sieve(root)
+        yield from _mark_segment(base, lo, top)
+        lo, width = top + 1, min(2 * width, segment_size)
 
 
 def sieve(limit: int, segment_size: int = SEGMENT_SIZE) -> PrimeTable:
-    """Table of all primes <= limit (segmented, memory O(segment_size))."""
+    """Table of all primes <= limit, collected from iter_primes.
+
+    The table holds every prime it lists (~limit / ln(limit) ints); the sieve
+    behind it works one segment of at most segment_size integers at a time.
+    """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    if limit < 2:
-        return PrimeTable(limit, ())
-    root = isqrt(limit)
-    base = _simple_sieve(root)
-    primes = list(base)
-    for lo in range(root + 1, limit + 1, segment_size):
-        primes.extend(_mark_segment(base, lo, min(lo + segment_size - 1, limit)))
-    return PrimeTable(limit, tuple(primes))
+    return PrimeTable(limit, tuple(iter_primes(2, limit, segment_size)))
 
 
 def next_prime(n: int, table: PrimeTable | None = None) -> int:
     """Smallest prime strictly greater than n.
 
-    Uses the table when the answer is inside it, otherwise sieves further
-    segments instead of failing.
+    Uses the table when the answer is inside it, otherwise takes the first
+    prime of a stream started at n + 1.
     """
     if n < 1:
         raise ValueError("next_prime requires n >= 1")
@@ -81,32 +107,25 @@ def next_prime(n: int, table: PrimeTable | None = None) -> int:
         i = bisect_right(table.primes, n)
         if i < len(table.primes):
             return table.primes[i]
-    lo = n + 1
-    while True:
-        hi = lo + SEGMENT_SIZE - 1
-        root = isqrt(hi)
-        base = _simple_sieve(root)
-        found = [p for p in base if p >= lo] or _mark_segment(base, max(lo, root + 1), hi)
-        if found:
-            return found[0]
-        lo = hi + 1
+    return next(iter_primes(n + 1))
 
 
-def next_primes(ns: Iterable[int], table: PrimeTable) -> Iterator[tuple[int, int]]:
-    """(n, next_prime(n, table)) for each n of an ascending sequence.
+def next_primes(ns: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(n, next_prime(n)) for each n of an ascending sequence of n >= 1.
 
-    One pointer walks table.primes forward; past the table's end next_prime
-    sieves further, once per prime reached.  While n stays below the last
-    prime found, that prime is still the smallest one above n.
+    One stream of consecutive primes, started at the first n, is walked
+    forward.  While n stays below the last prime taken, that prime is still
+    the smallest one above n.
     """
-    ps = table.primes
-    i, end = 0, len(ps)
+    primes = None
     p = 0
     for n in ns:
         if p <= n:
-            while i < end and ps[i] <= n:
-                i += 1
-            p = ps[i] if i < end else next_prime(n, table)
+            if primes is None:
+                primes = iter_primes(n + 1)
+            p = next(primes)
+            while p <= n:
+                p = next(primes)
         yield n, p
 
 

@@ -146,8 +146,7 @@ def test_criterion_3_chebyshev_threshold():
 
 def test_criterion_4_descent_termination_to_1e6():
     t0 = time.perf_counter()
-    table = sieve(1_000_512)
-    audit = descent.audit(1_000_000, table)
+    audit = descent.audit(1_000_000)
     elapsed = time.perf_counter() - t0
 
     term = audit.termination

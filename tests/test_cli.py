@@ -8,8 +8,12 @@ from pathlib import Path
 import pytest
 
 import weightdescent
-from weightdescent import descent
+from weightdescent import cli, descent, primes
 from weightdescent.cli import build_parser, canonical_json, main
+
+from oracles import recipe_oracle
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_parser_defaults_reproduce_canonical_parameters():
@@ -111,6 +115,18 @@ class TestGaps:
         assert code == 1  # 53/47 > 9/8
         assert json.loads(out)["bound"] == "9/8"
 
+    def test_text_lists_the_first_20_violations(self, capsys):
+        argv = ["gaps", "--low", "37", "--high", "2000", "--bound", "0"]
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        _, json_out = run_cli(capsys, *argv, "--format", "json")
+        payload = json.loads(json_out)
+        every = payload["violations"]
+        assert len(every) == payload["pairs_checked"] > 20
+        line = next(x for x in out.splitlines() if x.startswith("violations: "))
+        assert line == f"violations: {every[:20]} ... and {len(every) - 20} more"
+        assert max(len(x) for x in out.splitlines()) < 300
+
     @pytest.mark.parametrize("command", ["gaps", "gaps-shifted"])
     @pytest.mark.parametrize("bounds", [["--high", "1"], ["--low", "37", "--high", "40"]])
     def test_range_without_pairs_is_usage_error(self, capsys, command, bounds):
@@ -145,6 +161,14 @@ class TestThreshold:
     def test_degenerate_is_usage_error(self, capsys):
         code = main(["threshold", "--a", "1130289/1000000"])
         assert code == 2
+
+    @pytest.mark.parametrize("digits", ["0", "-5"])
+    def test_non_positive_digits_is_usage_error(self, capsys, digits):
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", "--digits", digits])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --digits" in err and "prec" not in err
 
 
 class TestStarAndMBound:
@@ -199,6 +223,56 @@ class TestAudit:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert payload["termination"]["weights_with_skips"] == [32]
+
+
+class TestNoFullTable:
+    """reduce, chain, audit and mbound take their primes from the stream or a
+    window: with every full sieve refused they still give their outputs."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_sieve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a full sieve was built")
+
+        monkeypatch.setattr(primes, "sieve", refuse)
+        monkeypatch.setattr(cli, "sieve", refuse)
+        monkeypatch.delenv(cli.SIEVE_LIMIT_ENV, raising=False)
+
+    GOLDEN_ARGV = {
+        "chain-999998-longest.text": ["chain", "999998", "--policy", "longest"],
+        "audit-100000.json": ["audit", "--max-k", "100000", "--format", "json"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+    def test_golden_outputs(self, capsys, name):
+        expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+        assert run_cli(capsys, *self.GOLDEN_ARGV[name]) == (0, expected)
+
+    def test_mbound(self, capsys):
+        code, out = run_cli(capsys, "mbound", "--max-k", "100000", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["checked"] == (100000 - 38) // 2 + 1
+        assert payload["failures"] == [] and payload["verdict"] == "pass"
+
+    @staticmethod
+    def fields(step: dict) -> tuple:
+        return tuple(step[f] for f in ("p", "prime_skips", "d", "m", "t", "dt", "k_hi", "k_lo"))
+
+    @pytest.mark.parametrize("k", [999998, 10**10])
+    def test_reduce_matches_the_oracle(self, capsys, k):
+        code, out = run_cli(capsys, "reduce", str(k), "--format", "json")
+        assert code == 0
+        assert self.fields(json.loads(out)) == recipe_oracle(k)
+
+    @pytest.mark.parametrize("policy", ["hi-branch", "lo-branch"])
+    def test_chain_at_1e10_matches_the_oracle(self, capsys, policy):
+        code, out = run_cli(capsys, "chain", str(10**10), "--policy", policy, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["path"][0] == 10**10 and payload["path"][-1] in descent.BASE_WEIGHTS
+        for step in payload["steps"]:
+            assert self.fields(step) == recipe_oracle(step["k"]), step["k"]
 
 
 class TestDescentError:

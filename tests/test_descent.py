@@ -114,13 +114,23 @@ class TestRecipeOracle:
     def test_reduction_step_matches_the_oracle_to_20000(self):
         table = sieve(20_000 + 512)
         for k in self.NON_BASE:
-            assert self.fields(reduction_step(k, table)) == recipe_oracle(k), k
+            expected = recipe_oracle(k)
+            assert self.fields(reduction_step(k)) == expected, k
+            assert self.fields(reduction_step(k, table)) == expected, k
 
-    def test_swept_steps_match_the_oracle_to_20000(self):
-        steps = build_graph(20_000).steps
-        assert sorted(steps) == self.NON_BASE
+    def test_swept_steps_match_the_oracle_to_20000(self, monkeypatch):
+        swept = {}
+        real = descent._recipe
+
+        def recording(k, p):
+            swept[k] = real(k, p)
+            return swept[k]
+
+        monkeypatch.setattr(descent, "_recipe", recording)
+        assert audit(20_000).passed
+        assert sorted(swept) == self.NON_BASE
         for k in self.NON_BASE:
-            assert self.fields(steps[k]) == recipe_oracle(k), k
+            assert swept[k] == recipe_oracle(k), k
 
 
 class TestReferenceTable:
@@ -245,21 +255,15 @@ class TestAudit:
         assert audit(n).termination == verify_termination(build_graph(n))
 
     def test_holds_one_step_at_a_time(self):
-        table = sieve(20_000 + 512)
+        # the prime stream is measured too: no table is built outside
         tracemalloc.start()
         try:
-            report = audit(20_000, table)
+            report = audit(20_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert report.passed
         assert peak < 1_000_000
-
-    @pytest.mark.parametrize("n", [14, 38, 1000, 10000])
-    def test_sweep_runs_past_the_end_of_the_table(self, n):
-        table = sieve(n)
-        assert table.primes[-1] < n
-        assert audit(n, table) == audit(n)
 
     def test_forms_steps_only_along_the_longest_chain(self, monkeypatch):
         formed = []
@@ -268,16 +272,16 @@ class TestAudit:
         term = audit(10000).termination
         assert formed == list(term.longest_chain_path[:-1])
 
-    def test_checks_run_on_every_weight_above_36(self, monkeypatch, table_2k):
+    def test_checks_run_on_every_weight_above_36(self, monkeypatch):
         real = descent._recipe
 
-        def skipping_m6(k, p, table):
-            p, _, d, _, t, dt, k_hi, k_lo = real(k, p, table)
+        def skipping_m6(k, p):
+            p, _, d, _, t, dt, k_hi, k_lo = real(k, p)
             return p, 1, d, 6, t, dt, k_hi, k_lo
 
         monkeypatch.setattr(descent, "_recipe", skipping_m6)
         monkeypatch.setattr(descent, "RATIO_BOUND", Fraction(10**6))
-        report = audit(100, table_2k)
+        report = audit(100)
         above = tuple(range(38, 101, 2))
         assert report.skip_failures == above
         assert report.m_bound_failures == above

@@ -171,32 +171,30 @@ class TestStarInequality:
 
 
 class TestMBound:
-    def test_k38_row(self, table_100k):
-        report = m_bound_check(table_100k, 38)
+    def test_k38_row(self):
+        report = m_bound_check(38)
         assert report.passed
         # p = 41: ratio 40/36 = 10/9 < 6/5, d = 4, m = 10
         assert Fraction(40, 36) == Fraction(10, 9)
         assert (41 - 1) // gcd(40, 36) == 10
 
-    def test_range_to_10k(self, table_100k):
-        report = m_bound_check(table_100k, 10000)
+    def test_range_to_10k(self):
+        report = m_bound_check(10000)
         assert report.passed
         assert report.checked == (10000 - 38) // 2 + 1
 
     def test_range_to_1e6(self):
-        from weightdescent.primes import sieve
-
-        report = m_bound_check(sieve(1_000_512), 1_000_000)
+        report = m_bound_check(1_000_000)
         assert report.passed
         assert report.failures == ()
 
-    def test_near_miss_is_reported(self, table_100k):
-        report = m_bound_check(table_100k, 100)
+    def test_near_miss_is_reported(self):
+        report = m_bound_check(100)
         assert report.near_miss == {"k": 32, "p": 37, "ratio": "36/30", "m": 6}
 
-    def test_precondition(self, table_100k):
+    def test_precondition(self):
         with pytest.raises(ValueError):
-            m_bound_check(table_100k, 36)
+            m_bound_check(36)
 
     def test_coprime_cofactor_exhaustion(self):
         # whenever m <= 6 and s < m are coprime, m/s >= 6/5; so a ratio

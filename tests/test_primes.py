@@ -1,8 +1,18 @@
 import random
+from itertools import islice
 
 import pytest
 
-from weightdescent.primes import PrimeTable, consecutive_pairs, next_prime, next_primes, sieve
+from weightdescent import primes
+from weightdescent.primes import (
+    SEGMENT_SIZE,
+    PrimeTable,
+    consecutive_pairs,
+    iter_primes,
+    next_prime,
+    next_primes,
+    sieve,
+)
 
 from oracles import trial_division_is_prime, trial_division_next_prime, trial_division_primes
 
@@ -60,10 +70,51 @@ def test_next_prime_extends_past_table():
     assert next_prime(100000, small) == 100003
 
 
+@pytest.mark.parametrize("n", [14, 38, 1000, 10000])
+def test_stream_equals_the_table_and_trial_division(n):
+    expected = trial_division_primes(n)
+    assert list(sieve(n).primes) == expected
+    assert list(islice(iter_primes(), len(expected))) == expected
+    for segment_size in (1, 2, 7, 16, 300, SEGMENT_SIZE):
+        assert list(iter_primes(2, n, segment_size)) == expected
+        assert sieve(n, segment_size).primes == tuple(expected)
+        for lo in (0, 3, n // 3, n):
+            assert list(iter_primes(lo, n, segment_size)) == [p for p in expected if p >= lo]
+
+
 @pytest.mark.parametrize("limit", [0, 2, 30, 1000])
 def test_next_primes_walks_into_and_past_the_table(limit):
+    # the stream against the table (and a window past its end) and the oracle
     ns = [1, 2, 2, 3, 10, 11, 12, 29, 30, 31, 96, 500, 996, 997, 1000, 1008, 1010]
-    assert list(next_primes(ns, sieve(limit))) == [(n, trial_division_next_prime(n)) for n in ns]
+    expected = [(n, trial_division_next_prime(n)) for n in ns]
+    assert list(next_primes(ns)) == expected
+    table = sieve(limit)
+    assert [(n, next_prime(n, table)) for n in ns] == expected
+
+
+# maximal prime gaps: 72 after 31397 and 114 after 492113
+GAP_EDGES = [31396, 31397, 31430, 31468, 31469, 492112, 492113, 492170, 492226, 492227]
+
+
+@pytest.mark.parametrize("first_window", [256, 16, 1])
+def test_next_prime_without_table_across_maximal_gaps(monkeypatch, first_window):
+    monkeypatch.setattr(primes, "_FIRST_WINDOW", first_window)
+    windows = []
+    real = primes._mark_segment
+
+    def recording(base, lo, hi):
+        windows.append(hi - lo + 1)
+        return real(base, lo, hi)
+
+    monkeypatch.setattr(primes, "_mark_segment", recording)
+    for n in GAP_EDGES:
+        windows.clear()
+        assert next_prime(n) == trial_division_next_prime(n), n
+        assert windows == [first_window << i for i in range(len(windows))]
+    # 492227 is the 114th integer above 492113: a narrower window must widen
+    windows.clear()
+    next_prime(492113)
+    assert (len(windows) > 1) == (first_window < 114)
 
 
 def test_consecutive_pairs_examples(table_100k):
