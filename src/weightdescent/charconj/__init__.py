@@ -41,49 +41,6 @@ from .groups import (
     generated_subgroup,
     load_group,
     quaternion,
-    subgroup,
     symmetric,
     trivial_subgroup,
 )
-
-__all__ = [
-    "SUITE_NAMES",
-    "CampaignReport",
-    "frobenius_campaign",
-    "invariance_campaign",
-    "mackey_campaign",
-    "random_brauer_spec",
-    "suite_groups",
-    "BrauerSpec",
-    "BrauerSummand",
-    "CharacterError",
-    "ClassFunction",
-    "InvarianceReport",
-    "MackeyReport",
-    "brauer_combination",
-    "induce",
-    "inner_product",
-    "is_irreducible",
-    "linear_character_of_cyclic",
-    "mackey_check",
-    "restrict",
-    "verify_conjugation_invariance",
-    "Cyclo",
-    "cyclotomic_polynomial",
-    "DEFAULT_MAX_ORDER",
-    "FiniteGroup",
-    "GroupError",
-    "Subgroup",
-    "builtin_group",
-    "conjugate_subgroup",
-    "cyclic",
-    "dihedral",
-    "double_cosets",
-    "full_subgroup",
-    "generated_subgroup",
-    "load_group",
-    "quaternion",
-    "subgroup",
-    "symmetric",
-    "trivial_subgroup",
-]

@@ -211,29 +211,8 @@ class MackeySummand:
 class MackeyReport:
     group: str
     double_coset_count: int
-    coset_reps: tuple[int, ...]
     summands: tuple[MackeySummand, ...]
-    lhs_values: tuple[str, ...]
-    rhs_values: tuple[str, ...]
     equal: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "double_coset_count": self.double_coset_count,
-            "coset_reps": list(self.coset_reps),
-            "summands": [
-                {
-                    "coset_rep": s.coset_rep,
-                    "intersection_order": s.intersection_order,
-                    "values": list(s.values),
-                }
-                for s in self.summands
-            ],
-            "lhs": list(self.lhs_values),
-            "rhs": list(self.rhs_values),
-            "equal": self.equal,
-        }
 
 
 def mackey_check(G: FiniteGroup, H: Subgroup, K: Subgroup, chi: ClassFunction) -> MackeyReport:
@@ -267,10 +246,7 @@ def mackey_check(G: FiniteGroup, H: Subgroup, K: Subgroup, chi: ClassFunction) -
     return MackeyReport(
         group=G.name,
         double_coset_count=len(reps),
-        coset_reps=tuple(reps),
         summands=tuple(summands),
-        lhs_values=tuple(lhs.render()),
-        rhs_values=tuple(rhs.render()),
         equal=lhs == rhs,
     )
 

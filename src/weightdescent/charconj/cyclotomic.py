@@ -168,9 +168,6 @@ class Cyclo:
                 vec[(i * j) % n] += c
         return Cyclo(n, vec)
 
-    def conjugate(self) -> "Cyclo":
-        return self.galois(self.conductor - 1) if self.conductor > 2 else self
-
     def __str__(self) -> str:
         inner = ", ".join(str(c) for c in self.coeffs)
         return f"[{inner}] over conductor {self.conductor}"

@@ -77,12 +77,6 @@ class FiniteGroup:
         object.__setattr__(self, "classes", tuple(classes))
         object.__setattr__(self, "class_index", tuple(class_index))
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
     def conjugate(self, g: int, a: int) -> int:
         """g * a * g^-1"""
         return self.table[self.table[g][a]][self.inverses[g]]
@@ -134,10 +128,6 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup({self.group.name}, order={self.order} in {self.parent.name})"
-
-
-def subgroup(parent: FiniteGroup, elements, name: str = "H") -> Subgroup:
-    return Subgroup(parent, elements, name=name)
 
 
 def generated_subgroup(parent: FiniteGroup, generators, name: str = "H") -> Subgroup:
@@ -249,32 +239,43 @@ def quaternion() -> FiniteGroup:
 
 
 def builtin_group(name: str) -> FiniteGroup:
-    """Constructors by name: C<n>, D<n>, S3, S4, Q8."""
-    name = name.strip().upper()
-    if name == "Q8":
+    """Constructors by name, in any case: C<n>, D<n>, S3, S4, Q8."""
+    key = name.strip().upper()
+    if key == "Q8":
         return quaternion()
-    if name in ("S3", "S4"):
-        return symmetric(int(name[1]))
-    if name.startswith("C") and name[1:].isdigit():
-        return cyclic(int(name[1:]))
-    if name.startswith("D") and name[1:].isdigit():
-        return dihedral(int(name[1:]))
+    if key in ("S3", "S4"):
+        return symmetric(int(key[1]))
+    if key.startswith("C") and key[1:].isdigit():
+        return cyclic(int(key[1:]))
+    if key.startswith("D") and key[1:].isdigit():
+        return dihedral(int(key[1:]))
     raise ValueError(f"unknown group name: {name}")
 
 
+def _is_int(x) -> bool:
+    return type(x) is int  # a JSON true or 1.0 is not an element index
+
+
 def load_group(definition, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
-    """Build a group from a builtin name or a JSON-style dict with keys
-    "order", "table" (row-major) and optional "name"."""
-    if isinstance(definition, str):
-        return builtin_group(definition)
-    if isinstance(definition, FiniteGroup):
-        return definition
-    order = definition["order"]
-    table = definition["table"]
-    if len(table) == order and all(isinstance(r, (list, tuple)) for r in table):
+    """Build a group from a parsed JSON object with an integer "order", a
+    "table" (nested rows or one row-major list of element indices) and an
+    optional string "name"; raises GroupError on any other shape."""
+    if not isinstance(definition, dict):
+        raise GroupError("a group definition must be a JSON object")
+    order, table = definition.get("order"), definition.get("table")
+    name = definition.get("name", "G")
+    if not _is_int(order) or order < 1:
+        raise GroupError('"order" must be an integer >= 1')
+    if not isinstance(name, str):
+        raise GroupError('"name" must be a string')
+    if not isinstance(table, list):
+        raise GroupError('"table" must be a list')
+    if len(table) == order and all(isinstance(r, list) for r in table):
         rows = table
-    else:
-        if len(table) != order * order:
-            raise GroupError("row-major table length must be order**2")
+    elif len(table) == order * order:
         rows = [table[i * order : (i + 1) * order] for i in range(order)]
-    return FiniteGroup(rows, name=definition.get("name", "G"), max_order=max_order)
+    else:
+        raise GroupError("row-major table length must be order**2")
+    if not all(_is_int(x) for row in rows for x in row):
+        raise GroupError("table entries must be integer element indices")
+    return FiniteGroup(rows, name=name, max_order=max_order)

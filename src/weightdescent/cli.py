@@ -3,23 +3,20 @@
 Exit status: 0 when every check passed, 1 on any violation (a reference-
 table divergence only fails `table` under --strict), 2 on usage or input
 errors, among them a gap range holding no adjacent prime pair, a
-non-positive draw, trial or digit count and an unreadable group file, and 3
-when the verdict is inconclusive (a `threshold` enclosure straddling x0,
-reported as "inconclusive" and `below_x0: null`) or a reduction step breaks
-its invariants (a DescentError, reported on one `error:` line).
+non-positive draw, trial or digit count and an unreadable or malformed group
+file, and 3 when the verdict is inconclusive (a `threshold` enclosure
+straddling x0, reported as "inconclusive" and `below_x0: null`) or a
+reduction step breaks its invariants (a DescentError, reported on one
+`error:` line).
 Defaults reproduce the canonical parameters: gap range (37, 100000],
 bounds 143/125 and 23/20, A = 1, B = 1130289/1000000, a = 143/125,
 audit max_k = 10^6.
-Only `table`, `gaps` and `gaps-shifted` build a table of primes, and only
-they honour WEIGHTDESCENT_SIEVE_LIMIT as a minimum table limit; the other
-descent commands take their primes from a stream or a small window.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -38,7 +35,6 @@ from .charconj import (
 from .numeric import CHEBYSHEV_A, CHEBYSHEV_B, RATIO_BOUND, SHIFTED_RATIO_BOUND
 from .primes import sieve
 
-SIEVE_LIMIT_ENV = "WEIGHTDESCENT_SIEVE_LIMIT"
 # Text mode lists at most this many gap violations; JSON lists them all.
 TEXT_VIOLATIONS = 20
 
@@ -46,13 +42,6 @@ TEXT_VIOLATIONS = 20
 def canonical_json(payload) -> str:
     """Canonical serialization: loads/dumps round-trips byte-identically."""
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _table_for(limit: int):
-    env = os.environ.get(SIEVE_LIMIT_ENV)
-    if env:
-        limit = max(limit, int(env))
-    return sieve(limit)
 
 
 def _load_cli_group(name_or_path: str):
@@ -101,7 +90,7 @@ def _fmt_step(step) -> str:
 
 
 def _cmd_table(args):
-    rows = descent.reference_table(_table_for(64))
+    rows = descent.reference_table()
     payload = {"rows": [r.to_dict() for r in rows]}
     lines = [_fmt_step(r) for r in rows]
     divergent = [r.k for r in rows if not r.matches_paper]
@@ -168,7 +157,7 @@ def _gap_lines(report) -> list[str]:
 
 def _cmd_gaps(args):
     shifted = args.command == "gaps-shifted"
-    table = _table_for(args.high)
+    table = sieve(args.high)
     bound = args.bound
     if bound is None:
         bound = SHIFTED_RATIO_BOUND if shifted else RATIO_BOUND
@@ -224,6 +213,8 @@ def _cmd_mbound(args):
 
 def _cmd_char(args):
     if args.mode == "verify":
+        if args.group.endswith(".json"):
+            raise ValueError(f"char verify runs builtin groups only; {args.group} is a group file")
         kwargs = {} if args.group in ("all", "suite") else {"names": (args.group,)}
         reports = [
             frobenius_campaign(draws=args.draws, seed=args.seed, **kwargs),
@@ -323,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_char)
     p.add_argument("mode", choices=("demo", "verify"))
     p.add_argument("--group", default="S3",
-                   help="builtin name (C<n>, D<n>, S3, S4, Q8), 'all', or a .json table")
+                   help="builtin name (C<n>, D<n>, S3, S4, Q8); verify also takes 'all', "
+                   "demo also a path to a .json table")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--draws", type=_positive_int, default=50)
     p.add_argument("--trials", type=_positive_int, default=100)

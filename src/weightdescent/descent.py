@@ -78,13 +78,6 @@ class ReductionStep:
     prime_skips: int
     matches_paper: bool | None = None
 
-    def validate(self) -> None:
-        error = _broken_invariant(
-            self.k, self.p, self.d, self.m, self.t, self.dt, self.k_hi, self.k_lo
-        )
-        if error:
-            raise DescentError(error)
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -114,8 +107,8 @@ def _recipe(k: int, p: int) -> tuple[int, int, int, int, int, int, int, int]:
     """The recipe at weight k from p, the smallest prime above k.
 
     Skips primes whose m admits no twist exponent and returns
-    (p, skips, d, m, t, dt, k_hi, k_lo) after checking every invariant of
-    ReductionStep.validate; raises DescentError if one fails.
+    (p, skips, d, m, t, dt, k_hi, k_lo) after checking every invariant in
+    _broken_invariant; raises DescentError if one fails.
     """
     skips = 0
     # Ends: once p - 1 > 6(k - 2), m >= (p - 1)/(k - 2) > 6, and every m >= 7
@@ -142,15 +135,6 @@ def _step(k: int, recipe: tuple[int, ...]) -> ReductionStep:
     return ReductionStep(
         k=k, p=p, d=d, m=m, t=t, dt=dt, k_hi=k_hi, k_lo=k_lo, prime_skips=skips
     )
-
-
-def select_prime(k: int, table: PrimeTable) -> tuple[int, int]:
-    """Smallest prime p > k whose m admits a twist exponent.
-
-    Returns (p, skips) where skips counts the rejected smaller primes.
-    """
-    _check_weight(k)
-    return _recipe(k, next_prime(k, table))[:2]
 
 
 def reduction_step(k: int, table: PrimeTable | None = None) -> ReductionStep:
@@ -188,16 +172,12 @@ _PUBLISHED_ROWS: dict[int, tuple] = {
 TABLE_WEIGHTS = (10, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36)
 
 
-def published_row(k: int) -> tuple:
-    return _PUBLISHED_ROWS[k]
-
-
-def reference_table(table: PrimeTable | None = None) -> list[ReductionStep]:
+def reference_table() -> list[ReductionStep]:
     """The 12 rows for k = 10 and 16..36, each flagged against the published
     values (matches_paper False marks a divergence)."""
     rows = []
     for k in TABLE_WEIGHTS:
-        step = reduction_step(k, table)
+        step = reduction_step(k)
         fields = (step.p, step.d, step.m, step.t, step.dt, step.k_hi, step.k_lo)
         matches = all(
             expected is None or expected == actual
@@ -391,9 +371,7 @@ def audit(max_k: int) -> AuditReport:
     )
 
 
-def chain(
-    k: int, policy: str = "hi-branch", table: PrimeTable | None = None
-) -> tuple[list[ReductionStep], list[int]]:
+def chain(k: int, policy: str = "hi-branch") -> tuple[list[ReductionStep], list[int]]:
     """A concrete descent path from k to the base set under a branch policy.
 
     Returns the steps taken and the weights walked, k first and a base
@@ -408,7 +386,7 @@ def chain(
 
     def step_of(w: int) -> ReductionStep:
         if w not in memo:
-            memo[w] = reduction_step(w, table)
+            memo[w] = reduction_step(w)
         return memo[w]
 
     depth_memo: dict[int, int] = {}

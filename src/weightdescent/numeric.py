@@ -63,11 +63,6 @@ class RealEnclosure:
             raise ValueError(f"inverted enclosure: {self.lower} > {self.upper}")
 
     @classmethod
-    def point(cls, value) -> "RealEnclosure":
-        d = Decimal(value)
-        return cls(d, d)
-
-    @classmethod
     def from_rational(cls, value, digits: int = DEFAULT_DIGITS) -> "RealEnclosure":
         value = Fraction(value)
         num = Decimal(value.numerator)
@@ -78,20 +73,6 @@ class RealEnclosure:
 
     def width(self) -> Decimal:
         return _ctx(DEFAULT_DIGITS, ROUND_CEILING).subtract(self.upper, self.lower)
-
-    def contains(self, value) -> bool:
-        value = Fraction(value)
-        return Fraction(self.lower) <= value <= Fraction(self.upper)
-
-    def add(self, other: "RealEnclosure", digits: int = DEFAULT_DIGITS) -> "RealEnclosure":
-        lo = _ctx(digits, ROUND_FLOOR).add(self.lower, other.lower)
-        hi = _ctx(digits, ROUND_CEILING).add(self.upper, other.upper)
-        return RealEnclosure(lo, hi)
-
-    def sub(self, other: "RealEnclosure", digits: int = DEFAULT_DIGITS) -> "RealEnclosure":
-        lo = _ctx(digits, ROUND_FLOOR).subtract(self.lower, other.upper)
-        hi = _ctx(digits, ROUND_CEILING).subtract(self.upper, other.lower)
-        return RealEnclosure(lo, hi)
 
     def mul(self, other: "RealEnclosure", digits: int = DEFAULT_DIGITS) -> "RealEnclosure":
         down = _ctx(digits, ROUND_FLOOR)

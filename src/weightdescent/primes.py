@@ -35,10 +35,6 @@ class PrimeTable:
     def count(self) -> int:
         return len(self.primes)
 
-    def __contains__(self, n: int) -> bool:
-        i = bisect_right(self.primes, n)
-        return i > 0 and self.primes[i - 1] == n
-
 
 def _simple_sieve(limit: int) -> list[int]:
     # plain sieve, used for base primes up to sqrt(limit)

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately naive (trial division, element-by-element
-sums, direct fraction comparisons) and shares no code path with the package
-implementations it checks.
+sums, direct fraction comparisons).  The prime, recipe and ratio-scan
+oracles share no code with the package.  The two character oracles sum
+element by element but still compute with the package's `Cyclo`.
 """
 
 from __future__ import annotations

@@ -152,7 +152,7 @@ def test_criterion_4_descent_termination_to_1e6():
     term = audit.termination
     assert term.terminates
     assert term.weights_with_skips == (32,)
-    assert audit.skip_failures == ()     # select_prime = next_prime for k > 36
+    assert audit.skip_failures == ()     # p = next_prime(k) for k > 36
     assert audit.m_bound_failures == ()  # m > 6 for k > 36
     assert audit.ratio_failures == ()    # p/k' > 143/125 exactly, both branches
     assert audit.passed

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import weightdescent
 from weightdescent import cli, descent, primes
@@ -14,6 +18,31 @@ from weightdescent.cli import build_parser, canonical_json, main
 from oracles import recipe_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
+
+json_scalars = (st.none() | st.booleans() | st.integers(-3, 50)
+                | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def near_group_definitions(draw):
+    """A cyclic group's table, nested or row-major, with at most one entry,
+    the order or the name replaced by arbitrary JSON."""
+    n = draw(st.integers(1, 4))
+    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(json_values)
+    definition = {
+        "order": draw(st.just(n) | st.sampled_from([n + 1, 0]) | json_scalars),
+        "table": draw(st.sampled_from([rows, [x for row in rows for x in row]])),
+    }
+    if draw(st.booleans()):
+        definition["name"] = draw(st.text(max_size=4) | json_values)
+    return definition
 
 
 def test_parser_defaults_reproduce_canonical_parameters():
@@ -215,6 +244,53 @@ class TestChar:
         assert code == 2
         assert err.startswith("error: cannot read group file") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("content", [
+        '{"table": [[0]]}',
+        '[1, 2]',
+        '{"order": "2", "table": [0,1,1,0]}',
+        '{"order": 2, "table": [[0,1],[1,"a"]]}',
+        '{"order": 2, "table": [[0,1],[1,0.0]]}',
+    ], ids=["no-order", "not-an-object", "string-order", "string-entry", "float-entry"])
+    def test_demo_malformed_group_file_is_usage_error(self, capsys, tmp_path, content):
+        path = tmp_path / "group.json"
+        path.write_text(content, encoding="utf-8")
+        code = main(["char", "demo", "--group", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_demo_group_file(self, capsys, tmp_path):
+        path = tmp_path / "c2.json"
+        path.write_text('{"order": 2, "table": [0, 1, 1, 0], "name": "C2"}', encoding="utf-8")
+        code, out = run_cli(capsys, "char", "demo", "--group", str(path))
+        assert code == 0
+        assert out.startswith("group C2, seed 0")
+
+    @given(definition=json_values | near_group_definitions())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_demo_on_any_json_exits_0_or_2(self, tmp_path, definition):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(definition), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["char", "demo", "--group", str(path)])
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize("group,message", [
+        ("x.json", "error: char verify runs builtin groups only; x.json is a group file\n"),
+        ("e8", "error: unknown group name: e8\n"),
+    ], ids=["group-file", "unknown-name"])
+    def test_verify_names_a_group_it_cannot_run(self, capsys, group, message):
+        code = main(["char", "verify", "--group", group, "--draws", "1", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (captured.out, captured.err) == ("", message)
+
 
 class TestAudit:
     def test_small_audit(self, capsys):
@@ -236,7 +312,6 @@ class TestNoFullTable:
 
         monkeypatch.setattr(primes, "sieve", refuse)
         monkeypatch.setattr(cli, "sieve", refuse)
-        monkeypatch.delenv(cli.SIEVE_LIMIT_ENV, raising=False)
 
     GOLDEN_ARGV = {
         "chain-999998-longest.text": ["chain", "999998", "--policy", "longest"],
@@ -290,7 +365,6 @@ class TestDescentError:
 def test_package_runs_as_a_module():
     src = str(Path(weightdescent.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("WEIGHTDESCENT_SIEVE_LIMIT", None)
     done = subprocess.run([sys.executable, "-m", "weightdescent", "reduce", "16"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0
@@ -315,10 +389,3 @@ class TestJsonRoundTrip:
         main(argv)
         out = capsys.readouterr().out.rstrip("\n")
         assert canonical_json(json.loads(out)) == out
-
-
-class TestEnvSieveLimit:
-    def test_env_var_raises_table_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv("WEIGHTDESCENT_SIEVE_LIMIT", "5000")
-        code, out = run_cli(capsys, "gaps", "--low", "37", "--high", "1000")
-        assert code == 0

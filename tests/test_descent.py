@@ -7,7 +7,6 @@ import pytest
 from weightdescent import descent
 from weightdescent.descent import (
     BASE_WEIGHTS,
-    DescentError,
     DescentGraph,
     InadmissibleM,
     ReductionStep,
@@ -15,10 +14,8 @@ from weightdescent.descent import (
     build_graph,
     chain,
     choose_t,
-    published_row,
     reduction_step,
     reference_table,
-    select_prime,
     verify_termination,
 )
 from weightdescent.primes import sieve
@@ -52,20 +49,23 @@ class TestChooseT:
 
 
 class TestSelectPrime:
-    def test_examples(self, table_2k):
-        assert select_prime(10, table_2k) == (11, 0)
-        assert select_prime(20, table_2k) == (23, 0)
-        assert select_prime(32, table_2k) == (43, 2)
+    """The prime a step takes: the smallest prime above k whose m admits a
+    twist exponent, with the smaller primes it rejected counted as skips."""
 
-    def test_k32_rejections_are_the_published_ones(self, table_2k):
+    def test_examples(self):
+        for k, p, skips in ((10, 11, 0), (20, 23, 0), (32, 43, 2)):
+            s = reduction_step(k)
+            assert (s.p, s.prime_skips) == (p, skips)
+
+    def test_k32_rejections_are_the_published_ones(self):
         # 37 gives m = 6, 41 gives gcd(40, 30) = 10 hence m = 4
         assert (37 - 1) // gcd(37 - 1, 30) == 6
         assert (41 - 1) // gcd(41 - 1, 30) == 4
 
-    def test_precondition(self, table_2k):
+    def test_precondition(self):
         for k in (12, 14, 8, 9, -2):
             with pytest.raises(ValueError):
-                select_prime(k, table_2k)
+                reduction_step(k)
 
 
 class TestReductionStep:
@@ -134,18 +134,18 @@ class TestRecipeOracle:
 
 
 class TestReferenceTable:
-    def test_twelve_rows_with_single_divergence(self, table_2k):
-        rows = reference_table(table_2k)
+    def test_twelve_rows_with_single_divergence(self):
+        rows = reference_table()
         assert [r.k for r in rows] == [10, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36]
         assert [r.k for r in rows if not r.matches_paper] == [36]
 
-    def test_row_36_diverges_exactly_as_computed(self, table_2k):
-        row = reference_table(table_2k)[-1]
+    def test_row_36_diverges_exactly_as_computed(self):
+        row = reference_table()[-1]
         assert (row.k_hi, row.k_lo) == (24, 16)
-        assert published_row(36)[-2:] == (22, 16)
+        assert descent._PUBLISHED_ROWS[36][-2:] == (22, 16)
 
-    def test_row_30_matches(self, table_2k):
-        row = next(r for r in reference_table(table_2k) if r.k == 30)
+    def test_row_30_matches(self):
+        row = next(r for r in reference_table() if r.k == 30)
         assert (row.d, row.m, row.t, row.dt) == (2, 15, 8, 16)
         assert (row.k_hi, row.k_lo) == (18, 16)
         assert row.matches_paper
@@ -178,11 +178,10 @@ class TestGraph:
         assert rep.longest_chain_path[-1] in BASE_WEIGHTS
 
     def test_child_outside_the_graph_breaks_termination(self):
-        # k_lo = -2 fails validate(); built by hand, it must not be read as
-        # the depth of some other weight
+        # k_lo = -2 breaks the recipe's invariants; built by hand, it must not
+        # be read as the depth of some other weight
         bad = ReductionStep(k=10, p=11, d=2, m=5, t=3, dt=6, k_hi=8, k_lo=-2, prime_skips=0)
-        with pytest.raises(DescentError):
-            bad.validate()
+        assert descent._broken_invariant(10, 11, 2, 5, 3, 6, 8, -2) is not None
         graph = DescentGraph(max_k=14, steps={10: bad})
         rep = verify_termination(graph)
         assert rep.terminates is False
@@ -206,47 +205,47 @@ class TestGraph:
 
 
 class TestChain:
-    def test_base_weight_gives_empty_path(self, table_2k):
-        assert chain(12, "hi-branch", table_2k) == ([], [12])
-        assert chain(2, "longest", table_2k) == ([], [2])
+    def test_base_weight_gives_empty_path(self):
+        assert chain(12, "hi-branch") == ([], [12])
+        assert chain(2, "longest") == ([], [2])
 
-    def test_k10_hi(self, table_2k):
-        path, walked = chain(10, "hi-branch", table_2k)
+    def test_k10_hi(self):
+        path, walked = chain(10, "hi-branch")
         assert len(path) == 1
         assert path[0].k_hi == 8
         assert walked == [10, 8]
 
-    def test_k36_hi(self, table_2k):
-        path, walked = chain(36, "hi-branch", table_2k)
+    def test_k36_hi(self):
+        path, walked = chain(36, "hi-branch")
         assert [s.k for s in path] == [36, 24, 20]
         assert path[-1].k_hi == 14
         assert walked == [36, 24, 20, 14]
 
-    def test_policies_differ(self, table_2k):
-        lo, walked = chain(36, "lo-branch", table_2k)
+    def test_policies_differ(self):
+        lo, walked = chain(36, "lo-branch")
         assert [s.k for s in lo] == [36, 16]
         assert lo[-1].k_lo == 8
         assert walked == [36, 16, 8]
-        longest, _ = chain(36, "longest", table_2k)
+        longest, _ = chain(36, "longest")
         assert len(longest) >= 3
 
-    def test_walk_follows_the_steps(self, table_2k):
+    def test_walk_follows_the_steps(self):
         for policy in ("hi-branch", "lo-branch", "longest"):
             for k in (30, 36, 100, 1000):
-                path, walked = chain(k, policy, table_2k)
+                path, walked = chain(k, policy)
                 assert walked[:-1] == [s.k for s in path]
                 assert all(w in (s.k_hi, s.k_lo) for s, w in zip(path, walked[1:]))
                 assert walked[-1] in BASE_WEIGHTS
 
-    def test_longest_is_maximal_among_policies(self, table_2k):
+    def test_longest_is_maximal_among_policies(self):
         for k in (30, 36, 100):
-            n = len(chain(k, "longest", table_2k)[0])
-            assert n >= len(chain(k, "hi-branch", table_2k)[0])
-            assert n >= len(chain(k, "lo-branch", table_2k)[0])
+            n = len(chain(k, "longest")[0])
+            assert n >= len(chain(k, "hi-branch")[0])
+            assert n >= len(chain(k, "lo-branch")[0])
 
-    def test_bad_policy(self, table_2k):
+    def test_bad_policy(self):
         with pytest.raises(ValueError):
-            chain(36, "sideways", table_2k)
+            chain(36, "sideways")
 
 
 class TestAudit:

@@ -76,8 +76,7 @@ def test_every_golden_file_has_a_case(statuses):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden(name, statuses, monkeypatch):
-    monkeypatch.delenv(cli.SIEVE_LIMIT_ENV, raising=False)
+def test_output_matches_golden(name, statuses):
     status, out = run_main(CASES[name])
     assert out == (GOLDEN / f"{name}.txt").read_bytes()
     assert status == statuses[name]

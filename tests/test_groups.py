@@ -11,8 +11,8 @@ from weightdescent.charconj.groups import (
     full_subgroup,
     generated_subgroup,
     load_group,
+    Subgroup,
     quaternion,
-    subgroup,
     symmetric,
     trivial_subgroup,
 )
@@ -101,7 +101,7 @@ class TestLoadGroup:
         assert g.order == 2
 
     def test_from_name(self):
-        assert load_group("S3").order == 6
+        assert builtin_group("S3").order == 6
 
     def test_wrong_length(self):
         with pytest.raises(GroupError):
@@ -122,11 +122,11 @@ class TestSubgroups:
             x for x in range(6) if s3.element_order(x) == 2 and x != transposition
         )
         with pytest.raises(GroupError, match="closed"):
-            subgroup(s3, [0, transposition, other])
+            Subgroup(s3, [0, transposition, other])
 
     def test_must_contain_identity(self):
         with pytest.raises(GroupError, match="identity"):
-            subgroup(cyclic(4), [1, 2, 3])
+            Subgroup(cyclic(4), [1, 2, 3])
 
     def test_trivial_and_full(self):
         s3 = symmetric(3)

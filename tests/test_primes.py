@@ -139,6 +139,6 @@ def test_pairs_are_adjacent_and_next_prime_consistent(table_100k):
 
 
 def test_table_membership(table_100k):
-    assert 99991 in table_100k
-    assert 99987 not in table_100k  # divisible by 3
+    assert 99991 in table_100k.primes
+    assert 99987 not in table_100k.primes  # divisible by 3
     assert isinstance(table_100k, PrimeTable)
