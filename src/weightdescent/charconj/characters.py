@@ -14,12 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclotomic import Cyclo
-from .groups import (
-    FiniteGroup,
-    Subgroup,
-    conjugate_subgroup,
-    double_cosets,
-)
+from .groups import FiniteGroup, Subgroup, double_cosets
 
 
 class CharacterError(ValueError):
@@ -200,55 +195,22 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> Cyclo:
     return total * Fraction(1, G.order)
 
 
-@dataclass(frozen=True)
-class MackeySummand:
-    coset_rep: int
-    intersection_order: int
-    values: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class MackeyReport:
-    group: str
-    double_coset_count: int
-    summands: tuple[MackeySummand, ...]
-    equal: bool
-
-
-def mackey_check(G: FiniteGroup, H: Subgroup, K: Subgroup, chi: ClassFunction) -> MackeyReport:
-    """Verify Res_K Ind_H^G chi = sum over double cosets KgH of
+def mackey_check(G: FiniteGroup, H: Subgroup, K: Subgroup, chi: ClassFunction) -> bool:
+    """True iff Res_K Ind_H^G chi = sum over double cosets KgH of
     Ind_{K meet gHg^-1}^K (x -> chi(g^-1 x g)), exactly."""
     lhs = restrict(G, K, induce(G, H, chi))
-    reps = double_cosets(G, K, H)
     rhs = ClassFunction.zero(K.group)
-    summands = []
-    for g in reps:
+    for g in double_cosets(G, K, H):
         g_inv = G.inverses[g]
-        conj_h = conjugate_subgroup(G, H, g)
-        meet_parent = sorted(set(K.elements) & set(conj_h.elements))
-        L = Subgroup(K.group, [K.to_local[x] for x in meet_parent], name="L")
+        conj_h = {G.conjugate(g, x) for x in H.elements}
+        L = Subgroup(K.group, [K.to_local[x] for x in K.elements if x in conj_h], name="L")
         # chi^g at x in K meet gHg^-1 (parent coords): chi(g^-1 x g)
-        elem_values = []
-        for loc in L.elements:
-            x = K.elements[loc]
-            back = G.table[G.table[g_inv][x]][g]
-            elem_values.append(chi.value(H.to_local[back]))
+        elem_values = [
+            chi.value(H.to_local[G.conjugate(g_inv, K.elements[loc])]) for loc in L.elements
+        ]
         chig = ClassFunction.from_element_values(L.group, elem_values)
-        part = induce(K.group, L, chig)
-        rhs = rhs + part
-        summands.append(
-            MackeySummand(
-                coset_rep=g,
-                intersection_order=L.order,
-                values=tuple(part.render()),
-            )
-        )
-    return MackeyReport(
-        group=G.name,
-        double_coset_count=len(reps),
-        summands=tuple(summands),
-        equal=lhs == rhs,
-    )
+        rhs = rhs + induce(K.group, L, chig)
+    return lhs == rhs
 
 
 @dataclass(frozen=True)
@@ -289,21 +251,15 @@ class BrauerSpec:
             n = lcm(n, s.character.conductor, s.twist.conductor)
         return n
 
-    def galois(self, j: int) -> "BrauerSpec":
-        return BrauerSpec(
-            self.group,
-            [
-                BrauerSummand(s.coefficient, s.subgroup, s.character.galois(j), s.twist.galois(j))
-                for s in self.summands
-            ],
-        )
 
-
-def brauer_combination(spec: BrauerSpec) -> ClassFunction:
-    """The virtual class function sum of n_i * Ind(chi_i * twist_i)."""
+def brauer_combination(spec: BrauerSpec, j: int = 1) -> ClassFunction:
+    """The virtual class function sum of n_i * Ind((chi_i * twist_i)^gamma),
+    where gamma sends each root of unity to its j-th power: each summand is
+    conjugated on its subgroup before it is induced."""
     total = ClassFunction.zero(spec.group)
     for s in spec.summands:
-        total = total + induce(spec.group, s.subgroup, s.character * s.twist).scale(s.coefficient)
+        twisted = (s.character * s.twist).galois(j)
+        total = total + induce(spec.group, s.subgroup, twisted).scale(s.coefficient)
     return total
 
 
@@ -342,7 +298,7 @@ def verify_conjugation_invariance(spec: BrauerSpec, j: int) -> InvarianceReport:
     if gcd(j, n) != 1:
         raise CharacterError(f"{j} is not coprime to the spec conductor {n}")
     rho = brauer_combination(spec)
-    rho_gamma = brauer_combination(spec.galois(j))
+    rho_gamma = brauer_combination(spec, j)
     ip = inner_product(rho, rho)
     ip_gamma = inner_product(rho_gamma, rho_gamma)
     galois_ip = ip.galois(j)  # ip's conductor divides the spec conductor
@@ -359,12 +315,3 @@ def verify_conjugation_invariance(spec: BrauerSpec, j: int) -> InvarianceReport:
         equal_exactly=equal_exactly,
     )
 
-
-def is_irreducible(chi: ClassFunction) -> bool:
-    """True iff the self inner product is exactly 1 and the degree is
-    positive; raises on a non-rational self product."""
-    ip = inner_product(chi, chi)
-    if not ip.is_rational():
-        raise CharacterError(f"self inner product is not rational: {ip}")
-    deg = chi.degree()
-    return ip == 1 and deg.is_rational() and deg.rational_value() > 0

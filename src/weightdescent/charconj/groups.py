@@ -2,13 +2,13 @@
 
 Elements are indices 0..order-1 with 0 the identity.  Group laws are
 verified exhaustively at load time, and conjugacy classes, subgroups and
-double cosets are all computed by brute force; the default order cap keeps
-that cheap.
+double cosets are all computed by brute force; the order cap keeps that
+cheap.
 """
 
 from __future__ import annotations
 
-DEFAULT_MAX_ORDER = 48
+MAX_ORDER = 48
 
 
 class GroupError(ValueError):
@@ -18,13 +18,13 @@ class GroupError(ValueError):
 class FiniteGroup:
     __slots__ = ("order", "table", "inverses", "classes", "class_index", "name")
 
-    def __init__(self, table, name: str = "G", max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, table, name: str = "G"):
         table = tuple(tuple(row) for row in table)
         n = len(table)
         if n == 0:
             raise GroupError("empty multiplication table")
-        if n > max_order:
-            raise GroupError(f"order {n} exceeds the cap {max_order}")
+        if n > MAX_ORDER:
+            raise GroupError(f"order {n} exceeds the cap {MAX_ORDER}")
         for row in table:
             if len(row) != n or any(not (0 <= x < n) for x in row):
                 raise GroupError("table is not a square array of element indices")
@@ -117,7 +117,7 @@ class Subgroup:
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "elements", tuple(elems))
         object.__setattr__(self, "to_local", to_local)
-        object.__setattr__(self, "group", FiniteGroup(table, name=name, max_order=parent.order))
+        object.__setattr__(self, "group", FiniteGroup(table, name=name))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subgroup is immutable")
@@ -154,11 +154,6 @@ def trivial_subgroup(parent: FiniteGroup) -> Subgroup:
 
 def full_subgroup(parent: FiniteGroup) -> Subgroup:
     return Subgroup(parent, range(parent.order), name=parent.name)
-
-
-def conjugate_subgroup(parent: FiniteGroup, h: Subgroup, g: int) -> Subgroup:
-    """The subgroup g H g^-1 in parent coordinates."""
-    return Subgroup(parent, [parent.conjugate(g, x) for x in h.elements], name=f"{g}^{h.group.name}")
 
 
 def double_cosets(parent: FiniteGroup, k: Subgroup, h: Subgroup) -> list[int]:
@@ -256,7 +251,7 @@ def _is_int(x) -> bool:
     return type(x) is int  # a JSON true or 1.0 is not an element index
 
 
-def load_group(definition, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
+def load_group(definition) -> FiniteGroup:
     """Build a group from a parsed JSON object with an integer "order", a
     "table" (nested rows or one row-major list of element indices) and an
     optional string "name"; raises GroupError on any other shape."""
@@ -278,4 +273,4 @@ def load_group(definition, max_order: int = DEFAULT_MAX_ORDER) -> FiniteGroup:
         raise GroupError("row-major table length must be order**2")
     if not all(_is_int(x) for row in rows for x in row):
         raise GroupError("table entries must be integer element indices")
-    return FiniteGroup(rows, name=name, max_order=max_order)
+    return FiniteGroup(rows, name=name)

@@ -23,15 +23,14 @@ from fractions import Fraction
 from math import gcd
 
 from . import descent, gaps
-from .charconj import (
-    builtin_group,
+from .charconj.campaigns import (
     frobenius_campaign,
     invariance_campaign,
-    load_group,
     mackey_campaign,
     random_brauer_spec,
-    verify_conjugation_invariance,
 )
+from .charconj.characters import verify_conjugation_invariance
+from .charconj.groups import builtin_group, load_group
 from .numeric import CHEBYSHEV_A, CHEBYSHEV_B, RATIO_BOUND, SHIFTED_RATIO_BOUND
 from .primes import sieve
 

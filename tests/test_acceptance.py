@@ -13,14 +13,15 @@ import time
 from fractions import Fraction
 
 from weightdescent import descent, gaps
-from weightdescent.charconj import (
+from weightdescent.charconj.campaigns import (
     frobenius_campaign,
-    induce,
     invariance_campaign,
     mackey_campaign,
+    random_class_function,
+    random_subgroup,
     suite_groups,
 )
-from weightdescent.charconj.campaigns import random_class_function, random_subgroup
+from weightdescent.charconj.characters import induce
 from weightdescent.primes import sieve
 
 from oracles import (

@@ -1,36 +1,49 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weightdescent.charconj import (
+from weightdescent.charconj import campaigns, characters
+from weightdescent.charconj.campaigns import (
+    frobenius_campaign,
+    invariance_campaign,
+    mackey_campaign,
+    random_brauer_spec,
+    random_class_function,
+    random_subgroup,
+    suite_groups,
+)
+from weightdescent.charconj.characters import (
     BrauerSpec,
     BrauerSummand,
     CharacterError,
     ClassFunction,
-    Cyclo,
+    InvarianceReport,
     brauer_combination,
-    cyclic,
-    frobenius_campaign,
-    full_subgroup,
-    generated_subgroup,
     induce,
     inner_product,
-    invariance_campaign,
-    is_irreducible,
     linear_character_of_cyclic,
-    mackey_campaign,
     mackey_check,
-    quaternion,
     restrict,
-    suite_groups,
-    symmetric,
-    trivial_subgroup,
     verify_conjugation_invariance,
 )
-from weightdescent.charconj.campaigns import random_class_function, random_subgroup
+from weightdescent.charconj.cyclotomic import Cyclo
+from weightdescent.charconj.groups import (
+    cyclic,
+    full_subgroup,
+    generated_subgroup,
+    quaternion,
+    symmetric,
+    trivial_subgroup,
+)
 
 from oracles import brute_force_induced_values, brute_force_inner
+
+
+SPEC_GROUPS = suite_groups(("S3", "S4", "Q8", "C12"))
 
 
 def c3_in_s3(s3):
@@ -149,7 +162,6 @@ class TestInnerProduct:
         c3 = c3_in_s3(s3)
         ind = induce(s3, c3, linear_character_of_cyclic(c3.group, 1))
         assert inner_product(ind, ind) == 1
-        assert is_irreducible(ind)
 
     def test_matches_brute_force(self):
         rng = random.Random(42)
@@ -195,26 +207,21 @@ class TestMackey:
         s3 = symmetric(3)
         c3 = c3_in_s3(s3)
         chi = linear_character_of_cyclic(c3.group, 1)
-        report = mackey_check(s3, c3, c3, chi)
-        assert report.double_coset_count == 2
-        assert report.equal
-        # the two summands are chi and its conjugate
-        values = sorted(tuple(s.values) for s in report.summands)
-        expected = sorted(
-            (
-                tuple(chi.render()),
-                tuple(linear_character_of_cyclic(c3.group, 2).render()),
-            )
-        )
-        assert values == expected
+        assert mackey_check(s3, c3, c3, chi) is True
+
+    def test_a_dropped_double_coset_breaks_the_identity(self, monkeypatch):
+        s3 = symmetric(3)
+        c3 = c3_in_s3(s3)
+        chi = linear_character_of_cyclic(c3.group, 1)
+        whole = characters.double_cosets
+        monkeypatch.setattr(characters, "double_cosets", lambda *args: whole(*args)[:-1])
+        assert mackey_check(s3, c3, c3, chi) is False
 
     def test_full_subgroup_single_coset(self):
         s3 = symmetric(3)
         h = full_subgroup(s3)
         chi = ClassFunction(h.group, [1, Cyclo.zeta(4), -2])
-        report = mackey_check(s3, h, h, chi)
-        assert report.double_coset_count == 1
-        assert report.equal
+        assert mackey_check(s3, h, h, chi) is True
 
     def test_s4_d4_c4(self):
         s4 = symmetric(4)
@@ -228,8 +235,7 @@ class TestMackey:
         c4 = generated_subgroup(s4, [r])
         rng = random.Random(8)
         chi = random_class_function(rng, d4.group)
-        report = mackey_check(s4, d4, c4, chi)
-        assert report.equal
+        assert mackey_check(s4, d4, c4, chi) is True
 
     def test_random_draws(self):
         rng = random.Random(31)
@@ -238,7 +244,7 @@ class TestMackey:
                 h = random_subgroup(rng, g)
                 k = random_subgroup(rng, g)
                 chi = random_class_function(rng, h.group)
-                assert mackey_check(g, h, k, chi).equal
+                assert mackey_check(g, h, k, chi) is True
 
 
 class TestBrauer:
@@ -288,8 +294,6 @@ class TestBrauer:
 
 class TestVirtualCharacterIntegrality:
     def test_random_combinations_have_integer_self_products(self):
-        from weightdescent.charconj.campaigns import random_brauer_spec
-
         rng = random.Random(77)
         for g in (symmetric(3), symmetric(4), quaternion()):
             for _ in range(10):
@@ -327,19 +331,37 @@ class TestConjugationInvariance:
         with pytest.raises(CharacterError, match="coprime"):
             verify_conjugation_invariance(spec, 5)
 
+    @given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(("S3", "S4", "Q8", "C12")))
+    @settings(max_examples=40, deadline=None)
+    def test_conjugate_summands_need_no_second_check(self, seed, name):
+        g = SPEC_GROUPS[name]
+        spec = random_brauer_spec(random.Random(seed), g)
+        n = spec.conductor()
+        for j in (j for j in range(1, n + 1) if gcd(j, n) == 1):
+            expected = ClassFunction.zero(g)
+            for s in spec.summands:
+                assert s.twist.galois(j).is_multiplicative_degree_one()
+                conjugated = s.character.galois(j) * s.twist.galois(j)
+                expected = expected + induce(g, s.subgroup, conjugated).scale(s.coefficient)
+            assert brauer_combination(spec, j) == expected
 
-class TestIrreducibility:
-    def test_trivial_true(self):
-        assert is_irreducible(ClassFunction.trivial(symmetric(3)))
+    def test_each_twist_is_checked_once(self, monkeypatch):
+        calls = []
+        check = ClassFunction.is_multiplicative_degree_one
 
-    def test_regular_false(self):
-        assert not is_irreducible(ClassFunction.regular(cyclic(3)))
+        def counted(self):
+            calls.append(self)
+            return check(self)
 
-    def test_nonrational_self_product_raises(self):
-        c3 = cyclic(3)
-        chi = ClassFunction(c3, [0, Cyclo.zeta(3), Cyclo.zeta(3)])
-        with pytest.raises(CharacterError, match="rational"):
-            is_irreducible(chi)
+        monkeypatch.setattr(ClassFunction, "is_multiplicative_degree_one", counted)
+        for seed in range(6):
+            spec = random_brauer_spec(random.Random(seed), symmetric(4))
+            assert len(calls) == len(spec.summands)  # once, when the spec is built
+            calls.clear()
+            n = spec.conductor()
+            j = next((j for j in range(2, n) if gcd(j, n) == 1), 1)
+            assert verify_conjugation_invariance(spec, j).passed
+            assert calls == []
 
 
 class TestCampaigns:
@@ -358,3 +380,26 @@ class TestCampaigns:
         r = frobenius_campaign(draws=2, seed=0, names=("S3", "C4"))
         assert r.checks_run == 4
         assert r.groups == ("S3", "C4")
+
+    def test_invariance_trials_conjugate_non_trivially(self, monkeypatch):
+        seen = []
+
+        def spy(spec, j):
+            seen.append((spec.conductor(), j))
+            return InvarianceReport(j, "1", "1", "1", True, True, True)
+
+        monkeypatch.setattr(campaigns, "verify_conjugation_invariance", spy)
+        for seed in range(3):
+            assert invariance_campaign(trials=100, seed=seed).passed
+        assert len(seen) == 300
+        assert any(n > 2 for n, _ in seen)
+        assert [(n, j) for n, j in seen if n > 2 and j == 1] == []
+
+    def test_a_failing_rational_trial_is_reported_once(self, monkeypatch):
+        def unequal(spec, j):
+            return InvarianceReport(j, "1", "2", "1", False, True, False)
+
+        monkeypatch.setattr(campaigns, "verify_conjugation_invariance", unequal)
+        report = invariance_campaign(trials=7, seed=3)
+        assert len(report.failures) == 7
+        assert all(f.startswith(f"trial {i} on ") for i, f in enumerate(report.failures))

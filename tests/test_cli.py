@@ -260,6 +260,14 @@ class TestChar:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_demo_group_file_over_the_order_cap_is_usage_error(self, capsys, tmp_path):
+        table = [[(i + j) % 49 for j in range(49)] for i in range(49)]
+        path = tmp_path / "c49.json"
+        path.write_text(json.dumps({"order": 49, "table": table}), encoding="utf-8")
+        code = main(["char", "demo", "--group", str(path)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: order 49 exceeds the cap 48\n")
+
     def test_demo_group_file(self, capsys, tmp_path):
         path = tmp_path / "c2.json"
         path.write_text('{"order": 2, "table": [0, 1, 1, 0], "name": "C2"}', encoding="utf-8")

@@ -4,7 +4,6 @@ from weightdescent.charconj.groups import (
     FiniteGroup,
     GroupError,
     builtin_group,
-    conjugate_subgroup,
     cyclic,
     dihedral,
     double_cosets,
@@ -107,6 +106,13 @@ class TestLoadGroup:
         with pytest.raises(GroupError):
             load_group({"order": 3, "table": [0, 1, 1, 0]})
 
+    def test_order_cap(self):
+        c49 = [[(i + j) % 49 for j in range(49)] for i in range(49)]
+        with pytest.raises(GroupError, match="order 49 exceeds the cap 48"):
+            load_group({"order": 49, "table": c49})
+        c48 = [[(i + j) % 48 for j in range(48)] for i in range(48)]
+        assert load_group({"order": 48, "table": c48}).order == 48
+
 
 class TestSubgroups:
     def test_generated_c3_in_s3(self):
@@ -137,7 +143,10 @@ class TestSubgroups:
         s3 = symmetric(3)
         c3 = generated_subgroup(s3, [three_cycle(s3)])
         for g in range(6):
-            assert conjugate_subgroup(s3, c3, g).elements == c3.elements  # normal
+            assert {s3.conjugate(g, x) for x in c3.elements} == set(c3.elements)  # normal
+        flips = [x for x in range(6) if s3.element_order(x) == 2]
+        for t in flips:  # the three C2 = <t> are conjugate to one another
+            assert {s3.conjugate(g, t) for g in range(6)} == set(flips)
 
     def test_double_cosets_s3(self):
         s3 = symmetric(3)
@@ -149,3 +158,4 @@ class TestSubgroups:
     def test_double_cosets_full_group(self):
         s3 = symmetric(3)
         assert double_cosets(s3, full_subgroup(s3), trivial_subgroup(s3)) == [0]
+        assert double_cosets(s3, full_subgroup(s3), full_subgroup(s3)) == [0]
