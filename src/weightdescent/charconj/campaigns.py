@@ -62,25 +62,15 @@ class CampaignReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "draws": self.draws,
-            "groups": list(self.groups),
-            "checks_run": self.checks_run,
-            "failures": list(self.failures),
-            "verdict": "pass" if self.passed else "fail",
-        }
-
 
 def _suite_campaign(name: str, draws: int, seed: int, names, check) -> CampaignReport:
     """Run `check(rng, G)` `draws` times on each named group in turn, from one
     seeded stream; a check returns None or what broke."""
     rng = random.Random(seed)
+    groups = suite_groups(names)
     failures = []
     checks = 0
-    for group_name, G in suite_groups(names).items():
+    for group_name, G in groups.items():
         for i in range(draws):
             broke = check(rng, G)
             checks += 1
@@ -90,7 +80,7 @@ def _suite_campaign(name: str, draws: int, seed: int, names, check) -> CampaignR
         name=name,
         seed=seed,
         draws=draws,
-        groups=tuple(names),
+        groups=tuple(groups),
         checks_run=checks,
         failures=tuple(failures),
     )
@@ -166,7 +156,7 @@ def invariance_campaign(trials: int = 100, seed: int = 0, names=("S3", "S4", "Q8
         name="conjugation-invariance",
         seed=seed,
         draws=trials,
-        groups=tuple(names),
+        groups=tuple(groups),
         checks_run=checks,
         failures=tuple(failures),
     )

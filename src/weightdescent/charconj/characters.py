@@ -76,9 +76,6 @@ class ClassFunction:
     def value(self, g: int) -> Cyclo:
         return self.values[self.group.class_index[g]]
 
-    def degree(self) -> Cyclo:
-        return self.value(0)
-
     def _same_group(self, other: "ClassFunction") -> None:
         if self.group is not other.group:
             raise CharacterError("class functions live on different groups")
@@ -86,10 +83,6 @@ class ClassFunction:
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         self._same_group(other)
         return ClassFunction(self.group, [a + b for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        self._same_group(other)
-        return ClassFunction(self.group, [a - b for a, b in zip(self.values, other.values)])
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         self._same_group(other)
@@ -276,18 +269,6 @@ class InvarianceReport:
     @property
     def passed(self) -> bool:
         return self.equal_under_galois and (self.equal_exactly is not False)
-
-    def to_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "self_product": self.self_product,
-            "conjugated_self_product": self.conjugated_self_product,
-            "galois_of_self_product": self.galois_of_self_product,
-            "equal_under_galois": self.equal_under_galois,
-            "rational": self.rational,
-            "equal_exactly": self.equal_exactly,
-            "verdict": "pass" if self.passed else "fail",
-        }
 
 
 def verify_conjugation_invariance(spec: BrauerSpec, j: int) -> InvarianceReport:

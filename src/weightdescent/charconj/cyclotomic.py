@@ -113,15 +113,6 @@ class Cyclo:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Cyclo":
-        return Cyclo(self.conductor, [-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "Cyclo":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "Cyclo":
-        return self._coerce(other) - self
-
     def __mul__(self, other) -> "Cyclo":
         if not isinstance(other, Cyclo):
             q = Fraction(other)
@@ -145,16 +136,8 @@ class Cyclo:
         a, b = self._align(other)
         return a.coeffs == b.coeffs
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not a rational value: {self}")
-        return self.coeffs[0]
 
     def galois(self, j: int) -> "Cyclo":
         """Image under the automorphism sending each root of unity to its

@@ -15,6 +15,11 @@ class GroupError(ValueError):
     """The given table or subset does not satisfy the group laws."""
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise GroupError(f"order {n} exceeds the cap {MAX_ORDER}")
+
+
 class FiniteGroup:
     __slots__ = ("order", "table", "inverses", "classes", "class_index", "name")
 
@@ -23,8 +28,7 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise GroupError("empty multiplication table")
-        if n > MAX_ORDER:
-            raise GroupError(f"order {n} exceeds the cap {MAX_ORDER}")
+        _check_order(n)
         for row in table:
             if len(row) != n or any(not (0 <= x < n) for x in row):
                 raise GroupError("table is not a square array of element indices")
@@ -174,6 +178,7 @@ def double_cosets(parent: FiniteGroup, k: Subgroup, h: Subgroup) -> list[int]:
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_order(n)  # before the n-by-n table is built
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, name=f"C{n}")
 
@@ -183,6 +188,7 @@ def dihedral(n: int) -> FiniteGroup:
     rotations r^i, elements n..2n-1 the reflections s r^i."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    _check_order(2 * n)
     table = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):

@@ -19,6 +19,8 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -38,9 +40,34 @@ from .primes import sieve
 TEXT_VIOLATIONS = 20
 
 
-def canonical_json(payload) -> str:
+def report_data(report):
+    """JSON data of a report, or of any value inside one.
+
+    A Fraction renders as "n/d", a Decimal as its digit string, dict keys as
+    strings and tuples as lists.  Any other non-scalar value must be a
+    dataclass: it renders field by field under its field names, plus
+    "verdict" when it derives `passed` as a property.
+    """
+    # leaves first: they are most of the calls
+    if report is None or isinstance(report, (str, int, float)):
+        return report
+    if isinstance(report, (list, tuple)):
+        return [report_data(v) for v in report]
+    if isinstance(report, dict):
+        return {str(k): report_data(v) for k, v in report.items()}
+    if isinstance(report, Fraction):
+        return f"{report.numerator}/{report.denominator}"
+    if isinstance(report, Decimal):
+        return str(report)
+    data = {f.name: report_data(getattr(report, f.name)) for f in fields(report)}
+    if isinstance(getattr(type(report), "passed", None), property):
+        data["verdict"] = "pass" if report.passed else "fail"
+    return data
+
+
+def canonical_json(report) -> str:
     """Canonical serialization: loads/dumps round-trips byte-identically."""
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(report_data(report), indent=2, sort_keys=True)
 
 
 def _load_cli_group(name_or_path: str):
@@ -90,18 +117,17 @@ def _fmt_step(step) -> str:
 
 def _cmd_table(args):
     rows = descent.reference_table()
-    payload = {"rows": [r.to_dict() for r in rows]}
     lines = [_fmt_step(r) for r in rows]
     divergent = [r.k for r in rows if not r.matches_paper]
     if divergent:
         lines.append(f"divergent rows: {divergent}")
     passed = not (args.strict and divergent)
-    return payload, lines, passed
+    return {"rows": rows}, lines, passed
 
 
 def _cmd_reduce(args):
     step = descent.reduction_step(args.k)
-    return step.to_dict(), [_fmt_step(step)], True
+    return step, [_fmt_step(step)], True
 
 
 def _cmd_chain(args):
@@ -111,7 +137,7 @@ def _cmd_chain(args):
         "policy": args.policy,
         "length": len(path),
         "path": walked,
-        "steps": [s.to_dict() for s in path],
+        "steps": path,
     }
     lines = [" -> ".join(str(w) for w in walked), f"length {len(path)}"]
     return payload, lines, True
@@ -131,12 +157,12 @@ def _cmd_audit(args):
         f"m-bound failures: {len(report.m_bound_failures)}, "
         f"skip failures: {len(report.skip_failures)}",
     ]
-    return report.to_dict(), lines, report.passed
+    return report, lines, report.passed
 
 
 def _gap_lines(report) -> list[str]:
     lines = [
-        f"range ({report.low}, {report.high}], bound "
+        f"range ({report.range[0]}, {report.range[1]}], bound "
         f"{report.bound.numerator}/{report.bound.denominator}"
         + (" on (p-1)-shifted ratios" if report.shifted else ""),
         f"pairs checked: {report.pairs_checked}",
@@ -164,7 +190,7 @@ def _cmd_gaps(args):
     report = fn(table, args.low, args.high, bound)
     if report.pairs_checked == 0:
         raise ValueError(f"no adjacent prime pair in ({args.low}, {args.high}]")
-    return report.to_dict(), _gap_lines(report), report.passed
+    return report, _gap_lines(report), report.passed
 
 
 _VERDICT_WORDS = {True: "true", False: "false", None: "inconclusive"}
@@ -179,9 +205,9 @@ def _cmd_threshold(args):
         f"A = 1, B = {result.B}, a = {result.a}, C = {result.C}",
         f"exponent C/(a-C) in {result.exponent}",
         f"{formula} in {result.threshold}  (width {result.threshold.width()})",
-        f"below x0 = {gaps.X0}: {_VERDICT_WORDS[result.below_x0]}",
+        f"below x0 = {result.x0}: {_VERDICT_WORDS[result.below_x0]}",
     ]
-    return result.to_dict(), lines, result.below_x0
+    return result, lines, result.below_x0
 
 
 def _cmd_star(args):
@@ -194,20 +220,20 @@ def _cmd_star(args):
         mark = "ok" if head["matches"] else "MISMATCH"
         lines.append(f"m = {head['m']:>2}: p/k' = {head['quotient']}  [{mark}]")
     lines.append(f"verdict: {'pass' if report.passed else 'fail'}")
-    return report.to_dict(), lines, report.passed
+    return report, lines, report.passed
 
 
 def _cmd_mbound(args):
     report = gaps.m_bound_check(args.max_k)
     lines = [
-        f"even k in (36, {report.k_max}]: {report.checked} weights checked, "
+        f"even k in (36, {report.k_range[1]}]: {report.checked} weights checked, "
         f"{len(report.failures)} failures",
         f"boundary case outside the range: k = {report.near_miss['k']}, "
         f"p = {report.near_miss['p']} gives ratio {report.near_miss['ratio']} "
         f"and m = {report.near_miss['m']}",
         f"verdict: {'pass' if report.passed else 'fail'}",
     ]
-    return report.to_dict(), lines, report.passed
+    return report, lines, report.passed
 
 
 def _cmd_char(args):
@@ -220,13 +246,12 @@ def _cmd_char(args):
             mackey_campaign(draws=args.draws, seed=args.seed, **kwargs),
             invariance_campaign(trials=args.trials, seed=args.seed, **kwargs),
         ]
-        payload = {"campaigns": [r.to_dict() for r in reports]}
         lines = [
             f"{r.name}: {r.checks_run} checks over {', '.join(r.groups)} "
             f"(seed {r.seed}) -> {'pass' if r.passed else 'FAIL'}"
             for r in reports
         ]
-        return payload, lines, all(r.passed for r in reports)
+        return {"campaigns": reports}, lines, all(r.passed for r in reports)
 
     # demo: one seeded combination on the chosen group, conjugated and checked
     group = _load_cli_group(args.group)
@@ -242,7 +267,7 @@ def _cmd_char(args):
             {"coefficient": s.coefficient, "subgroup_order": s.subgroup.order}
             for s in spec.summands
         ],
-        "invariance": report.to_dict(),
+        "invariance": report,
     }
     lines = [
         f"group {group.name}, seed {args.seed}: combination of "
@@ -325,7 +350,7 @@ def main(argv=None) -> int:
     """Execute one subcommand; returns the process exit status."""
     args = build_parser().parse_args(argv)
     try:
-        payload, lines, passed = args.handler(args)
+        report, lines, passed = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -333,7 +358,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if args.format == "json":
-        print(canonical_json(payload))
+        print(canonical_json(report))
     else:
         for line in lines:
             print(line)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .numeric import RATIO_BOUND
@@ -77,9 +77,6 @@ class ReductionStep:
     k_lo: int
     prime_skips: int
     matches_paper: bool | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _broken_invariant(
@@ -227,17 +224,6 @@ class TerminationReport:
     node_count: int
     edge_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "terminates": self.terminates,
-            "longest_chain_length": self.longest_chain_length,
-            "longest_chain_path": list(self.longest_chain_path),
-            "weights_with_skips": list(self.weights_with_skips),
-            "skip_histogram": {str(k): v for k, v in sorted(self.skip_histogram.items())},
-            "node_count": self.node_count,
-            "edge_count": self.edge_count,
-        }
-
 
 def _fold(
     max_k: int,
@@ -313,17 +299,6 @@ class AuditReport:
     skip_failures: tuple[int, ...]
     unexpected_skippers: tuple[int, ...]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "max_k": self.max_k,
-            "termination": self.termination.to_dict(),
-            "ratio_failures": [list(f) for f in self.ratio_failures],
-            "m_bound_failures": list(self.m_bound_failures),
-            "skip_failures": list(self.skip_failures),
-            "unexpected_skippers": list(self.unexpected_skippers),
-            "passed": self.passed,
-        }
 
 
 def audit(max_k: int) -> AuditReport:

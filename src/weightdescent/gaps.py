@@ -26,16 +26,11 @@ from .primes import PrimeTable, consecutive_pairs, next_primes
 X0 = 100000
 
 
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 @dataclass(frozen=True)
 class GapReport:
-    """Outcome of one ratio scan over (low, high]."""
+    """Outcome of one ratio scan over range = (low, high]."""
 
-    low: int
-    high: int
+    range: tuple[int, int]
     bound: Fraction
     shifted: bool
     violations: tuple[tuple[int, int], ...]
@@ -45,17 +40,6 @@ class GapReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "range": [self.low, self.high],
-            "bound": _frac_str(self.bound),
-            "shifted": self.shifted,
-            "violations": [list(v) for v in self.violations],
-            "max_ratio_pair": list(self.max_ratio_pair) if self.max_ratio_pair else None,
-            "pairs_checked": self.pairs_checked,
-            "verdict": "pass" if self.passed else "fail",
-        }
 
 
 def _scan(table: PrimeTable, low: int, high: int, bound: Fraction, shift: int) -> GapReport:
@@ -73,8 +57,7 @@ def _scan(table: PrimeTable, low: int, high: int, bound: Fraction, shift: int) -
             best = (a, b, p, q)
     pair = (best[2], best[3]) if best else None
     return GapReport(
-        low=low,
-        high=high,
+        range=(low, high),
         bound=bound,
         shifted=bool(shift),
         violations=tuple(violations),
@@ -96,7 +79,7 @@ def verify_shifted_ratio(table: PrimeTable, low: int, high: int, bound=SHIFTED_R
 @dataclass(frozen=True)
 class ThresholdResult:
     """Certified enclosure of a^(C/(a-C)) with C = B/A, and its verdict
-    against x0 = 100000: below_x0 is None when the enclosure straddles x0."""
+    against x0: below_x0 is None when the enclosure straddles x0."""
 
     A: Fraction
     B: Fraction
@@ -105,18 +88,7 @@ class ThresholdResult:
     exponent: RealEnclosure
     threshold: RealEnclosure
     below_x0: bool | None
-
-    def to_dict(self) -> dict:
-        return {
-            "A": _frac_str(self.A),
-            "B": _frac_str(self.B),
-            "a": _frac_str(self.a),
-            "C": _frac_str(self.C),
-            "exponent": self.exponent.to_dict(),
-            "threshold": self.threshold.to_dict(),
-            "x0": X0,
-            "below_x0": self.below_x0,
-        }
+    x0: int = X0
 
 
 def chebyshev_threshold(
@@ -181,18 +153,6 @@ class StarReport:
     def passed(self) -> bool:
         return not self.failures and self.heads_match
 
-    def to_dict(self) -> dict:
-        return {
-            "m_max": self.m_max,
-            "d_max": self.d_max,
-            "bound": _frac_str(self.bound),
-            "failures": [list(f) for f in self.failures],
-            "family_heads": list(self.family_heads),
-            "heads_match": self.heads_match,
-            "checked": self.checked,
-            "verdict": "pass" if self.passed else "fail",
-        }
-
 
 def star_inequality_check(m_max: int = 200, d_max: int = 200, bound=RATIO_BOUND) -> StarReport:
     """For every m in (6, m_max] and d in [1, d_max], with p = md+1 and
@@ -241,9 +201,10 @@ def star_inequality_check(m_max: int = 200, d_max: int = 200, bound=RATIO_BOUND)
 
 @dataclass(frozen=True)
 class MBoundReport:
-    """Exact check that (p-1)/(k-2) < 6/5 and m > 6 for even k in (36, k_max]."""
+    """Exact check that (p-1)/(k-2) < 6/5 and m > 6 for every even k in
+    k_range = [38, k_max]."""
 
-    k_max: int
+    k_range: tuple[int, int]
     failures: tuple[tuple[int, int], ...]
     checked: int
     near_miss: dict
@@ -251,15 +212,6 @@ class MBoundReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "k_range": [38, self.k_max],
-            "failures": [list(f) for f in self.failures],
-            "checked": self.checked,
-            "near_miss": self.near_miss,
-            "verdict": "pass" if self.passed else "fail",
-        }
 
 
 def m_bound_check(k_max: int) -> MBoundReport:
@@ -278,4 +230,6 @@ def m_bound_check(k_max: int) -> MBoundReport:
     # the motivating boundary case, outside the checked range: at k = 32 the
     # next prime 37 gives exactly 36/30 = 6/5 and m = 6
     near_miss = {"k": 32, "p": 37, "ratio": "36/30", "m": 6}
-    return MBoundReport(k_max=k_max, failures=tuple(failures), checked=checked, near_miss=near_miss)
+    return MBoundReport(
+        k_range=(38, k_max), failures=tuple(failures), checked=checked, near_miss=near_miss
+    )

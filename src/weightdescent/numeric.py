@@ -106,9 +106,6 @@ class RealEnclosure:
     def __str__(self) -> str:
         return f"[{self.lower}, {self.upper}]"
 
-    def to_dict(self) -> dict:
-        return {"lower": str(self.lower), "upper": str(self.upper)}
-
 
 def pow_enclosure(base, exponent: RealEnclosure, digits: int = DEFAULT_DIGITS) -> "RealEnclosure":
     """Enclosure of base**exponent for a positive rational base.

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
@@ -39,6 +40,7 @@ from weightdescent.charconj.groups import (
     symmetric,
     trivial_subgroup,
 )
+from weightdescent.cli import canonical_json
 
 from oracles import brute_force_induced_values, brute_force_inner
 
@@ -95,7 +97,7 @@ class TestInduce:
         c3 = c3_in_s3(s3)
         chi = linear_character_of_cyclic(c3.group, 1)
         ind = induce(s3, c3, chi)
-        assert ind.degree() == 2
+        assert ind.value(0) == 2
         by_size = {len(cls): ind.values[i] for i, cls in enumerate(s3.classes)}
         assert by_size[1] == 2       # identity
         assert by_size[2] == -1      # 3-cycles
@@ -114,7 +116,7 @@ class TestInduce:
             chi = random_class_function(rng, h.group)
             ind = induce(g, h, chi)
             index = Fraction(g.order, h.order)
-            assert ind.degree() == chi.degree() * index
+            assert ind.value(0) == chi.value(0) * index
 
     def test_matches_brute_force_on_order_le_24(self):
         rng = random.Random(99)
@@ -259,7 +261,7 @@ class TestBrauer:
     def test_empty_spec_is_zero(self):
         s3 = symmetric(3)
         rho = brauer_combination(BrauerSpec(s3, []))
-        assert all(v.is_zero() for v in rho.values)
+        assert all(v == 0 for v in rho.values)
 
     def test_s3_two_summand_example(self):
         s3 = symmetric(3)
@@ -300,7 +302,7 @@ class TestVirtualCharacterIntegrality:
                 spec = random_brauer_spec(rng, g)
                 ip = inner_product(brauer_combination(spec), brauer_combination(spec))
                 assert ip.is_rational()
-                assert ip.rational_value().denominator == 1
+                assert ip.coeffs[0].denominator == 1
 
 
 class TestConjugationInvariance:
@@ -371,8 +373,8 @@ class TestCampaigns:
         assert invariance_campaign(trials=10, seed=5).passed
 
     def test_deterministic_given_seed(self):
-        a = invariance_campaign(trials=8, seed=12).to_dict()
-        b = invariance_campaign(trials=8, seed=12).to_dict()
+        a = json.loads(canonical_json(invariance_campaign(trials=8, seed=12)))
+        b = json.loads(canonical_json(invariance_campaign(trials=8, seed=12)))
         assert a == b
         assert a["seed"] == 12
 
@@ -380,6 +382,13 @@ class TestCampaigns:
         r = frobenius_campaign(draws=2, seed=0, names=("S3", "C4"))
         assert r.checks_run == 4
         assert r.groups == ("S3", "C4")
+
+    def test_a_repeated_group_name_is_reported_once(self):
+        for campaign in (frobenius_campaign, mackey_campaign):
+            r = campaign(draws=2, seed=0, names=("S3", "S3"))
+            assert (r.groups, r.checks_run) == (("S3",), 2)
+        r = invariance_campaign(trials=3, seed=0, names=("Q8", "Q8"))
+        assert (r.groups, r.checks_run) == (("Q8",), 3)
 
     def test_invariance_trials_conjugate_non_trivially(self, monkeypatch):
         seen = []

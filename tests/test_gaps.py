@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 from math import gcd
 
 import mpmath
 import pytest
 
+from weightdescent.cli import canonical_json
 from weightdescent.gaps import (
     X0,
     chebyshev_threshold,
@@ -62,7 +64,7 @@ class TestRatioScans:
             verify_ratio(table_100k, 37, X0 + 1)
 
     def test_report_dict(self, table_100k):
-        d = verify_ratio(table_100k, 20, 32).to_dict()
+        d = json.loads(canonical_json(verify_ratio(table_100k, 20, 32)))
         assert d["bound"] == "143/125"
         assert d["range"] == [20, 32]
         assert d["verdict"] == "fail"
@@ -110,14 +112,14 @@ class TestChebyshevThreshold:
         wide = chebyshev_threshold(digits=2)
         assert Fraction(wide.threshold.lower) < X0 <= Fraction(wide.threshold.upper)
         assert wide.below_x0 is None
-        assert wide.to_dict()["below_x0"] is None
+        assert json.loads(canonical_json(wide))["below_x0"] is None
         # C = 1.14 against a = 1.144 puts a^(C/(a-C)) near 10^16
         high = chebyshev_threshold(B=Fraction(114, 100), digits=30)
         assert Fraction(high.threshold.lower) >= X0
         assert high.below_x0 is False
 
     def test_result_dict(self):
-        d = chebyshev_threshold(digits=20).to_dict()
+        d = json.loads(canonical_json(chebyshev_threshold(digits=20)))
         assert d["a"] == "143/125"
         assert d["below_x0"] is True
         assert set(d["threshold"]) == {"lower", "upper"}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from weightdescent.charconj.groups import (
@@ -78,6 +80,17 @@ class TestValidation:
             cyclic(49)
         with pytest.raises(GroupError, match="cap"):
             dihedral(25)
+
+    @pytest.mark.parametrize("name", ["C1000", "D500"])  # both of order 1000
+    def test_an_oversized_builtin_is_refused_before_its_table_is_built(self, name):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GroupError, match="order 1000 exceeds the cap 48"):
+                builtin_group(name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a 1000-by-1000 table alone is tens of MiB
 
     def test_ragged_table(self):
         with pytest.raises(GroupError):
