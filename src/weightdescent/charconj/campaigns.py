@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .characters import (
@@ -36,7 +35,7 @@ def suite_groups(names=SUITE_NAMES) -> dict[str, FiniteGroup]:
 
 def random_cyclo(rng: random.Random) -> Cyclo:
     n = rng.choice(_CONDUCTOR_POOL)
-    powers = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+    powers = [rng.randint(-3, 3) for _ in range(n)]
     return Cyclo(n, powers)
 
 

@@ -1,10 +1,13 @@
 """Exact cyclotomic arithmetic in canonical form.
 
-An element of the n-th cyclotomic field is stored as rational coordinates
-on the power basis 1, z, ..., z^(phi(n)-1) of a primitive n-th root z,
-reduced modulo the n-th cyclotomic polynomial.  The basis makes equality
-syntactic: equal values have identical coefficient tuples.  Mixed
-conductors embed into the lcm.  No floating point anywhere.
+An element of the n-th cyclotomic field is stored as integer coordinates
+`num` over one positive common denominator `den`, on the power basis
+1, z, ..., z^(phi(n)-1) of a primitive n-th root z, reduced modulo the n-th
+cyclotomic polynomial.  Since that polynomial is monic, reduction stays in
+the integers: each power z^e with e >= phi(n) is replaced by its cached
+integer coordinates.  The pair is kept with gcd(den, *num) = 1, so equal
+values at one conductor have identical (num, den).  Mixed conductors embed
+into the lcm.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -43,46 +46,86 @@ def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _reduce(n: int, powers: list[Fraction]) -> tuple[Fraction, ...]:
-    """Fold exponents mod n, then reduce modulo the cyclotomic polynomial."""
-    vec = [Fraction(0)] * n
-    for i, c in enumerate(powers):
-        if c:
-            vec[i % n] += c
+@lru_cache(maxsize=None)
+def _high_powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row e - phi(n) holds the coordinates of z^e for phi(n) <= e < n, as
+    (index, coefficient) pairs of its nonzero entries."""
     phi_poly = cyclotomic_polynomial(n)
     deg = len(phi_poly) - 1
-    for i in range(n - 1, deg - 1, -1):
-        c = vec[i]
+    rows = []
+    power = [0] * (deg - 1) + [1]  # z^(deg-1)
+    for _ in range(deg, n):
+        top = power[-1]
+        power = [0] + power[:-1]
+        if top:
+            for k in range(deg):
+                power[k] -= top * phi_poly[k]
+        rows.append(tuple((k, c) for k, c in enumerate(power) if c))
+    return tuple(rows)
+
+
+def _reduce(n: int, vec: list[int]) -> list[int]:
+    """Coordinates of the sum of vec[e] z^e, exponents taken mod n."""
+    if len(vec) > n:
+        folded = vec[:n]
+        for e in range(n, len(vec)):
+            folded[e % n] += vec[e]
+        vec = folded
+    rows = _high_powers(n)
+    deg = n - len(rows)
+    out = vec[:deg]
+    out.extend([0] * (deg - len(out)))
+    for e in range(deg, len(vec)):
+        c = vec[e]
         if c:
-            for j, pc in enumerate(phi_poly):
-                vec[i - deg + j] -= c * pc
-    return tuple(vec[:deg])
+            for k, r in rows[e - deg]:
+                out[k] += c * r
+    return out
+
+
+def _fill(obj: "Cyclo", conductor: int, num, den: int) -> "Cyclo":
+    """Make obj the value num / den, num reduced already and den > 0, with
+    the common factor of num and den cancelled."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    object.__setattr__(obj, "conductor", conductor)
+    object.__setattr__(obj, "num", tuple(num))
+    object.__setattr__(obj, "den", den)
+    return obj
+
+
+def _canonical(conductor: int, num, den: int) -> "Cyclo":
+    return _fill(object.__new__(Cyclo), conductor, num, den)
 
 
 class Cyclo:
     """An element of Q(zeta_n) in canonical coordinates."""
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, powers=()):
+        """The sum of powers[e] z^e; each power is an int or a Fraction."""
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
-        object.__setattr__(self, "conductor", conductor)
-        vec = [Fraction(c) for c in powers]
-        object.__setattr__(self, "coeffs", _reduce(conductor, vec))
+        powers = list(powers)
+        den = lcm(*(c.denominator for c in powers))
+        vec = [c.numerator * (den // c.denominator) for c in powers]
+        _fill(self, conductor, _reduce(conductor, vec), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclo values are immutable")
 
     @classmethod
     def zeta(cls, n: int, k: int = 1) -> "Cyclo":
-        vec = [Fraction(0)] * n
-        vec[k % n] = Fraction(1)
+        vec = [0] * n
+        vec[k % n] = 1
         return cls(n, vec)
 
     @classmethod
     def from_rational(cls, value) -> "Cyclo":
-        return cls(1, [Fraction(value)])
+        return cls(1, [value])
 
     @staticmethod
     def _coerce(value) -> "Cyclo":
@@ -97,10 +140,10 @@ class Cyclo:
         if big_n % n != 0:
             raise ValueError(f"{n} does not divide {big_n}")
         stride = big_n // n
-        vec = [Fraction(0)] * big_n
-        for i, c in enumerate(self.coeffs):
+        vec = [0] * big_n
+        for i, c in enumerate(self.num):
             vec[i * stride] = c
-        return Cyclo(big_n, vec)
+        return _canonical(big_n, _reduce(big_n, vec), self.den)
 
     def _align(self, other: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
         n = lcm(self.conductor, other.conductor)
@@ -109,23 +152,26 @@ class Cyclo:
     def __add__(self, other) -> "Cyclo":
         other = self._coerce(other)
         a, b = self._align(other)
-        return Cyclo(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        return _canonical(a.conductor, [x * fa + y * fb for x, y in zip(a.num, b.num)], den)
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "Cyclo":
         if not isinstance(other, Cyclo):
-            q = Fraction(other)
-            return Cyclo(self.conductor, [c * q for c in self.coeffs])
+            p = other.numerator
+            return _canonical(self.conductor, [c * p for c in self.num],
+                              self.den * other.denominator)
         a, b = self._align(other)
         n = a.conductor
-        out = [Fraction(0)] * (2 * len(a.coeffs))
-        for i, x in enumerate(a.coeffs):
+        out = [0] * (len(a.num) + len(b.num) - 1)
+        for i, x in enumerate(a.num):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(b.num, i):
                     if y:
-                        out[i + j] += x * y
-        return Cyclo(n, out)
+                        out[j] += x * y
+        return _canonical(n, _reduce(n, out), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -134,10 +180,10 @@ class Cyclo:
             return NotImplemented
         other = self._coerce(other)
         a, b = self._align(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.num == b.num
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def galois(self, j: int) -> "Cyclo":
         """Image under the automorphism sending each root of unity to its
@@ -145,14 +191,18 @@ class Cyclo:
         n = self.conductor
         if gcd(j, n) != 1:
             raise ValueError(f"{j} is not coprime to the conductor {n}")
-        vec = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
+        vec = [0] * n
+        for i, c in enumerate(self.num):
             if c:
                 vec[(i * j) % n] += c
-        return Cyclo(n, vec)
+        return _canonical(n, _reduce(n, vec), self.den)
 
     def __str__(self) -> str:
-        inner = ", ".join(str(c) for c in self.coeffs)
-        return f"[{inner}] over conductor {self.conductor}"
+        den = self.den
+        parts = []
+        for c in self.num:
+            g = gcd(c, den)
+            parts.append(str(c // g) if g == den else f"{c // g}/{den // g}")
+        return f"[{', '.join(parts)}] over conductor {self.conductor}"
 
     __repr__ = __str__

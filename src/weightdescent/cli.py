@@ -16,6 +16,7 @@ audit max_k = 10^6.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -280,7 +281,10 @@ def _cmd_char(args):
     return payload, lines, report.passed
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand, built on first use and then shared:
+    parsing leaves it unchanged, and each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="weightdescent",
         description="Exact re-execution of the weight-descent, prime-gap and "

@@ -1,9 +1,10 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately naive (trial division, element-by-element
-sums, direct fraction comparisons).  The prime, recipe and ratio-scan
-oracles share no code with the package.  The two character oracles sum
-element by element but still compute with the package's `Cyclo`.
+sums, direct fraction comparisons), and none shares code with the package.
+The two character oracles sum element by element in the test tree's
+`Fraction`-based cyclotomic kernel; `as_fraction_cyclo` carries a package
+value over to it, coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from weightdescent.charconj.cyclotomic import Cyclo
+from fraction_cyclo import Cyclo
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -76,6 +77,17 @@ def max_ratio_pair_scan(
     return best
 
 
+def as_fraction_cyclo(value) -> Cyclo:
+    """The reference kernel's copy of a package `Cyclo`, from its integer
+    coordinates and common denominator."""
+    return Cyclo(value.conductor, [Fraction(c, value.den) for c in value.num])
+
+
+def lifted(class_function) -> list[Cyclo]:
+    """A class function's values, carried over to the reference kernel."""
+    return [as_fraction_cyclo(v) for v in class_function.values]
+
+
 def brute_force_induced_values(G, H, chi) -> list[Cyclo]:
     """(Ind chi)(g) = (1/|H|) sum over x in G with x^-1 g x in H of
     chi(x^-1 g x), evaluated at every class representative."""
@@ -87,7 +99,7 @@ def brute_force_induced_values(G, H, chi) -> list[Cyclo]:
             conj = G.table[G.table[G.inverses[x]][g]][x]
             loc = H.to_local.get(conj)
             if loc is not None:
-                total = total + chi.value(loc)
+                total = total + as_fraction_cyclo(chi.value(loc))
         out.append(total * Fraction(1, H.order))
     return out
 
@@ -97,5 +109,5 @@ def brute_force_inner(chi, psi) -> Cyclo:
     G = chi.group
     total = Cyclo.from_rational(0)
     for g in range(G.order):
-        total = total + chi.value(g) * psi.value(G.inverses[g])
+        total = total + as_fraction_cyclo(chi.value(g)) * as_fraction_cyclo(psi.value(G.inverses[g]))
     return total * Fraction(1, G.order)

@@ -42,7 +42,7 @@ from weightdescent.charconj.groups import (
 )
 from weightdescent.cli import canonical_json
 
-from oracles import brute_force_induced_values, brute_force_inner
+from oracles import as_fraction_cyclo, brute_force_induced_values, brute_force_inner, lifted
 
 
 SPEC_GROUPS = suite_groups(("S3", "S4", "Q8", "C12"))
@@ -125,7 +125,7 @@ class TestInduce:
             for _ in range(3):
                 h = random_subgroup(rng, g)
                 chi = random_class_function(rng, h.group)
-                assert list(induce(g, h, chi).values) == brute_force_induced_values(g, h, chi)
+                assert lifted(induce(g, h, chi)) == brute_force_induced_values(g, h, chi)
 
 
 class TestRestrict:
@@ -170,7 +170,7 @@ class TestInnerProduct:
         for g in (symmetric(3), quaternion(), cyclic(6)):
             chi = random_class_function(rng, g)
             psi = random_class_function(rng, g)
-            assert inner_product(chi, psi) == brute_force_inner(chi, psi)
+            assert as_fraction_cyclo(inner_product(chi, psi)) == brute_force_inner(chi, psi)
 
     def test_group_mismatch(self):
         with pytest.raises(CharacterError):
@@ -284,7 +284,7 @@ class TestBrauer:
                 brute_force_induced_values(s3, c2, sign2),
             )
         ]
-        assert list(rho.values) == [v.to_conductor(rho.conductor) for v in expected]
+        assert lifted(rho) == [v.to_conductor(rho.conductor) for v in expected]
 
     def test_twist_must_be_degree_one(self):
         s3 = symmetric(3)
@@ -302,7 +302,7 @@ class TestVirtualCharacterIntegrality:
                 spec = random_brauer_spec(rng, g)
                 ip = inner_product(brauer_combination(spec), brauer_combination(spec))
                 assert ip.is_rational()
-                assert ip.coeffs[0].denominator == 1
+                assert ip.den == 1
 
 
 class TestConjugationInvariance:

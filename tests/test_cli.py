@@ -375,13 +375,62 @@ class TestDescentError:
             assert captured.err.count("\n") == 1
 
 
-def test_package_runs_as_a_module():
+def _fresh_process(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(weightdescent.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "weightdescent", "reduce", "16"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def test_package_runs_as_a_module():
+    done = _fresh_process("-m", "weightdescent", "reduce", "16")
     assert done.returncode == 0
     assert done.stdout == "k = 16, p = 17: d = 2, m = 8, t = 5, dt = 10; k' = 12 or 8\n"
+
+
+class TestSharedParser:
+    """`main` parses with one parser per process; no call may leave state in
+    it that a later call sees."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        for argv in (["table", "--strict"], ["table"], ["table", "--strict", "--format", "json"],
+                     ["table", "--format", "json"]):
+            code = main(argv)
+            fresh = _fresh_process("-m", "weightdescent", *argv)
+            assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
+
+    @pytest.mark.parametrize("bad", [["reduce", "15"], ["no-such-command"], ["table", "--bogus"]])
+    def test_a_valid_call_works_after_a_usage_error(self, capsys, bad):
+        with pytest.raises(SystemExit) as exit_info:
+            main(bad)
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        assert main(["reduce", "16"]) == 0
+        assert capsys.readouterr().out == "k = 16, p = 17: d = 2, m = 8, t = 5, dt = 10; k' = 12 or 8\n"
+
+    def test_import_builds_no_parser_and_main_builds_one(self):
+        script = (
+            "import argparse, contextlib, io, json\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "from weightdescent import cli\n"
+            "counts = [len(built)]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for k in ('16', '18'):\n"
+            "        cli.main(['reduce', k])\n"
+            "        counts.append(len(built))\n"
+            "print(json.dumps(counts))\n"
+        )
+        done = _fresh_process("-c", script)
+        assert done.returncode == 0, done.stderr
+        at_import, after_first, after_second = json.loads(done.stdout)
+        assert at_import == 0
+        assert after_first > 0
+        assert after_second == after_first
 
 
 class TestJsonRoundTrip:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from weightdescent.charconj.cyclotomic import Cyclo, cyclotomic_polynomial
 
+from fraction_cyclo import Cyclo as FractionCyclo
+
 
 def test_cyclotomic_polynomial_snapshots():
     assert cyclotomic_polynomial(1) == (-1, 1)
@@ -123,3 +125,49 @@ class TestGalois:
 def test_render_format():
     assert str(Cyclo.zeta(5)) == "[0, 1, 0, 0] over conductor 5"
     assert str(Cyclo.from_rational(Fraction(1, 2))) == "[1/2] over conductor 1"
+
+
+rationals = st.integers(-5, 5) | st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def kernel_twins(draw):
+    """One value built by both kernels from the same powers: a random
+    conductor (1 and 2 included), and up to n + 3 powers, so that exponents
+    at or past the conductor fold back."""
+    n = draw(st.sampled_from((1, 2)) | st.integers(1, 16))
+    powers = draw(st.lists(rationals, max_size=n + 3))
+    return Cyclo(n, powers), FractionCyclo(n, powers)
+
+
+def agree(value, reference) -> bool:
+    """Same conductor and coordinates (`str` renders each one), and the
+    integer kernel's form is canonical: a positive denominator sharing no
+    factor with every coordinate."""
+    return (value.den > 0 and gcd(value.den, *value.num) == 1
+            and value.conductor == reference.conductor
+            and str(value) == str(reference))
+
+
+@given(kernel_twins(), kernel_twins(), rationals, st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_the_integer_kernel_agrees_with_the_fraction_kernel(x, y, q, k):
+    """Every ring operation, Galois image, comparison, embedding and rendering
+    of the package's integer kernel matches the Fraction kernel's, on single
+    and mixed conductors."""
+    (a, fa), (b, fb) = x, y
+    assert agree(a, fa)
+    assert agree(a + b, fa + fb)
+    assert agree(a * b, fa * fb)
+    assert agree(a + q, fa + q) and agree(q + a, q + fa)
+    assert agree(a * q, fa * q) and agree(q * a, q * fa)
+    assert (a == b) == (fa == fb)
+    assert (a == q) == (fa == q)
+    assert (a + b == b) == (fa + fb == fb)
+    assert a.is_rational() == fa.is_rational()
+    big = a.conductor * k
+    assert agree(a.to_conductor(big), fa.to_conductor(big))
+    assert (a.to_conductor(big) == b) == (fa.to_conductor(big) == fb)
+    for j in range(1, 2 * a.conductor):
+        if gcd(j, a.conductor) == 1:
+            assert agree(a.galois(j), fa.galois(j))
