@@ -113,11 +113,8 @@ class ClassFunction:
                     return False
         return True
 
-    def render(self) -> list[str]:
-        return [str(v) for v in self.values]
-
     def __repr__(self):
-        return f"ClassFunction({self.group.name}, {self.render()})"
+        return f"ClassFunction({self.group.name}, {[str(v) for v in self.values]})"
 
 
 def linear_character_of_cyclic(group: FiniteGroup, a: int = 1) -> ClassFunction:

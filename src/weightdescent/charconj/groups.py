@@ -44,16 +44,12 @@ class FiniteGroup:
                 for c in range(n):
                     if row_ab[c] != row_a[row_b[c]]:
                         raise GroupError(f"associativity fails at triple ({a}, {b}, {c})")
+        # after the checks above: in a finite associative table a right inverse is two-sided
         inverses = []
-        for a in range(n):
-            inv = None
-            for b in range(n):
-                if table[a][b] == 0 and table[b][a] == 0:
-                    inv = b
-                    break
-            if inv is None:
+        for a, row in enumerate(table):
+            if 0 not in row:
                 raise GroupError(f"element {a} has no two-sided inverse")
-            inverses.append(inv)
+            inverses.append(row.index(0))
 
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "table", table)
@@ -135,20 +131,18 @@ class Subgroup:
 
 
 def generated_subgroup(parent: FiniteGroup, generators, name: str = "H") -> Subgroup:
-    """Closure of the generators (always includes the identity)."""
+    """Closure of the generators (always includes the identity): every right
+    product of generators from the identity, which is closed under inverses
+    too, as in a finite group g^-1 = g^(ord g - 1)."""
+    gens = list(generators)
     elems = {0}
-    frontier = [0] + list(generators)
+    frontier = [0]
     while frontier:
-        a = frontier.pop()
-        for b in list(elems) + list(generators):
-            for prod in (parent.table[a][b], parent.table[b][a]):
-                if prod not in elems:
-                    elems.add(prod)
-                    frontier.append(prod)
-        inv_a = parent.inverses[a]
-        if inv_a not in elems:
-            elems.add(inv_a)
-            frontier.append(inv_a)
+        row = parent.table[frontier.pop()]
+        for g in gens:
+            if row[g] not in elems:
+                elems.add(row[g])
+                frontier.append(row[g])
     return Subgroup(parent, elems, name=name)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
+from functools import cache
 from math import gcd
 
 from .numeric import RATIO_BOUND
@@ -127,13 +128,6 @@ def _recipe(k: int, p: int) -> tuple[int, int, int, int, int, int, int, int]:
     return p, skips, d, m, t, dt, k_hi, k_lo
 
 
-def _step(k: int, recipe: tuple[int, ...]) -> ReductionStep:
-    p, skips, d, m, t, dt, k_hi, k_lo = recipe
-    return ReductionStep(
-        k=k, p=p, d=d, m=m, t=t, dt=dt, k_hi=k_hi, k_lo=k_lo, prime_skips=skips
-    )
-
-
 def reduction_step(k: int, table: PrimeTable | None = None) -> ReductionStep:
     """Fully populated, validated reduction step at weight k.
 
@@ -141,7 +135,8 @@ def reduction_step(k: int, table: PrimeTable | None = None) -> ReductionStep:
     from a window sieved just above k.
     """
     _check_weight(k)
-    return _step(k, _recipe(k, next_prime(k, table)))
+    p, skips, d, m, t, dt, k_hi, k_lo = _recipe(k, next_prime(k, table))
+    return ReductionStep(k=k, p=p, d=d, m=m, t=t, dt=dt, k_hi=k_hi, k_lo=k_lo, prime_skips=skips)
 
 
 def _reducible(max_k: int) -> Iterator[int]:
@@ -166,19 +161,17 @@ _PUBLISHED_ROWS: dict[int, tuple] = {
     36: (37, None, None, None, None, 22, 16),
 }
 
-TABLE_WEIGHTS = (10, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34, 36)
-
 
 def reference_table() -> list[ReductionStep]:
     """The 12 rows for k = 10 and 16..36, each flagged against the published
     values (matches_paper False marks a divergence)."""
     rows = []
-    for k in TABLE_WEIGHTS:
+    for k, published in _PUBLISHED_ROWS.items():
         step = reduction_step(k)
         fields = (step.p, step.d, step.m, step.t, step.dt, step.k_hi, step.k_lo)
         matches = all(
             expected is None or expected == actual
-            for expected, actual in zip(_PUBLISHED_ROWS[k], fields)
+            for expected, actual in zip(published, fields)
         )
         rows.append(replace(step, matches_paper=matches))
     return rows
@@ -357,22 +350,14 @@ def chain(k: int, policy: str = "hi-branch") -> tuple[list[ReductionStep], list[
     if k in BASE_WEIGHTS:
         return [], [k]
     _check_weight(k)
-    memo: dict[int, ReductionStep] = {}
+    step_of = cache(reduction_step)
 
-    def step_of(w: int) -> ReductionStep:
-        if w not in memo:
-            memo[w] = reduction_step(w)
-        return memo[w]
-
-    depth_memo: dict[int, int] = {}
-
+    @cache
     def depth(w: int) -> int:
         if w in BASE_WEIGHTS:
             return 0
-        if w not in depth_memo:
-            s = step_of(w)
-            depth_memo[w] = 1 + max(depth(s.k_hi), depth(s.k_lo))
-        return depth_memo[w]
+        s = step_of(w)
+        return 1 + max(depth(s.k_hi), depth(s.k_lo))
 
     path = []
     walked = [k]

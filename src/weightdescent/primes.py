@@ -4,9 +4,11 @@ One segmented stream, `iter_primes`, produces the primes of a range in
 increasing order.  It sieves one window at a time, starting a few hundred
 integers wide and doubling up to SEGMENT_SIZE, so it holds one window plus
 the base primes up to the square root of the window's end, and taking a
-single prime (`next_prime`) sieves only a few hundred integers.  `sieve`
-materialises the stream into a `PrimeTable`, which holds every prime up to
-its limit, for the scans that index consecutive pairs.
+single prime (`next_prime`) sieves only a few hundred integers.  One loop,
+`_mark_segment`, marks composites: the base primes up to a root are one
+segment [2, root] of it, over the base primes up to the root's own square
+root.  `sieve` materialises the stream into a `PrimeTable`, which holds
+every prime up to its limit, for the scans that index consecutive pairs.
 """
 
 from __future__ import annotations
@@ -36,28 +38,20 @@ class PrimeTable:
         return len(self.primes)
 
 
-def _simple_sieve(limit: int) -> list[int]:
-    # plain sieve, used for base primes up to sqrt(limit)
-    if limit < 2:
-        return []
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
-    return list(compress(range(limit + 1), flags))
-
-
 def _mark_segment(base: list[int], lo: int, hi: int) -> Iterator[int]:
     """Primes in [lo, hi], ascending; lo >= 2 and base holds every prime up to isqrt(hi)."""
     flags = bytearray(b"\x01") * (hi - lo + 1)
     for p in base:
-        start = max(p * p, ((lo + p - 1) // p) * p)
+        start = p * p if p * p >= lo else lo + -lo % p
         if start > hi:
             continue
         flags[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
     return compress(range(lo, hi + 1), flags)
+
+
+def _base_primes(n: int) -> list[int]:
+    """Every prime <= n: one segment [2, n] over the base primes up to isqrt(n)."""
+    return list(_mark_segment(_base_primes(isqrt(n)), 2, n)) if n >= 2 else []
 
 
 def iter_primes(lo: int = 2, hi: int | None = None, segment_size: int = SEGMENT_SIZE) -> Iterator[int]:
@@ -65,8 +59,8 @@ def iter_primes(lo: int = 2, hi: int | None = None, segment_size: int = SEGMENT_
     prime from lo on, without end.
 
     Windows start _FIRST_WINDOW wide and double up to segment_size; the base
-    primes are re-sieved, to at least twice their old bound, only when a
-    window's end outgrows them.
+    primes are re-sieved, as one segment to at least twice their old bound,
+    only when a window's end outgrows them.
     """
     lo = max(lo, 2)
     width = min(_FIRST_WINDOW, segment_size)
@@ -75,7 +69,7 @@ def iter_primes(lo: int = 2, hi: int | None = None, segment_size: int = SEGMENT_
         top = lo + width - 1 if hi is None else min(lo + width - 1, hi)
         if isqrt(top) > root:
             root = max(isqrt(top), 2 * root)
-            base = _simple_sieve(root)
+            base = _base_primes(root)
         yield from _mark_segment(base, lo, top)
         lo, width = top + 1, min(2 * width, segment_size)
 

@@ -88,6 +88,23 @@ def lifted(class_function) -> list[Cyclo]:
     return [as_fraction_cyclo(v) for v in class_function.values]
 
 
+def closure_oracle(G, gens) -> list[int]:
+    """The subgroup of G generated by gens, ascending: starting from the
+    identity and gens, add every product of two members, taken in both
+    orders, and every member's inverse, found by scanning G's table, until
+    nothing changes."""
+    elems = {0, *gens}
+    while True:
+        grown = set(elems)
+        for a in elems:
+            for b in elems:
+                grown.update((G.table[a][b], G.table[b][a]))
+            grown.update(x for x in range(G.order) if G.table[a][x] == 0 == G.table[x][a])
+        if grown == elems:
+            return sorted(elems)
+        elems = grown
+
+
 def brute_force_induced_values(G, H, chi) -> list[Cyclo]:
     """(Ind chi)(g) = (1/|H|) sum over x in G with x^-1 g x in H of
     chi(x^-1 g x), evaluated at every class representative."""

@@ -268,6 +268,13 @@ class TestChar:
         assert code == 2
         assert capsys.readouterr() == ("", "error: order 49 exceeds the cap 48\n")
 
+    def test_demo_group_file_without_inverses_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "monoid.json"
+        path.write_text('{"order": 2, "table": [[0, 1], [1, 1]]}', encoding="utf-8")
+        code = main(["char", "demo", "--group", str(path)])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: element 1 has no two-sided inverse\n")
+
     def test_demo_builtin_over_the_order_cap_is_usage_error(self, capsys):
         code = main(["char", "demo", "--group", "C1000"])
         assert code == 2

@@ -245,6 +245,25 @@ class TestChain:
             assert n >= len(chain(k, "hi-branch")[0])
             assert n >= len(chain(k, "lo-branch")[0])
 
+    @pytest.mark.parametrize("policy", ["hi-branch", "lo-branch", "longest"])
+    def test_reduces_each_weight_once(self, monkeypatch, policy):
+        reduced = []
+        real = descent.reduction_step
+        monkeypatch.setattr(descent, "reduction_step", lambda k: reduced.append(k) or real(k))
+        _, walked = chain(999998, policy)
+        if policy != "longest":
+            assert reduced == walked[:-1]
+            return
+        # the depths read every weight below k once
+        below, todo = set(), [999998]
+        while todo:
+            w = todo.pop()
+            if w not in BASE_WEIGHTS and w not in below:
+                below.add(w)
+                step = real(w)
+                todo += [step.k_hi, step.k_lo]
+        assert sorted(reduced) == sorted(below)
+
     def test_bad_policy(self):
         with pytest.raises(ValueError):
             chain(36, "sideways")
@@ -268,8 +287,8 @@ class TestAudit:
 
     def test_forms_steps_only_along_the_longest_chain(self, monkeypatch):
         formed = []
-        real = descent._step
-        monkeypatch.setattr(descent, "_step", lambda k, recipe: formed.append(k) or real(k, recipe))
+        real = descent.reduction_step
+        monkeypatch.setattr(descent, "reduction_step", lambda k: formed.append(k) or real(k))
         term = audit(10000).termination
         assert formed == list(term.longest_chain_path[:-1])
 

@@ -1,7 +1,9 @@
+import random
 import tracemalloc
 
 import pytest
 
+from weightdescent.charconj.campaigns import SUITE_NAMES, suite_groups
 from weightdescent.charconj.groups import (
     FiniteGroup,
     GroupError,
@@ -17,6 +19,8 @@ from weightdescent.charconj.groups import (
     symmetric,
     trivial_subgroup,
 )
+
+from oracles import closure_oracle
 
 
 def three_cycle(g):
@@ -92,6 +96,11 @@ class TestValidation:
             tracemalloc.stop()
         assert peak < 1 << 20  # a 1000-by-1000 table alone is tens of MiB
 
+    def test_missing_inverse(self):
+        # associative, with 0 a two-sided identity, but 1 * x is never 0
+        with pytest.raises(GroupError, match="element 1 has no two-sided inverse"):
+            load_group({"order": 2, "table": [[0, 1], [1, 1]]})
+
     def test_ragged_table(self):
         with pytest.raises(GroupError):
             FiniteGroup([[0, 1], [1]])
@@ -133,6 +142,17 @@ class TestSubgroups:
         h = generated_subgroup(s3, [three_cycle(s3)])
         assert h.order == 3
         assert h.elements[0] == 0
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_generated_subgroup_matches_the_closure_oracle(self, name):
+        group = suite_groups((name,))[name]
+        rng = random.Random(name)
+        for count in range(4):
+            for _ in range(6):
+                gens = [rng.randrange(group.order) for _ in range(count)]
+                assert generated_subgroup(group, gens).elements == tuple(
+                    closure_oracle(group, gens)
+                ), gens
 
     def test_not_closed_subset_rejected(self):
         s3 = symmetric(3)

@@ -82,6 +82,15 @@ def test_stream_equals_the_table_and_trial_division(n):
             assert list(iter_primes(lo, n, segment_size)) == [p for p in expected if p >= lo]
 
 
+@pytest.mark.parametrize("lo", [1009**2 - 1000, 65521**2 - 1000, 10**10 - 1000])
+def test_stream_across_a_prime_square_where_the_base_must_grow(lo):
+    # the window ends pass 1009^2, 65521^2 or 10^10 = 100000^2, so the base
+    # primes are sieved again mid-stream; a base that stopped short of 1009
+    # or 65521 would list its square as a prime
+    expected = [n for n in range(lo, lo + 3001) if trial_division_is_prime(n)]
+    assert list(iter_primes(lo, lo + 3000)) == expected
+
+
 @pytest.mark.parametrize("limit", [0, 2, 30, 1000])
 def test_next_primes_walks_into_and_past_the_table(limit):
     # the stream against the table (and a window past its end) and the oracle
@@ -103,7 +112,8 @@ def test_next_prime_without_table_across_maximal_gaps(monkeypatch, first_window)
     real = primes._mark_segment
 
     def recording(base, lo, hi):
-        windows.append(hi - lo + 1)
+        if lo != 2:  # a segment from 2 builds base primes, not a window
+            windows.append(hi - lo + 1)
         return real(base, lo, hi)
 
     monkeypatch.setattr(primes, "_mark_segment", recording)
