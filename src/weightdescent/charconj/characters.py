@@ -61,15 +61,6 @@ class ClassFunction:
         return cls(group, out)
 
     @classmethod
-    def trivial(cls, group: FiniteGroup) -> "ClassFunction":
-        return cls(group, [1] * len(group.classes))
-
-    @classmethod
-    def regular(cls, group: FiniteGroup) -> "ClassFunction":
-        vals = [group.order if 0 in c else 0 for c in group.classes]
-        return cls(group, vals)
-
-    @classmethod
     def zero(cls, group: FiniteGroup) -> "ClassFunction":
         return cls(group, [0] * len(group.classes))
 
@@ -193,7 +184,7 @@ def mackey_check(G: FiniteGroup, H: Subgroup, K: Subgroup, chi: ClassFunction) -
     for g in double_cosets(G, K, H):
         g_inv = G.inverses[g]
         conj_h = {G.conjugate(g, x) for x in H.elements}
-        L = Subgroup(K.group, [K.to_local[x] for x in K.elements if x in conj_h], name="L")
+        L = Subgroup(K.group, [K.to_local[x] for x in K.elements if x in conj_h])
         # chi^g at x in K meet gHg^-1 (parent coords): chi(g^-1 x g)
         elem_values = [
             chi.value(H.to_local[G.conjugate(g_inv, K.elements[loc])]) for loc in L.elements

@@ -98,7 +98,7 @@ class Subgroup:
 
     __slots__ = ("parent", "elements", "group", "to_local")
 
-    def __init__(self, parent: FiniteGroup, elements, name: str = "H"):
+    def __init__(self, parent: FiniteGroup, elements):
         elems = sorted(set(elements))
         if not elems or elems[0] != 0:
             raise GroupError("subgroup must contain the identity (element 0)")
@@ -117,7 +117,7 @@ class Subgroup:
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "elements", tuple(elems))
         object.__setattr__(self, "to_local", to_local)
-        object.__setattr__(self, "group", FiniteGroup(table, name=name))
+        object.__setattr__(self, "group", FiniteGroup(table))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subgroup is immutable")
@@ -127,10 +127,10 @@ class Subgroup:
         return self.group.order
 
     def __repr__(self):
-        return f"Subgroup({self.group.name}, order={self.order} in {self.parent.name})"
+        return f"Subgroup(order={self.order} in {self.parent.name})"
 
 
-def generated_subgroup(parent: FiniteGroup, generators, name: str = "H") -> Subgroup:
+def generated_subgroup(parent: FiniteGroup, generators) -> Subgroup:
     """Closure of the generators (always includes the identity): every right
     product of generators from the identity, which is closed under inverses
     too, as in a finite group g^-1 = g^(ord g - 1)."""
@@ -143,15 +143,7 @@ def generated_subgroup(parent: FiniteGroup, generators, name: str = "H") -> Subg
             if row[g] not in elems:
                 elems.add(row[g])
                 frontier.append(row[g])
-    return Subgroup(parent, elems, name=name)
-
-
-def trivial_subgroup(parent: FiniteGroup) -> Subgroup:
-    return Subgroup(parent, [0], name="1")
-
-
-def full_subgroup(parent: FiniteGroup) -> Subgroup:
-    return Subgroup(parent, range(parent.order), name=parent.name)
+    return Subgroup(parent, elems)
 
 
 def double_cosets(parent: FiniteGroup, k: Subgroup, h: Subgroup) -> list[int]:

@@ -6,8 +6,8 @@ errors, among them a gap range holding no adjacent prime pair, a
 non-positive draw, trial or digit count and an unreadable or malformed group
 file, and 3 when the verdict is inconclusive (a `threshold` enclosure
 straddling x0, reported as "inconclusive" and `below_x0: null`) or a
-reduction step breaks its invariants (a DescentError, reported on one
-`error:` line).
+reduction step breaks its invariants or the run exhausts memory (a
+DescentError or MemoryError, reported on one `error:` line).
 Defaults reproduce the canonical parameters: gap range (37, 100000],
 bounds 143/125 and 23/20, A = 1, B = 1130289/1000000, a = 143/125,
 audit max_k = 10^6.
@@ -358,8 +358,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except descent.DescentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (descent.DescentError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     if args.format == "json":
         print(canonical_json(report))

@@ -154,15 +154,14 @@ class StarReport:
         return not self.failures and self.heads_match
 
 
-def star_inequality_check(m_max: int = 200, d_max: int = 200, bound=RATIO_BOUND) -> StarReport:
+def star_inequality_check(m_max: int = 200, d_max: int = 200) -> StarReport:
     """For every m in (6, m_max] and d in [1, d_max], with p = md+1 and
-    t = choose_t(m), verify p/(dt+2) > bound and p/(p+1-dt) > bound exactly."""
+    t = choose_t(m), check p/(dt+2) and p/(p+1-dt) > RATIO_BOUND exactly."""
     if m_max <= 6:
         raise ValueError("m_max must exceed 6")
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    bound = Fraction(bound)
-    num, den = bound.numerator, bound.denominator
+    num, den = RATIO_BOUND.numerator, RATIO_BOUND.denominator
     failures = []
     checked = 0
     for m in range(7, m_max + 1):
@@ -191,7 +190,7 @@ def star_inequality_check(m_max: int = 200, d_max: int = 200, bound=RATIO_BOUND)
     return StarReport(
         m_max=m_max,
         d_max=d_max,
-        bound=bound,
+        bound=RATIO_BOUND,
         failures=tuple(failures),
         family_heads=tuple(heads),
         heads_match=all_match,

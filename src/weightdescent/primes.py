@@ -7,8 +7,10 @@ the base primes up to the square root of the window's end, and taking a
 single prime (`next_prime`) sieves only a few hundred integers.  One loop,
 `_mark_segment`, marks composites: the base primes up to a root are one
 segment [2, root] of it, over the base primes up to the root's own square
-root.  `sieve` materialises the stream into a `PrimeTable`, which holds
-every prime up to its limit, for the scans that index consecutive pairs.
+root.  They are built once per process for each power-of-two bound, so a
+run of lookups (a descent chain) sieves its base once.  `sieve` materialises
+the stream into a `PrimeTable` of every prime up to its limit, for the scans
+that index consecutive pairs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 from math import isqrt
 
@@ -38,7 +41,7 @@ class PrimeTable:
         return len(self.primes)
 
 
-def _mark_segment(base: list[int], lo: int, hi: int) -> Iterator[int]:
+def _mark_segment(base: tuple[int, ...], lo: int, hi: int) -> Iterator[int]:
     """Primes in [lo, hi], ascending; lo >= 2 and base holds every prime up to isqrt(hi)."""
     flags = bytearray(b"\x01") * (hi - lo + 1)
     for p in base:
@@ -49,40 +52,37 @@ def _mark_segment(base: list[int], lo: int, hi: int) -> Iterator[int]:
     return compress(range(lo, hi + 1), flags)
 
 
-def _base_primes(n: int) -> list[int]:
+@cache
+def _base_primes(n: int) -> tuple[int, ...]:
     """Every prime <= n: one segment [2, n] over the base primes up to isqrt(n)."""
-    return list(_mark_segment(_base_primes(isqrt(n)), 2, n)) if n >= 2 else []
+    return tuple(_mark_segment(_base_primes(isqrt(n)), 2, n)) if n >= 2 else ()
 
 
-def iter_primes(lo: int = 2, hi: int | None = None, segment_size: int = SEGMENT_SIZE) -> Iterator[int]:
+def iter_primes(lo: int = 2, hi: int | None = None) -> Iterator[int]:
     """Every prime p with lo <= p <= hi in increasing order; with hi None, every
     prime from lo on, without end.
 
-    Windows start _FIRST_WINDOW wide and double up to segment_size; the base
-    primes are re-sieved, as one segment to at least twice their old bound,
-    only when a window's end outgrows them.
+    Windows start _FIRST_WINDOW wide and double up to SEGMENT_SIZE.  Each
+    window takes the shared base primes up to the power of two above its
+    end's square root, so the cache keys stay few.
     """
     lo = max(lo, 2)
-    width = min(_FIRST_WINDOW, segment_size)
-    base, root = [], 1  # base holds every prime <= root
+    width = min(_FIRST_WINDOW, SEGMENT_SIZE)
     while hi is None or lo <= hi:
         top = lo + width - 1 if hi is None else min(lo + width - 1, hi)
-        if isqrt(top) > root:
-            root = max(isqrt(top), 2 * root)
-            base = _base_primes(root)
-        yield from _mark_segment(base, lo, top)
-        lo, width = top + 1, min(2 * width, segment_size)
+        yield from _mark_segment(_base_primes(1 << isqrt(top).bit_length()), lo, top)
+        lo, width = top + 1, min(2 * width, SEGMENT_SIZE)
 
 
-def sieve(limit: int, segment_size: int = SEGMENT_SIZE) -> PrimeTable:
+def sieve(limit: int) -> PrimeTable:
     """Table of all primes <= limit, collected from iter_primes.
 
     The table holds every prime it lists (~limit / ln(limit) ints); the sieve
-    behind it works one segment of at most segment_size integers at a time.
+    behind it works one segment of at most SEGMENT_SIZE integers at a time.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    return PrimeTable(limit, tuple(iter_primes(2, limit, segment_size)))
+    return PrimeTable(limit, tuple(iter_primes(2, limit)))
 
 
 def next_prime(n: int, table: PrimeTable | None = None) -> int:

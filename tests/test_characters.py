@@ -33,12 +33,11 @@ from weightdescent.charconj.characters import (
 )
 from weightdescent.charconj.cyclotomic import Cyclo
 from weightdescent.charconj.groups import (
+    Subgroup,
     cyclic,
-    full_subgroup,
     generated_subgroup,
     quaternion,
     symmetric,
-    trivial_subgroup,
 )
 from weightdescent.cli import canonical_json
 
@@ -61,8 +60,8 @@ def c2_in_s3(s3):
 class TestClassFunctionBasics:
     def test_trivial_and_regular(self):
         g = cyclic(3)
-        assert ClassFunction.trivial(g).values == (Cyclo.from_rational(1),) * 3
-        reg = ClassFunction.regular(g)
+        assert ClassFunction(g, [1] * len(g.classes)).values == (Cyclo.from_rational(1),) * 3
+        reg = ClassFunction(g, [3, 0, 0])
         assert reg.value(0) == 3 and reg.value(1) == 0
 
     def test_class_constancy_enforced(self):
@@ -76,7 +75,7 @@ class TestClassFunctionBasics:
         for n in (2, 3, 5, 8):
             chi = linear_character_of_cyclic(cyclic(n), 1)
             assert chi.is_multiplicative_degree_one()
-        assert not ClassFunction.regular(cyclic(3)).is_multiplicative_degree_one()
+        assert not ClassFunction(cyclic(3), [3, 0, 0]).is_multiplicative_degree_one()
 
     def test_linear_character_requires_cyclic(self):
         with pytest.raises(CharacterError, match="cyclic"):
@@ -86,7 +85,7 @@ class TestClassFunctionBasics:
 class TestInduce:
     def test_full_subgroup_is_identity(self):
         s3 = symmetric(3)
-        h = full_subgroup(s3)
+        h = Subgroup(s3, range(s3.order))
         chi = ClassFunction(h.group, [1, 2, 3])
         ind = induce(s3, h, chi)
         # h.group relabels s3 with identical class structure
@@ -105,9 +104,9 @@ class TestInduce:
 
     def test_regular_from_trivial(self):
         c2 = cyclic(2)
-        one = trivial_subgroup(c2)
-        ind = induce(c2, one, ClassFunction.trivial(one.group))
-        assert ind == ClassFunction.regular(c2)
+        one = Subgroup(c2, [0])
+        ind = induce(c2, one, ClassFunction(one.group, [1]))
+        assert ind == ClassFunction(c2, [2, 0])
 
     def test_degree_law(self):
         rng = random.Random(3)
@@ -131,7 +130,7 @@ class TestInduce:
 class TestRestrict:
     def test_full_subgroup_identity(self):
         s3 = symmetric(3)
-        h = full_subgroup(s3)
+        h = Subgroup(s3, range(s3.order))
         chi = ClassFunction(s3, [1, Cyclo.zeta(3), 0])
         res = restrict(s3, h, chi)
         assert [str(v) for v in res.values] == [str(v) for v in chi.values]
@@ -146,17 +145,18 @@ class TestRestrict:
     def test_trivial_restricts_to_trivial(self):
         s3 = symmetric(3)
         c2 = c2_in_s3(s3)
-        assert restrict(s3, c2, ClassFunction.trivial(s3)) == ClassFunction.trivial(c2.group)
+        assert restrict(s3, c2, ClassFunction(s3, [1, 1, 1])) == ClassFunction(c2.group, [1, 1])
 
 
 class TestInnerProduct:
     def test_trivial_self_product(self):
         for g in (cyclic(5), symmetric(3), quaternion()):
-            assert inner_product(ClassFunction.trivial(g), ClassFunction.trivial(g)) == 1
+            trivial = ClassFunction(g, [1] * len(g.classes))
+            assert inner_product(trivial, trivial) == 1
 
     def test_regular_self_product(self):
         c3 = cyclic(3)
-        reg = ClassFunction.regular(c3)
+        reg = ClassFunction(c3, [3, 0, 0])
         assert inner_product(reg, reg) == 3
 
     def test_induced_zeta3_is_irreducible(self):
@@ -174,7 +174,7 @@ class TestInnerProduct:
 
     def test_group_mismatch(self):
         with pytest.raises(CharacterError):
-            inner_product(ClassFunction.trivial(cyclic(3)), ClassFunction.trivial(cyclic(3)))
+            inner_product(ClassFunction(cyclic(3), [1, 1, 1]), ClassFunction(cyclic(3), [1, 1, 1]))
 
     def test_frobenius_reciprocity_random(self):
         rng = random.Random(17)
@@ -221,7 +221,7 @@ class TestMackey:
 
     def test_full_subgroup_single_coset(self):
         s3 = symmetric(3)
-        h = full_subgroup(s3)
+        h = Subgroup(s3, range(s3.order))
         chi = ClassFunction(h.group, [1, Cyclo.zeta(4), -2])
         assert mackey_check(s3, h, h, chi) is True
 
@@ -252,9 +252,9 @@ class TestMackey:
 class TestBrauer:
     def test_single_full_summand_is_identity(self):
         s3 = symmetric(3)
-        h = full_subgroup(s3)
+        h = Subgroup(s3, range(s3.order))
         chi = ClassFunction(h.group, [2, 0, -1])
-        spec = BrauerSpec(s3, [BrauerSummand(1, h, chi, ClassFunction.trivial(h.group))])
+        spec = BrauerSpec(s3, [BrauerSummand(1, h, chi, ClassFunction(h.group, [1, 1, 1]))])
         rho = brauer_combination(spec)
         assert [str(v) for v in rho.values] == [str(v) for v in chi.values]
 
@@ -272,8 +272,8 @@ class TestBrauer:
         spec = BrauerSpec(
             s3,
             [
-                BrauerSummand(1, c3, chi3, ClassFunction.trivial(c3.group)),
-                BrauerSummand(1, c2, ClassFunction.trivial(c2.group), sign2),
+                BrauerSummand(1, c3, chi3, ClassFunction(c3.group, [1, 1, 1])),
+                BrauerSummand(1, c2, ClassFunction(c2.group, [1, 1]), sign2),
             ],
         )
         rho = brauer_combination(spec)
@@ -291,7 +291,7 @@ class TestBrauer:
         c3 = c3_in_s3(s3)
         bad_twist = ClassFunction(c3.group, [2, 1, 1])
         with pytest.raises(CharacterError, match="degree 1"):
-            BrauerSpec(s3, [BrauerSummand(1, c3, ClassFunction.trivial(c3.group), bad_twist)])
+            BrauerSpec(s3, [BrauerSummand(1, c3, ClassFunction(c3.group, [1, 1, 1]), bad_twist)])
 
 
 class TestVirtualCharacterIntegrality:
@@ -308,9 +308,9 @@ class TestVirtualCharacterIntegrality:
 class TestConjugationInvariance:
     def test_c5_zeta_character(self):
         c5 = cyclic(5)
-        h = full_subgroup(c5)
+        h = Subgroup(c5, range(c5.order))
         chi = linear_character_of_cyclic(h.group, 1)
-        spec = BrauerSpec(c5, [BrauerSummand(1, h, chi, ClassFunction.trivial(h.group))])
+        spec = BrauerSpec(c5, [BrauerSummand(1, h, chi, ClassFunction(h.group, [1] * 5))])
         report = verify_conjugation_invariance(spec, 2)
         assert report.passed
         assert report.rational and report.equal_exactly
@@ -327,9 +327,9 @@ class TestConjugationInvariance:
 
     def test_j_must_be_coprime(self):
         c5 = cyclic(5)
-        h = full_subgroup(c5)
+        h = Subgroup(c5, range(c5.order))
         chi = linear_character_of_cyclic(h.group, 1)
-        spec = BrauerSpec(c5, [BrauerSummand(1, h, chi, ClassFunction.trivial(h.group))])
+        spec = BrauerSpec(c5, [BrauerSummand(1, h, chi, ClassFunction(h.group, [1] * 5))])
         with pytest.raises(CharacterError, match="coprime"):
             verify_conjugation_invariance(spec, 5)
 

@@ -382,6 +382,15 @@ class TestDescentError:
             assert captured.err.count("\n") == 1
 
 
+def test_out_of_memory_is_one_error_line_and_exit_3(capsys):
+    # the audit's depth array would take 5 * 10^17 bytes: the allocation
+    # fails at once, and no verdict was reached
+    assert main(["audit", "--max-k", str(10**18)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def _fresh_process(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(weightdescent.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

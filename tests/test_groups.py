@@ -11,13 +11,11 @@ from weightdescent.charconj.groups import (
     cyclic,
     dihedral,
     double_cosets,
-    full_subgroup,
     generated_subgroup,
     load_group,
     Subgroup,
     quaternion,
     symmetric,
-    trivial_subgroup,
 )
 
 from oracles import closure_oracle
@@ -169,8 +167,8 @@ class TestSubgroups:
 
     def test_trivial_and_full(self):
         s3 = symmetric(3)
-        assert trivial_subgroup(s3).order == 1
-        assert full_subgroup(s3).order == 6
+        assert Subgroup(s3, [0]).order == 1
+        assert Subgroup(s3, range(s3.order)).order == 6
 
     def test_conjugate_subgroup(self):
         s3 = symmetric(3)
@@ -190,5 +188,6 @@ class TestSubgroups:
 
     def test_double_cosets_full_group(self):
         s3 = symmetric(3)
-        assert double_cosets(s3, full_subgroup(s3), trivial_subgroup(s3)) == [0]
-        assert double_cosets(s3, full_subgroup(s3), full_subgroup(s3)) == [0]
+        whole, trivial = Subgroup(s3, range(6)), Subgroup(s3, [0])
+        assert double_cosets(s3, whole, trivial) == [0]
+        assert double_cosets(s3, whole, whole) == [0]

@@ -3,7 +3,7 @@ from itertools import islice
 
 import pytest
 
-from weightdescent import primes
+from weightdescent import descent, primes
 from weightdescent.primes import (
     SEGMENT_SIZE,
     PrimeTable,
@@ -49,9 +49,11 @@ def test_sieve_spot_check_random_subranges(table_100k):
             assert (n in members) == trial_division_is_prime(n)
 
 
-def test_segment_boundaries():
+def test_segment_boundaries(monkeypatch):
     # tiny segments force many windows; result must not depend on the split
-    assert sieve(1000, segment_size=16).primes == sieve(1000).primes
+    expected = sieve(1000).primes
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", 16)
+    assert sieve(1000).primes == expected
 
 
 def test_next_prime_examples(table_100k):
@@ -71,22 +73,24 @@ def test_next_prime_extends_past_table():
 
 
 @pytest.mark.parametrize("n", [14, 38, 1000, 10000])
-def test_stream_equals_the_table_and_trial_division(n):
+def test_stream_equals_the_table_and_trial_division(monkeypatch, n):
     expected = trial_division_primes(n)
     assert list(sieve(n).primes) == expected
     assert list(islice(iter_primes(), len(expected))) == expected
     for segment_size in (1, 2, 7, 16, 300, SEGMENT_SIZE):
-        assert list(iter_primes(2, n, segment_size)) == expected
-        assert sieve(n, segment_size).primes == tuple(expected)
+        monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
+        assert list(iter_primes(2, n)) == expected
+        assert sieve(n).primes == tuple(expected)
         for lo in (0, 3, n // 3, n):
-            assert list(iter_primes(lo, n, segment_size)) == [p for p in expected if p >= lo]
+            assert list(iter_primes(lo, n)) == [p for p in expected if p >= lo]
 
 
-@pytest.mark.parametrize("lo", [1009**2 - 1000, 65521**2 - 1000, 10**10 - 1000])
+@pytest.mark.parametrize("lo", [1009**2 - 1000, 1031**2 - 1000, 65521**2 - 1000, 10**10 - 1000])
 def test_stream_across_a_prime_square_where_the_base_must_grow(lo):
-    # the window ends pass 1009^2, 65521^2 or 10^10 = 100000^2, so the base
-    # primes are sieved again mid-stream; a base that stopped short of 1009
-    # or 65521 would list its square as a prime
+    # the window ends pass 1009^2, 1031^2, 65521^2 or 10^10 = 100000^2, so
+    # the base primes must grow mid-stream; a base that stopped short of 1009,
+    # of 1031 (the first prime past 1024 = 2^10) or of 65521 would list its
+    # square as a prime
     expected = [n for n in range(lo, lo + 3001) if trial_division_is_prime(n)]
     assert list(iter_primes(lo, lo + 3000)) == expected
 
@@ -99,6 +103,27 @@ def test_next_primes_walks_into_and_past_the_table(limit):
     assert list(next_primes(ns)) == expected
     table = sieve(limit)
     assert [(n, next_prime(n, table)) for n in ns] == expected
+
+
+def test_the_base_primes_are_built_once_per_process(monkeypatch):
+    # a chain's 311 steps, a lookup far past them and a full audit share one
+    # cache of base primes; each bound is sieved once, not once per stream
+    builds = []
+    real = primes._mark_segment
+
+    def recording(base, lo, hi):
+        if lo == 2:  # a segment from 2 builds base primes
+            builds.append(hi)
+        return real(base, lo, hi)
+
+    monkeypatch.setattr(primes, "_mark_segment", recording)
+    primes._base_primes.cache_clear()
+    descent.chain(999998, "longest")
+    assert len(builds) == len(set(builds)) <= 20
+    next_prime(10**10)
+    descent.audit(10**6)
+    assert len(builds) == len(set(builds))
+    assert primes._base_primes.cache_info().currsize <= 40
 
 
 # maximal prime gaps: 72 after 31397 and 114 after 492113
