@@ -1,4 +1,5 @@
-"""Command-line surface: every audit as a subcommand, text or JSON output.
+"""Command-line surface: every audit as a subcommand, text or JSON output,
+run as `python -m weightdescent` or the `weightdescent` script.
 
 Exit status: 0 when every check passed, 1 on any violation (a reference-
 table divergence only fails `table` under --strict), 2 on usage or input
@@ -9,8 +10,8 @@ straddling x0, reported as "inconclusive" and `below_x0: null`) or a
 reduction step breaks its invariants or the run exhausts memory (a
 DescentError or MemoryError, reported on one `error:` line).
 Defaults reproduce the canonical parameters: gap range (37, 100000],
-bounds 143/125 and 23/20, A = 1, B = 1130289/1000000, a = 143/125,
-audit max_k = 10^6.
+bounds 143/125 (gaps) and 23/20 (gaps-shifted), B = 1130289/1000000,
+a = 143/125 with A = 1 fixed, and audit max_k = 10^6.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .charconj.campaigns import (
 )
 from .charconj.characters import verify_conjugation_invariance
 from .charconj.groups import builtin_group, load_group
-from .numeric import CHEBYSHEV_A, CHEBYSHEV_B, RATIO_BOUND, SHIFTED_RATIO_BOUND
+from .numeric import CHEBYSHEV_B, RATIO_BOUND, SHIFTED_RATIO_BOUND
 from .primes import sieve
 
 # Text mode lists at most this many gap violations; JSON lists them all.
@@ -44,13 +45,14 @@ TEXT_VIOLATIONS = 20
 def report_data(report):
     """JSON data of a report, or of any value inside one.
 
-    A Fraction renders as "n/d", a Decimal as its digit string, dict keys as
-    strings and tuples as lists.  Any other non-scalar value must be a
-    dataclass: it renders field by field under its field names, plus
-    "verdict" when it derives `passed` as a property.
+    None, str and int are leaves, a Fraction renders as "n/d", a Decimal as
+    its digit string, dict keys as strings and tuples as lists.  Any other
+    value must be a dataclass: it renders field by field under its field
+    names, plus "verdict" when it derives `passed` as a property.  A float,
+    which no report holds, raises TypeError rather than print inexactly.
     """
     # leaves first: they are most of the calls
-    if report is None or isinstance(report, (str, int, float)):
+    if report is None or isinstance(report, (str, int)):
         return report
     if isinstance(report, (list, tuple)):
         return [report_data(v) for v in report]
@@ -184,11 +186,8 @@ def _gap_lines(report) -> list[str]:
 def _cmd_gaps(args):
     shifted = args.command == "gaps-shifted"
     table = sieve(args.high)
-    bound = args.bound
-    if bound is None:
-        bound = SHIFTED_RATIO_BOUND if shifted else RATIO_BOUND
     fn = gaps.verify_shifted_ratio if shifted else gaps.verify_ratio
-    report = fn(table, args.low, args.high, bound)
+    report = fn(table, args.low, args.high, args.bound)
     if report.pairs_checked == 0:
         raise ValueError(f"no adjacent prime pair in ({args.low}, {args.high}]")
     return report, _gap_lines(report), report.passed
@@ -198,9 +197,8 @@ _VERDICT_WORDS = {True: "true", False: "false", None: "inconclusive"}
 
 
 def _cmd_threshold(args):
-    result = gaps.chebyshev_threshold(
-        A=CHEBYSHEV_A, B=args.b, a=args.a, digits=args.digits, typo_variant=args.typo_variant,
-    )
+    result = gaps.chebyshev_threshold(B=args.b, a=args.a, digits=args.digits,
+                                      typo_variant=args.typo_variant)
     formula = "a*C/(a-C)" if args.typo_variant else "a^(C/(a-C))"
     lines = [
         f"A = 1, B = {result.B}, a = {result.a}, C = {result.C}",
@@ -312,14 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_audit)
     p.add_argument("--max-k", type=_even_weight, default=1_000_000)
 
-    for name, help_text in (("gaps", "consecutive-prime ratio scan"),
-                            ("gaps-shifted", "(p-1)-shifted ratio scan")):
+    for name, help_text, bound in (("gaps", "consecutive-prime ratio scan", RATIO_BOUND),
+                                   ("gaps-shifted", "(p-1)-shifted ratio scan",
+                                    SHIFTED_RATIO_BOUND)):
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(handler=_cmd_gaps)
         p.add_argument("--low", type=int, default=37)
         p.add_argument("--high", type=int, default=gaps.X0)
-        p.add_argument("--bound", type=_fraction, default=None,
-                       help="rational bound, e.g. 143/125 (defaults per subcommand)")
+        p.add_argument("--bound", type=_fraction, default=bound,
+                       help="rational bound (default %(default)s)")
 
     p = sub.add_parser("threshold", parents=[common], help="Chebyshev threshold enclosure")
     p.set_defaults(handler=_cmd_threshold)
@@ -369,7 +368,3 @@ def main(argv=None) -> int:
     if passed is None:
         return 3
     return 0 if passed else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

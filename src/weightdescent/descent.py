@@ -33,23 +33,19 @@ class DescentError(Exception):
     """A reduction step could not be formed or violated its invariants."""
 
 
-class InadmissibleM(DescentError):
-    """No valid twist exponent exists for this m."""
-
-
 def _check_weight(k: int) -> None:
     if k % 2 != 0 or k <= 0:
         raise ValueError(f"weight must be a positive even integer, got {k}")
-    if not (k == 10 or k >= 16):
+    if k in BASE_WEIGHTS:
         raise ValueError(f"weight {k} is a base case or below the recipe's range")
 
 
-def choose_t(m: int) -> int:
+def choose_t(m: int) -> int | None:
     """Twist exponent near m/2: (m+1)/2, m/2+2 or m/2+1 by the class of m.
 
     Valid only when gcd(t, m) = 1 and 1 < t < m-1 (t = 1 would reproduce the
-    original exponent orbit and t = m-1 its complex conjugate); raises
-    InadmissibleM otherwise, e.g. for m <= 4 and m = 6.
+    original exponent orbit and t = m-1 its complex conjugate); None when m
+    admits no such t, which is m <= 4 and m = 6.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -59,9 +55,7 @@ def choose_t(m: int) -> int:
         t = m // 2 + 2
     else:
         t = m // 2 + 1
-    if gcd(t, m) != 1 or not (1 < t < m - 1):
-        raise InadmissibleM(f"inadmissible m: m = {m} gives t = {t}")
-    return t
+    return t if gcd(t, m) == 1 and 1 < t < m - 1 else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,12 +108,11 @@ def _recipe(k: int, p: int) -> tuple[int, int, int, int, int, int, int, int]:
     while True:
         d = gcd(p - 1, k - 2)
         m = (p - 1) // d
-        try:
-            t = choose_t(m)
+        t = choose_t(m)
+        if t is not None:
             break
-        except InadmissibleM:
-            skips += 1
-            p = next_prime(p)
+        skips += 1
+        p = next_prime(p)
     dt = d * t
     k_hi, k_lo = dt + 2, p + 1 - dt
     error = _broken_invariant(k, p, d, m, t, dt, k_hi, k_lo)
@@ -140,8 +133,8 @@ def reduction_step(k: int, table: PrimeTable | None = None) -> ReductionStep:
 
 
 def _reducible(max_k: int) -> Iterator[int]:
-    """Every non-base weight <= max_k, ascending: 10 and then every even k >= 16."""
-    return itertools.chain((10,), range(16, max_k + 1, 2))
+    """Every even weight <= max_k outside BASE_WEIGHTS, ascending."""
+    return itertools.filterfalse(BASE_WEIGHTS.__contains__, range(2, max_k + 1, 2))
 
 
 # Published values of the twelve hand-checkable rows.  For k = 34 and 36

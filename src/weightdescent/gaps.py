@@ -92,21 +92,20 @@ class ThresholdResult:
 
 
 def chebyshev_threshold(
-    A=CHEBYSHEV_A,
     B=CHEBYSHEV_B,
     a=RATIO_BOUND,
     digits: int = 30,
     typo_variant: bool = False,
 ) -> ThresholdResult:
-    """Enclosure of a^(C/(a-C)); typo_variant computes a*C/(a-C) instead.
+    """Enclosure of a^(C/(a-C)), C = B/A; typo_variant computes a*C/(a-C) instead.
 
     The exponent C/(a-C) is an exact rational, so only the final power needs
     enclosure arithmetic.
     """
-    A, B, a = Fraction(A), Fraction(B), Fraction(a)
-    if A <= 0 or B <= 0 or a <= 0:
-        raise ValueError("A, B and a must be positive")
-    C = B / A
+    B, a = Fraction(B), Fraction(a)
+    if B <= 0 or a <= 0:
+        raise ValueError("B and a must be positive")
+    C = B / CHEBYSHEV_A
     if a <= C:
         raise ValueError(f"degenerate: a <= C (a = {a}, C = {C})")
     exponent_value = C / (a - C)
@@ -122,7 +121,7 @@ def chebyshev_threshold(
     else:  # too wide to decide at this precision
         below_x0 = None
     return ThresholdResult(
-        A=A, B=B, a=a, C=C,
+        A=CHEBYSHEV_A, B=B, a=a, C=C,
         exponent=exponent, threshold=threshold, below_x0=below_x0,
     )
 

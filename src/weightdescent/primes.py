@@ -7,16 +7,17 @@ the base primes up to the square root of the window's end, and taking a
 single prime (`next_prime`) sieves only a few hundred integers.  One loop,
 `_mark_segment`, marks composites: the base primes up to a root are one
 segment [2, root] of it, over the base primes up to the root's own square
-root.  They are built once per process for each power-of-two bound, so a
-run of lookups (a descent chain) sieves its base once.  `sieve` materialises
-the stream into a `PrimeTable` of every prime up to its limit, for the scans
-that index consecutive pairs.
+root.  They are built once per process for each power-of-two bound, as
+8-byte integers, so a run of lookups (a descent chain) sieves its base
+once.  `sieve` materialises the stream into a `PrimeTable` of every prime
+up to its limit, for the scans that index consecutive pairs.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
 from itertools import compress
@@ -41,7 +42,7 @@ class PrimeTable:
         return len(self.primes)
 
 
-def _mark_segment(base: tuple[int, ...], lo: int, hi: int) -> Iterator[int]:
+def _mark_segment(base: Sequence[int], lo: int, hi: int) -> Iterator[int]:
     """Primes in [lo, hi], ascending; lo >= 2 and base holds every prime up to isqrt(hi)."""
     flags = bytearray(b"\x01") * (hi - lo + 1)
     for p in base:
@@ -53,9 +54,9 @@ def _mark_segment(base: tuple[int, ...], lo: int, hi: int) -> Iterator[int]:
 
 
 @cache
-def _base_primes(n: int) -> tuple[int, ...]:
+def _base_primes(n: int) -> array:
     """Every prime <= n: one segment [2, n] over the base primes up to isqrt(n)."""
-    return tuple(_mark_segment(_base_primes(isqrt(n)), 2, n)) if n >= 2 else ()
+    return array("q", _mark_segment(_base_primes(isqrt(n)), 2, n) if n >= 2 else ())
 
 
 def iter_primes(lo: int = 2, hi: int | None = None) -> Iterator[int]:

@@ -126,9 +126,7 @@ def test_criterion_2_max_ratio_pair_as_published(table_100k, trial_primes_100k):
 
 def test_criterion_3_chebyshev_threshold():
     t0 = time.perf_counter()
-    result = gaps.chebyshev_threshold(
-        A=Fraction(1), B=Fraction("1.130289"), a=Fraction("1.144"), digits=30
-    )
+    result = gaps.chebyshev_threshold(B=Fraction("1.130289"), a=Fraction("1.144"), digits=30)
     elapsed = time.perf_counter() - t0
 
     lower, upper = Fraction(result.threshold.lower), Fraction(result.threshold.upper)
@@ -138,6 +136,7 @@ def test_criterion_3_chebyshev_threshold():
     assert upper < Fraction(655309, 10)
     assert upper < 100000
     assert result.below_x0
+    assert result.A == 1
     assert elapsed < 1.0
     report(
         "criterion 3",

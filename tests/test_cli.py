@@ -49,7 +49,8 @@ def test_parser_defaults_reproduce_canonical_parameters():
     parser = build_parser()
     args = parser.parse_args(["gaps"])
     assert (args.low, args.high) == (37, 100000)
-    assert args.bound is None  # per-subcommand: 143/125 plain, 23/20 shifted
+    assert args.bound == Fraction(143, 125)
+    assert parser.parse_args(["gaps-shifted"]).bound == Fraction(23, 20)
     args = parser.parse_args(["threshold"])
     assert args.a == Fraction(143, 125)
     assert args.b == Fraction(1130289, 1000000)

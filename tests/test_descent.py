@@ -10,7 +10,6 @@ from weightdescent.cli import canonical_json
 from weightdescent.descent import (
     BASE_WEIGHTS,
     DescentGraph,
-    InadmissibleM,
     ReductionStep,
     audit,
     build_graph,
@@ -35,9 +34,11 @@ class TestChooseT:
         assert choose_t(18) == 11
 
     def test_inadmissible(self):
-        for m in (1, 2, 3, 4, 6):
-            with pytest.raises(InadmissibleM):
-                choose_t(m)
+        for m in range(1, 501):
+            if m in (1, 2, 3, 4, 6):
+                assert choose_t(m) is None
+            else:
+                assert isinstance(choose_t(m), int)
 
     def test_every_m_beyond_6_is_admissible(self):
         for m in range(7, 501):
@@ -65,9 +66,14 @@ class TestSelectPrime:
         assert (41 - 1) // gcd(41 - 1, 30) == 4
 
     def test_precondition(self):
-        for k in (12, 14, 8, 9, -2):
+        for k in sorted(BASE_WEIGHTS):
+            with pytest.raises(ValueError, match="base case"):
+                reduction_step(k)
+        for k in (9, -2):
             with pytest.raises(ValueError):
                 reduction_step(k)
+        assert reduction_step(10).k == 10
+        assert reduction_step(16).k == 16
 
 
 class TestReductionStep:

@@ -104,8 +104,10 @@ class TestChebyshevThreshold:
             chebyshev_threshold(a=Fraction(1130289, 1000000), digits=10)
 
     def test_nonpositive_inputs(self):
-        with pytest.raises(ValueError):
-            chebyshev_threshold(A=0, digits=10)
+        with pytest.raises(ValueError, match="must be positive"):
+            chebyshev_threshold(B=0, digits=10)
+        with pytest.raises(ValueError, match="must be positive"):
+            chebyshev_threshold(a=0, digits=10)
 
     def test_verdict_is_three_way(self):
         assert chebyshev_threshold(digits=20).below_x0 is True

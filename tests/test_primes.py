@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -124,6 +125,21 @@ def test_the_base_primes_are_built_once_per_process(monkeypatch):
     descent.audit(10**6)
     assert len(builds) == len(set(builds))
     assert primes._base_primes.cache_info().currsize <= 40
+
+
+def test_a_large_base_holds_eight_bytes_a_prime():
+    # the 295,947 primes below 2^22 that the cache keeps take ~2.4 MB as
+    # 8-byte integers and ~12 MB as a tuple of int objects
+    primes._base_primes.cache_clear()
+    tracemalloc.start()
+    try:
+        base = primes._base_primes(1 << 22)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        primes._base_primes.cache_clear()
+    assert (len(base), base[0], base[-1]) == (295947, 2, 4194301)
+    assert kept < 3 * 2**20
 
 
 # maximal prime gaps: 72 after 31397 and 114 after 492113
