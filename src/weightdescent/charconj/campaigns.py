@@ -89,7 +89,7 @@ def _reciprocity_draw(rng: random.Random, G: FiniteGroup) -> str | None:
     H = random_subgroup(rng, G)
     chi = random_class_function(rng, H.group)
     psi = random_class_function(rng, G)
-    if inner_product(induce(G, H, chi), psi) != inner_product(chi, restrict(G, H, psi)):
+    if inner_product(induce(H, chi), psi) != inner_product(chi, restrict(H, psi)):
         return f"reciprocity broke on |H| = {H.order}"
     return None
 
@@ -98,7 +98,7 @@ def _mackey_draw(rng: random.Random, G: FiniteGroup) -> str | None:
     H = random_subgroup(rng, G)
     K = random_subgroup(rng, G)
     chi = random_class_function(rng, H.group)
-    if not mackey_check(G, H, K, chi):
+    if not mackey_check(H, K, chi):
         return f"Mackey broke with |H| = {H.order}, |K| = {K.order}"
     return None
 

@@ -47,20 +47,6 @@ class ClassFunction:
         return self.values[0].conductor
 
     @classmethod
-    def from_element_values(cls, group: FiniteGroup, element_values) -> "ClassFunction":
-        element_values = [Cyclo._coerce(v) for v in element_values]
-        if len(element_values) != group.order:
-            raise CharacterError("need one value per element")
-        out = []
-        for cls_elems in group.classes:
-            v = element_values[cls_elems[0]]
-            for g in cls_elems[1:]:
-                if element_values[g] != v:
-                    raise CharacterError(f"values are not constant on the class of {cls_elems[0]}")
-            out.append(v)
-        return cls(group, out)
-
-    @classmethod
     def zero(cls, group: FiniteGroup) -> "ClassFunction":
         return cls(group, [0] * len(group.classes))
 
@@ -110,7 +96,7 @@ class ClassFunction:
 
 def linear_character_of_cyclic(group: FiniteGroup, a: int = 1) -> ClassFunction:
     """The degree-1 character g^i -> zeta^(a i) of a cyclic group, taken on
-    its smallest generator."""
+    its smallest generator.  The group is abelian, so class x is element x."""
     n = group.order
     gen = None
     for g in range(n):
@@ -119,22 +105,18 @@ def linear_character_of_cyclic(group: FiniteGroup, a: int = 1) -> ClassFunction:
             break
     if gen is None:
         raise CharacterError(f"{group.name} is not cyclic")
-    element_values = [None] * n
-    x, i = 0, 0
-    while True:
-        element_values[x] = Cyclo.zeta(n, (a * i) % n) if n > 1 else Cyclo.from_rational(1)
+    values = [None] * n
+    x = 0
+    for i in range(n):
+        values[x] = Cyclo.zeta(n, a * i % n)
         x = group.table[x][gen]
-        i += 1
-        if x == 0:
-            break
-    return ClassFunction.from_element_values(group, element_values)
+    return ClassFunction(group, values)
 
 
-def induce(G: FiniteGroup, H: Subgroup, chi: ClassFunction) -> ClassFunction:
-    """Induced class function: (Ind chi)(g) = (1/|H|) sum over x in G with
-    x^-1 g x in H of chi(x^-1 g x); computed classwise."""
-    if H.parent is not G:
-        raise CharacterError("subgroup does not live in the ambient group")
+def induce(H: Subgroup, chi: ClassFunction) -> ClassFunction:
+    """Induced class function on G = H.parent: (Ind chi)(g) = (1/|H|) sum
+    over x in G with x^-1 g x in H of chi(x^-1 g x); computed classwise."""
+    G = H.parent
     if chi.group is not H.group:
         raise CharacterError("character is not defined on the subgroup")
     index = Fraction(G.order, H.order)
@@ -149,11 +131,10 @@ def induce(G: FiniteGroup, H: Subgroup, chi: ClassFunction) -> ClassFunction:
     return ClassFunction(G, values)
 
 
-def restrict(G: FiniteGroup, K: Subgroup, chi: ClassFunction) -> ClassFunction:
+def restrict(K: Subgroup, chi: ClassFunction) -> ClassFunction:
     """Restriction to a subgroup: each K-class takes the value of its
-    containing G-class."""
-    if K.parent is not G:
-        raise CharacterError("subgroup does not live in the ambient group")
+    containing G-class, G = K.parent."""
+    G = K.parent
     if chi.group is not G:
         raise CharacterError("class function is not defined on the ambient group")
     values = []
@@ -176,21 +157,22 @@ def inner_product(chi: ClassFunction, psi: ClassFunction) -> Cyclo:
     return total * Fraction(1, G.order)
 
 
-def mackey_check(G: FiniteGroup, H: Subgroup, K: Subgroup, chi: ClassFunction) -> bool:
+def mackey_check(H: Subgroup, K: Subgroup, chi: ClassFunction) -> bool:
     """True iff Res_K Ind_H^G chi = sum over double cosets KgH of
-    Ind_{K meet gHg^-1}^K (x -> chi(g^-1 x g)), exactly."""
-    lhs = restrict(G, K, induce(G, H, chi))
+    Ind_{K meet gHg^-1}^K (x -> chi(g^-1 x g)), exactly, with G = H.parent."""
+    G = H.parent
+    lhs = restrict(K, induce(H, chi))
     rhs = ClassFunction.zero(K.group)
-    for g in double_cosets(G, K, H):
+    for g in double_cosets(K, H):
         g_inv = G.inverses[g]
         conj_h = {G.conjugate(g, x) for x in H.elements}
         L = Subgroup(K.group, [K.to_local[x] for x in K.elements if x in conj_h])
-        # chi^g at x in K meet gHg^-1 (parent coords): chi(g^-1 x g)
-        elem_values = [
-            chi.value(H.to_local[G.conjugate(g_inv, K.elements[loc])]) for loc in L.elements
-        ]
-        chig = ClassFunction.from_element_values(L.group, elem_values)
-        rhs = rhs + induce(K.group, L, chig)
+        # chi^g(x) = chi(g^-1 x g) at one x per class of L = K meet gHg^-1
+        chig = ClassFunction(L.group, [
+            chi.value(H.to_local[G.conjugate(g_inv, K.elements[L.elements[c[0]]])])
+            for c in L.group.classes
+        ])
+        rhs = rhs + induce(L, chig)
     return lhs == rhs
 
 
@@ -240,7 +222,7 @@ def brauer_combination(spec: BrauerSpec, j: int = 1) -> ClassFunction:
     total = ClassFunction.zero(spec.group)
     for s in spec.summands:
         twisted = (s.character * s.twist).galois(j)
-        total = total + induce(spec.group, s.subgroup, twisted).scale(s.coefficient)
+        total = total + induce(s.subgroup, twisted).scale(s.coefficient)
     return total
 
 

@@ -146,8 +146,9 @@ def generated_subgroup(parent: FiniteGroup, generators) -> Subgroup:
     return Subgroup(parent, elems)
 
 
-def double_cosets(parent: FiniteGroup, k: Subgroup, h: Subgroup) -> list[int]:
-    """Canonical representatives (smallest element) of K\\G/H, ascending."""
+def double_cosets(k: Subgroup, h: Subgroup) -> list[int]:
+    """Canonical representatives (smallest element) of K\\G/H, G = h.parent."""
+    parent = h.parent
     assigned = [False] * parent.order
     reps = []
     for g in range(parent.order):

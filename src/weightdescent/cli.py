@@ -83,13 +83,6 @@ def _load_cli_group(name_or_path: str):
     return builtin_group(name_or_path)
 
 
-def _even_weight(text: str) -> int:
-    k = int(text)
-    if k % 2 != 0 or k <= 0:
-        raise argparse.ArgumentTypeError(f"{k} is not a positive even weight")
-    return k
-
-
 def _positive_int(text: str) -> int:
     n = int(text)
     if n <= 0:
@@ -299,16 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", parents=[common], help="one reduction step")
     p.set_defaults(handler=_cmd_reduce)
-    p.add_argument("k", type=_even_weight)
+    p.add_argument("k", type=int)
 
     p = sub.add_parser("chain", parents=[common], help="a descent path to the base set")
     p.set_defaults(handler=_cmd_chain)
-    p.add_argument("k", type=_even_weight)
+    p.add_argument("k", type=int)
     p.add_argument("--policy", choices=descent.CHAIN_POLICIES, default="hi-branch")
 
     p = sub.add_parser("audit", parents=[common], help="full descent audit")
     p.set_defaults(handler=_cmd_audit)
-    p.add_argument("--max-k", type=_even_weight, default=1_000_000)
+    p.add_argument("--max-k", type=int, default=1_000_000)
 
     for name, help_text, bound in (("gaps", "consecutive-prime ratio scan", RATIO_BOUND),
                                    ("gaps-shifted", "(p-1)-shifted ratio scan",
@@ -368,3 +361,7 @@ def main(argv=None) -> int:
     if passed is None:
         return 3
     return 0 if passed else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .descent import choose_t
 from .numeric import (
@@ -199,7 +198,7 @@ def star_inequality_check(m_max: int = 200, d_max: int = 200) -> StarReport:
 
 @dataclass(frozen=True)
 class MBoundReport:
-    """Exact check that (p-1)/(k-2) < 6/5 and m > 6 for every even k in
+    """Exact check that (p-1)/(k-2) < 6/5, and so m > 6, for every even k in
     k_range = [38, k_max]."""
 
     k_range: tuple[int, int]
@@ -214,16 +213,16 @@ class MBoundReport:
 
 def m_bound_check(k_max: int) -> MBoundReport:
     """For every even k in (36, k_max] with p the next prime after k, check
-    5(p-1) < 6(k-2) and m = (p-1)/gcd(p-1, k-2) > 6 exactly.  The primes come
-    from one stream, so no table is held."""
+    5(p-1) < 6(k-2) exactly, from one prime stream.  That alone gives m > 6,
+    m = (p-1)/d with d = gcd(p-1, k-2): as k < p, k-2 = jd for some
+    1 <= j <= m-1, so m <= 6 would give 6(k-2) <= 6(m-1)(p-1)/m <= 5(p-1)."""
     if k_max < 38:
         raise ValueError("k_max must be >= 38")
     failures = []
     checked = 0
     for k, p in next_primes(range(38, k_max + 1, 2)):
         checked += 1
-        m = (p - 1) // gcd(p - 1, k - 2)
-        if 5 * (p - 1) >= 6 * (k - 2) or m <= 6:
+        if 5 * (p - 1) >= 6 * (k - 2):
             failures.append((k, p))
     # the motivating boundary case, outside the checked range: at k = 32 the
     # next prime 37 gives exactly 36/30 = 6/5 and m = 6

@@ -5,8 +5,8 @@ increasing order.  It sieves one window at a time, starting a few hundred
 integers wide and doubling up to SEGMENT_SIZE, so it holds one window plus
 the base primes up to the square root of the window's end, and taking a
 single prime (`next_prime`) sieves only a few hundred integers.  One loop,
-`_mark_segment`, marks composites: the base primes up to a root are one
-segment [2, root] of it, over the base primes up to the root's own square
+`_mark_segment`, marks composites: the base primes up to a root are
+windows of [2, root] over the base primes up to the root's own square
 root.  They are built once per process for each power-of-two bound, as
 8-byte integers, so a run of lookups (a descent chain) sieves its base
 once.  `sieve` materialises the stream into a `PrimeTable` of every prime
@@ -55,8 +55,13 @@ def _mark_segment(base: Sequence[int], lo: int, hi: int) -> Iterator[int]:
 
 @cache
 def _base_primes(n: int) -> array:
-    """Every prime <= n: one segment [2, n] over the base primes up to isqrt(n)."""
-    return array("q", _mark_segment(_base_primes(isqrt(n)), 2, n) if n >= 2 else ())
+    """Every prime <= n: [2, n] in windows of SEGMENT_SIZE over the base
+    primes up to isqrt(n), so the flags never outgrow one window."""
+    out = array("q")
+    base = _base_primes(isqrt(n)) if n >= 2 else ()
+    for lo in range(2, n + 1, SEGMENT_SIZE):
+        out.extend(_mark_segment(base, lo, min(lo + SEGMENT_SIZE - 1, n)))
+    return out
 
 
 def iter_primes(lo: int = 2, hi: int | None = None) -> Iterator[int]:

@@ -60,6 +60,19 @@ def recipe_oracle(k: int) -> tuple[int, int, int, int, int, int, int, int]:
         p, skips = trial_division_next_prime(p), skips + 1
 
 
+def m_bound_oracle(k_max: int) -> tuple[int, list[tuple[int, int]]]:
+    """(weights checked, failures (k, p)) over the even k in [38, k_max], each
+    weight tested on both clauses from the definitions: (p-1)/(k-2) < 6/5 and
+    m = (p-1)/gcd(p-1, k-2) > 6, with p the next prime after k."""
+    checked, failures = 0, []
+    for k in range(38, k_max + 1, 2):
+        p = trial_division_next_prime(k)
+        checked += 1
+        if not (Fraction(p - 1, k - 2) < Fraction(6, 5) and (p - 1) // gcd(p - 1, k - 2) > 6):
+            failures.append((k, p))
+    return checked, failures
+
+
 def max_ratio_pair_scan(
     primes, low: int, high: int, shift: int = 0
 ) -> tuple[int, int] | None:

@@ -196,7 +196,7 @@ def test_criterion_6_character_suite():
         for _ in range(3):
             h = random_subgroup(rng, g)
             chi = random_class_function(rng, h.group)
-            assert lifted(induce(g, h, chi)) == brute_force_induced_values(g, h, chi), name
+            assert lifted(induce(h, chi)) == brute_force_induced_values(g, h, chi), name
             oracle_checks += 1
     elapsed = time.perf_counter() - t0
 

@@ -64,15 +64,8 @@ class TestClassFunctionBasics:
         reg = ClassFunction(g, [3, 0, 0])
         assert reg.value(0) == 3 and reg.value(1) == 0
 
-    def test_class_constancy_enforced(self):
-        s3 = symmetric(3)
-        values = [0] * 6
-        values[s3.classes[1][0]] = 1  # only one member of a class changed
-        with pytest.raises(CharacterError, match="constant"):
-            ClassFunction.from_element_values(s3, values)
-
     def test_linear_character_is_multiplicative(self):
-        for n in (2, 3, 5, 8):
+        for n in (1, 2, 3, 5, 8):
             chi = linear_character_of_cyclic(cyclic(n), 1)
             assert chi.is_multiplicative_degree_one()
         assert not ClassFunction(cyclic(3), [3, 0, 0]).is_multiplicative_degree_one()
@@ -87,7 +80,7 @@ class TestInduce:
         s3 = symmetric(3)
         h = Subgroup(s3, range(s3.order))
         chi = ClassFunction(h.group, [1, 2, 3])
-        ind = induce(s3, h, chi)
+        ind = induce(h, chi)
         # h.group relabels s3 with identical class structure
         assert [str(v) for v in ind.values] == [str(v) for v in chi.values]
 
@@ -95,7 +88,7 @@ class TestInduce:
         s3 = symmetric(3)
         c3 = c3_in_s3(s3)
         chi = linear_character_of_cyclic(c3.group, 1)
-        ind = induce(s3, c3, chi)
+        ind = induce(c3, chi)
         assert ind.value(0) == 2
         by_size = {len(cls): ind.values[i] for i, cls in enumerate(s3.classes)}
         assert by_size[1] == 2       # identity
@@ -105,7 +98,7 @@ class TestInduce:
     def test_regular_from_trivial(self):
         c2 = cyclic(2)
         one = Subgroup(c2, [0])
-        ind = induce(c2, one, ClassFunction(one.group, [1]))
+        ind = induce(one, ClassFunction(one.group, [1]))
         assert ind == ClassFunction(c2, [2, 0])
 
     def test_degree_law(self):
@@ -113,7 +106,7 @@ class TestInduce:
         for g in (symmetric(4), quaternion(), cyclic(12)):
             h = random_subgroup(rng, g)
             chi = random_class_function(rng, h.group)
-            ind = induce(g, h, chi)
+            ind = induce(h, chi)
             index = Fraction(g.order, h.order)
             assert ind.value(0) == chi.value(0) * index
 
@@ -124,7 +117,7 @@ class TestInduce:
             for _ in range(3):
                 h = random_subgroup(rng, g)
                 chi = random_class_function(rng, h.group)
-                assert lifted(induce(g, h, chi)) == brute_force_induced_values(g, h, chi)
+                assert lifted(induce(h, chi)) == brute_force_induced_values(g, h, chi)
 
 
 class TestRestrict:
@@ -132,20 +125,20 @@ class TestRestrict:
         s3 = symmetric(3)
         h = Subgroup(s3, range(s3.order))
         chi = ClassFunction(s3, [1, Cyclo.zeta(3), 0])
-        res = restrict(s3, h, chi)
+        res = restrict(h, chi)
         assert [str(v) for v in res.values] == [str(v) for v in chi.values]
 
     def test_restrict_of_induced_is_sum_of_conjugates(self):
         s3 = symmetric(3)
         c3 = c3_in_s3(s3)
         chi = linear_character_of_cyclic(c3.group, 1)
-        res = restrict(s3, c3, induce(s3, c3, chi))
+        res = restrict(c3, induce(c3, chi))
         assert res == chi + linear_character_of_cyclic(c3.group, 2)
 
     def test_trivial_restricts_to_trivial(self):
         s3 = symmetric(3)
         c2 = c2_in_s3(s3)
-        assert restrict(s3, c2, ClassFunction(s3, [1, 1, 1])) == ClassFunction(c2.group, [1, 1])
+        assert restrict(c2, ClassFunction(s3, [1, 1, 1])) == ClassFunction(c2.group, [1, 1])
 
 
 class TestInnerProduct:
@@ -162,7 +155,7 @@ class TestInnerProduct:
     def test_induced_zeta3_is_irreducible(self):
         s3 = symmetric(3)
         c3 = c3_in_s3(s3)
-        ind = induce(s3, c3, linear_character_of_cyclic(c3.group, 1))
+        ind = induce(c3, linear_character_of_cyclic(c3.group, 1))
         assert inner_product(ind, ind) == 1
 
     def test_matches_brute_force(self):
@@ -183,8 +176,8 @@ class TestInnerProduct:
                 h = random_subgroup(rng, g)
                 chi = random_class_function(rng, h.group)
                 psi = random_class_function(rng, g)
-                assert inner_product(induce(g, h, chi), psi) == inner_product(
-                    chi, restrict(g, h, psi)
+                assert inner_product(induce(h, chi), psi) == inner_product(
+                    chi, restrict(h, psi)
                 )
 
     def test_galois_equivariance(self):
@@ -209,7 +202,7 @@ class TestMackey:
         s3 = symmetric(3)
         c3 = c3_in_s3(s3)
         chi = linear_character_of_cyclic(c3.group, 1)
-        assert mackey_check(s3, c3, c3, chi) is True
+        assert mackey_check(c3, c3, chi) is True
 
     def test_a_dropped_double_coset_breaks_the_identity(self, monkeypatch):
         s3 = symmetric(3)
@@ -217,13 +210,13 @@ class TestMackey:
         chi = linear_character_of_cyclic(c3.group, 1)
         whole = characters.double_cosets
         monkeypatch.setattr(characters, "double_cosets", lambda *args: whole(*args)[:-1])
-        assert mackey_check(s3, c3, c3, chi) is False
+        assert mackey_check(c3, c3, chi) is False
 
     def test_full_subgroup_single_coset(self):
         s3 = symmetric(3)
         h = Subgroup(s3, range(s3.order))
         chi = ClassFunction(h.group, [1, Cyclo.zeta(4), -2])
-        assert mackey_check(s3, h, h, chi) is True
+        assert mackey_check(h, h, chi) is True
 
     def test_s4_d4_c4(self):
         s4 = symmetric(4)
@@ -237,7 +230,7 @@ class TestMackey:
         c4 = generated_subgroup(s4, [r])
         rng = random.Random(8)
         chi = random_class_function(rng, d4.group)
-        assert mackey_check(s4, d4, c4, chi) is True
+        assert mackey_check(d4, c4, chi) is True
 
     def test_random_draws(self):
         rng = random.Random(31)
@@ -246,7 +239,15 @@ class TestMackey:
                 h = random_subgroup(rng, g)
                 k = random_subgroup(rng, g)
                 chi = random_class_function(rng, h.group)
-                assert mackey_check(g, h, k, chi) is True
+                assert mackey_check(h, k, chi) is True
+
+    def test_a_subgroup_of_another_group_is_refused(self):
+        s3 = symmetric(3)
+        c3 = c3_in_s3(s3)
+        other = c3_in_s3(symmetric(3))
+        chi = linear_character_of_cyclic(c3.group, 1)
+        with pytest.raises(CharacterError):
+            mackey_check(c3, other, chi)
 
 
 class TestBrauer:
@@ -344,7 +345,7 @@ class TestConjugationInvariance:
             for s in spec.summands:
                 assert s.twist.galois(j).is_multiplicative_degree_one()
                 conjugated = s.character.galois(j) * s.twist.galois(j)
-                expected = expected + induce(g, s.subgroup, conjugated).scale(s.coefficient)
+                expected = expected + induce(s.subgroup, conjugated).scale(s.coefficient)
             assert brauer_combination(spec, j) == expected
 
     def test_each_twist_is_checked_once(self, monkeypatch):

@@ -98,9 +98,8 @@ class TestReduceAndChain:
         assert (step["p"], step["d"], step["m"], step["t"], step["dt"]) == (17, 2, 8, 5, 10)
 
     def test_reduce_rejects_odd_weight(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["reduce", "15"])
-        assert exc.value.code == 2
+        assert main(["reduce", "15"]) == 2
+        assert capsys.readouterr().err == "error: weight must be a positive even integer, got 15\n"
 
     def test_reduce_rejects_base_weight(self, capsys):
         code = main(["reduce", "12"])
@@ -399,9 +398,10 @@ def _fresh_process(*args: str) -> subprocess.CompletedProcess:
                           timeout=60)
 
 
-def test_package_runs_as_a_module():
-    done = _fresh_process("-m", "weightdescent", "reduce", "16")
-    assert done.returncode == 0
+@pytest.mark.parametrize("module", ["weightdescent", "weightdescent.cli"])
+def test_package_runs_as_a_module(module):
+    done = _fresh_process("-m", module, "reduce", "16")
+    assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "k = 16, p = 17: d = 2, m = 8, t = 5, dt = 10; k' = 12 or 8\n"
 
 
@@ -416,7 +416,7 @@ class TestSharedParser:
             fresh = _fresh_process("-m", "weightdescent", *argv)
             assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
 
-    @pytest.mark.parametrize("bad", [["reduce", "15"], ["no-such-command"], ["table", "--bogus"]])
+    @pytest.mark.parametrize("bad", [["reduce", "x"], ["no-such-command"], ["table", "--bogus"]])
     def test_a_valid_call_works_after_a_usage_error(self, capsys, bad):
         with pytest.raises(SystemExit) as exit_info:
             main(bad)

@@ -4,8 +4,11 @@ from math import gcd
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weightdescent.cli import canonical_json
+from weightdescent import gaps
+from weightdescent.cli import canonical_json, main
 from weightdescent.gaps import (
     X0,
     chebyshev_threshold,
@@ -16,7 +19,7 @@ from weightdescent.gaps import (
 )
 from weightdescent.numeric import RATIO_BOUND, SHIFTED_RATIO_BOUND
 
-from oracles import max_ratio_pair_scan
+from oracles import m_bound_oracle, max_ratio_pair_scan, trial_division_next_prime
 
 
 class TestRatioScans:
@@ -211,3 +214,31 @@ class TestMBound:
         ]
         assert min(ratios) == Fraction(6, 5)
         assert all(r >= Fraction(6, 5) for r in ratios)
+
+    @given(k_max=st.integers(38, 20000))
+    @settings(max_examples=25, deadline=None)
+    def test_the_ratio_clause_agrees_with_both_clauses(self, k_max):
+        report = m_bound_check(k_max)
+        checked, failures = m_bound_oracle(k_max)
+        assert (report.checked, report.failures) == (checked, tuple(failures))
+
+    def test_m_at_most_6_only_where_the_ratio_fails(self):
+        # below 38, where the ratio does fail, every weight with m <= 6 is
+        # already among its failures
+        ratio_fails, small_m = [], []
+        for k in range(4, 20001, 2):
+            p = trial_division_next_prime(k)
+            if 5 * (p - 1) >= 6 * (k - 2):
+                ratio_fails.append(k)
+            if (p - 1) // gcd(p - 1, k - 2) <= 6:
+                small_m.append(k)
+        assert ratio_fails == [4, 6, 8, 10, 12, 14, 20, 24, 32]
+        assert len(small_m) == 7 and set(small_m) <= set(ratio_fails)
+
+    def test_a_failing_weight_is_reported(self, monkeypatch, capsys):
+        # (38, 100000] holds no failure, so a prime stream is faked: 46/36 > 6/5
+        monkeypatch.setattr(gaps, "next_primes", lambda ks: iter([(38, 47)]))
+        report = m_bound_check(38)
+        assert report.failures == ((38, 47),)
+        assert json.loads(canonical_json(report))["verdict"] == "fail"
+        assert main(["mbound", "--max-k", "38"]) == 1

@@ -129,17 +129,19 @@ def test_the_base_primes_are_built_once_per_process(monkeypatch):
 
 def test_a_large_base_holds_eight_bytes_a_prime():
     # the 295,947 primes below 2^22 that the cache keeps take ~2.4 MB as
-    # 8-byte integers and ~12 MB as a tuple of int objects
+    # 8-byte integers and ~12 MB as a tuple of int objects; built in windows,
+    # the flags add one window, where one segment [2, 2^22] peaks at ~8 MB
     primes._base_primes.cache_clear()
     tracemalloc.start()
     try:
         base = primes._base_primes(1 << 22)
-        kept = tracemalloc.get_traced_memory()[0]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         primes._base_primes.cache_clear()
     assert (len(base), base[0], base[-1]) == (295947, 2, 4194301)
     assert kept < 3 * 2**20
+    assert peak < 3 * 2**20
 
 
 # maximal prime gaps: 72 after 31397 and 114 after 492113
