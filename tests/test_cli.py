@@ -398,11 +398,18 @@ def _fresh_process(*args: str) -> subprocess.CompletedProcess:
                           timeout=60)
 
 
-@pytest.mark.parametrize("module", ["weightdescent", "weightdescent.cli"])
-def test_package_runs_as_a_module(module):
+def _assert_runs_as_a_module(module):
     done = _fresh_process("-m", module, "reduce", "16")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == "k = 16, p = 17: d = 2, m = 8, t = 5, dt = 10; k' = 12 or 8\n"
+
+
+def test_package_runs_as_a_module():
+    _assert_runs_as_a_module("weightdescent")
+
+
+def test_cli_module_runs_as_a_module():
+    _assert_runs_as_a_module("weightdescent.cli")
 
 
 class TestSharedParser:
