@@ -39,7 +39,7 @@ def random_cyclo(rng: random.Random) -> Cyclo:
     return Cyclo(n, powers)
 
 
-def random_class_function(rng: random.Random, group: FiniteGroup) -> ClassFunction:
+def random_class_function(rng: random.Random, group: FiniteGroup | Subgroup) -> ClassFunction:
     return ClassFunction(group, [random_cyclo(rng) for _ in group.classes])
 
 
@@ -87,7 +87,7 @@ def _suite_campaign(name: str, draws: int, seed: int, names, check) -> CampaignR
 
 def _reciprocity_draw(rng: random.Random, G: FiniteGroup) -> str | None:
     H = random_subgroup(rng, G)
-    chi = random_class_function(rng, H.group)
+    chi = random_class_function(rng, H)
     psi = random_class_function(rng, G)
     if inner_product(induce(H, chi), psi) != inner_product(chi, restrict(H, psi)):
         return f"reciprocity broke on |H| = {H.order}"
@@ -97,7 +97,7 @@ def _reciprocity_draw(rng: random.Random, G: FiniteGroup) -> str | None:
 def _mackey_draw(rng: random.Random, G: FiniteGroup) -> str | None:
     H = random_subgroup(rng, G)
     K = random_subgroup(rng, G)
-    chi = random_class_function(rng, H.group)
+    chi = random_class_function(rng, H)
     if not mackey_check(H, K, chi):
         return f"Mackey broke with |H| = {H.order}, |K| = {K.order}"
     return None
@@ -120,8 +120,8 @@ def random_brauer_spec(rng: random.Random, group: FiniteGroup) -> BrauerSpec:
     for _ in range(rng.randint(1, 3)):
         H = generated_subgroup(group, [rng.randrange(group.order)])
         order = H.order
-        chi = linear_character_of_cyclic(H.group, rng.randrange(order))
-        twist = linear_character_of_cyclic(H.group, rng.randrange(order))
+        chi = linear_character_of_cyclic(H, rng.randrange(order))
+        twist = linear_character_of_cyclic(H, rng.randrange(order))
         coeff = rng.choice((-2, -1, 1, 2))
         summands.append(BrauerSummand(coeff, H, chi, twist))
     return BrauerSpec(group, summands)

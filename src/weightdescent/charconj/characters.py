@@ -22,12 +22,12 @@ class CharacterError(ValueError):
 
 
 class ClassFunction:
-    """A function on a group, constant on conjugacy classes, with values in
-    a common cyclotomic field."""
+    """A function on a group or subgroup, constant on conjugacy classes, with
+    values in a common cyclotomic field."""
 
     __slots__ = ("group", "values")
 
-    def __init__(self, group: FiniteGroup, values):
+    def __init__(self, group: FiniteGroup | Subgroup, values):
         values = [Cyclo._coerce(v) for v in values]
         if len(values) != len(group.classes):
             raise CharacterError(
@@ -47,7 +47,7 @@ class ClassFunction:
         return self.values[0].conductor
 
     @classmethod
-    def zero(cls, group: FiniteGroup) -> "ClassFunction":
+    def zero(cls, group: FiniteGroup | Subgroup) -> "ClassFunction":
         return cls(group, [0] * len(group.classes))
 
     def value(self, g: int) -> Cyclo:
@@ -74,18 +74,16 @@ class ClassFunction:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassFunction):
             return NotImplemented
-        return self.group is other.group and all(
-            a == b for a, b in zip(self.values, other.values)
-        )
+        return self.group is other.group and self.values == other.values
 
     def is_multiplicative_degree_one(self) -> bool:
         """True for homomorphisms to the roots of unity (degree-1 characters)."""
         g = self.group
         if self.value(0) != 1:
             return False
-        for a in range(g.order):
+        for a in g.elements:
             va = self.value(a)
-            for b in range(g.order):
+            for b in g.elements:
                 if self.value(g.table[a][b]) != va * self.value(b):
                     return False
         return True
@@ -94,22 +92,22 @@ class ClassFunction:
         return f"ClassFunction({self.group.name}, {[str(v) for v in self.values]})"
 
 
-def linear_character_of_cyclic(group: FiniteGroup, a: int = 1) -> ClassFunction:
+def linear_character_of_cyclic(group: FiniteGroup | Subgroup, a: int = 1) -> ClassFunction:
     """The degree-1 character g^i -> zeta^(a i) of a cyclic group, taken on
-    its smallest generator.  The group is abelian, so class x is element x."""
+    its smallest generator.  The group is abelian, so each class is one element."""
     n = group.order
-    gen = None
-    for g in range(n):
-        if group.element_order(g) == n:
-            gen = g
+    for gen in group.elements:
+        powers, x = [0], gen
+        while x != 0:
+            powers.append(x)
+            x = group.table[x][gen]
+        if len(powers) == n:
             break
-    if gen is None:
+    else:
         raise CharacterError(f"{group.name} is not cyclic")
     values = [None] * n
-    x = 0
-    for i in range(n):
-        values[x] = Cyclo.zeta(n, a * i % n)
-        x = group.table[x][gen]
+    for i, x in enumerate(powers):
+        values[group.class_index[x]] = Cyclo.zeta(n, a * i % n)
     return ClassFunction(group, values)
 
 
@@ -117,16 +115,16 @@ def induce(H: Subgroup, chi: ClassFunction) -> ClassFunction:
     """Induced class function on G = H.parent: (Ind chi)(g) = (1/|H|) sum
     over x in G with x^-1 g x in H of chi(x^-1 g x); computed classwise."""
     G = H.parent
-    if chi.group is not H.group:
+    if chi.group is not H:
         raise CharacterError("character is not defined on the subgroup")
     index = Fraction(G.order, H.order)
     values = []
     for cls_elems in G.classes:
         total = Cyclo.from_rational(0)
         for g in cls_elems:
-            loc = H.to_local.get(g)
-            if loc is not None:
-                total = total + chi.values[H.group.class_index[loc]]
+            c = H.class_index.get(g)
+            if c is not None:
+                total = total + chi.values[c]
         values.append(total * (index / len(cls_elems)))
     return ClassFunction(G, values)
 
@@ -134,20 +132,14 @@ def induce(H: Subgroup, chi: ClassFunction) -> ClassFunction:
 def restrict(K: Subgroup, chi: ClassFunction) -> ClassFunction:
     """Restriction to a subgroup: each K-class takes the value of its
     containing G-class, G = K.parent."""
-    G = K.parent
-    if chi.group is not G:
+    if chi.group is not K.parent:
         raise CharacterError("class function is not defined on the ambient group")
-    values = []
-    for cls_elems in K.group.classes:
-        parent_elem = K.elements[cls_elems[0]]
-        values.append(chi.values[G.class_index[parent_elem]])
-    return ClassFunction(K.group, values)
+    return ClassFunction(K, [chi.value(c[0]) for c in K.classes])
 
 
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> Cyclo:
     """(1/|G|) sum over g of chi(g) psi(g^-1), computed with class sizes."""
-    if chi.group is not psi.group:
-        raise CharacterError("class functions live on different groups")
+    chi._same_group(psi)
     G = chi.group
     total = Cyclo.from_rational(0)
     for idx, cls_elems in enumerate(G.classes):
@@ -162,16 +154,12 @@ def mackey_check(H: Subgroup, K: Subgroup, chi: ClassFunction) -> bool:
     Ind_{K meet gHg^-1}^K (x -> chi(g^-1 x g)), exactly, with G = H.parent."""
     G = H.parent
     lhs = restrict(K, induce(H, chi))
-    rhs = ClassFunction.zero(K.group)
+    rhs = ClassFunction.zero(K)
     for g in double_cosets(K, H):
-        g_inv = G.inverses[g]
         conj_h = {G.conjugate(g, x) for x in H.elements}
-        L = Subgroup(K.group, [K.to_local[x] for x in K.elements if x in conj_h])
+        L = Subgroup(K, [x for x in K.elements if x in conj_h])
         # chi^g(x) = chi(g^-1 x g) at one x per class of L = K meet gHg^-1
-        chig = ClassFunction(L.group, [
-            chi.value(H.to_local[G.conjugate(g_inv, K.elements[L.elements[c[0]]])])
-            for c in L.group.classes
-        ])
+        chig = ClassFunction(L, [chi.value(G.conjugate(G.inverses[g], c[0])) for c in L.classes])
         rhs = rhs + induce(L, chig)
     return lhs == rhs
 
@@ -196,9 +184,9 @@ class BrauerSpec:
         for s in summands:
             if s.subgroup.parent is not group:
                 raise CharacterError("summand subgroup does not live in the ambient group")
-            if s.character.group is not s.subgroup.group:
+            if s.character.group is not s.subgroup:
                 raise CharacterError("summand character is not on its subgroup")
-            if s.twist.group is not s.subgroup.group:
+            if s.twist.group is not s.subgroup:
                 raise CharacterError("summand twist is not on its subgroup")
             if not s.twist.is_multiplicative_degree_one():
                 raise CharacterError("twist must be multiplicative of degree 1")

@@ -1,9 +1,10 @@
 """Finite groups as explicit multiplication tables.
 
 Elements are indices 0..order-1 with 0 the identity.  Group laws are
-verified exhaustively at load time, and conjugacy classes, subgroups and
-double cosets are all computed by brute force; the order cap keeps that
-cheap.
+verified exhaustively once per table, when a `FiniteGroup` is built; a
+`Subgroup` is a subset of its parent's table, in the parent's indices,
+and checks only closure.  Conjugacy classes, subgroups and double cosets
+are all computed by brute force; the order cap keeps that cheap.
 """
 
 from __future__ import annotations
@@ -20,8 +21,28 @@ def _check_order(n: int) -> None:
         raise GroupError(f"order {n} exceeds the cap {MAX_ORDER}")
 
 
+def _conjugacy_classes(table, inverses, elements):
+    """The classes of the group on `elements` (ascending) under `table`, each
+    sorted and ordered by its smallest element, and a dict from each element
+    to the index of its class."""
+    classes = []
+    class_index = {}
+    for a in elements:
+        if a not in class_index:
+            orbit = sorted({table[table[x][a]][inverses[x]] for x in elements})
+            for g in orbit:
+                class_index[g] = len(classes)
+            classes.append(tuple(orbit))
+    return tuple(classes), class_index
+
+
+def _freeze(obj, **attrs) -> None:
+    for name, value in attrs.items():
+        object.__setattr__(obj, name, value)
+
+
 class FiniteGroup:
-    __slots__ = ("order", "table", "inverses", "classes", "class_index", "name")
+    __slots__ = ("order", "table", "inverses", "elements", "classes", "class_index", "name")
 
     def __init__(self, table, name: str = "G"):
         table = tuple(tuple(row) for row in table)
@@ -50,84 +71,58 @@ class FiniteGroup:
             if 0 not in row:
                 raise GroupError(f"element {a} has no two-sided inverse")
             inverses.append(row.index(0))
-
-        object.__setattr__(self, "order", n)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "inverses", tuple(inverses))
-        object.__setattr__(self, "name", name)
-        self._compute_classes()
+        inverses = tuple(inverses)
+        classes, class_index = _conjugacy_classes(table, inverses, range(n))
+        _freeze(self, order=n, table=table, inverses=inverses, elements=range(n),
+                classes=classes, class_index=class_index, name=name)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGroup is immutable")
 
-    def _compute_classes(self):
-        n, table, inv = self.order, self.table, self.inverses
-        seen = [False] * n
-        classes = []
-        class_index = [0] * n
-        for a in range(n):
-            if seen[a]:
-                continue
-            orbit = sorted({table[table[x][a]][inv[x]] for x in range(n)})
-            idx = len(classes)
-            for g in orbit:
-                seen[g] = True
-                class_index[g] = idx
-            classes.append(tuple(orbit))
-        object.__setattr__(self, "classes", tuple(classes))
-        object.__setattr__(self, "class_index", tuple(class_index))
-
     def conjugate(self, g: int, a: int) -> int:
         """g * a * g^-1"""
         return self.table[self.table[g][a]][self.inverses[g]]
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order}, classes={len(self.classes)})"
 
 
 class Subgroup:
-    """A verified subgroup: the subset in parent coordinates plus the same
-    group relabelled 0..|H|-1 (index 0 is again the identity)."""
+    """A subgroup kept in its parent's element indices: `elements` ascending,
+    `table` and `inverses` shared with the parent, and classes of its own,
+    ordered by their smallest element.  `g in H.class_index` tests membership.
 
-    __slots__ = ("parent", "elements", "group", "to_local")
+    A subset of a verified finite group that holds the identity and is
+    closed under the product is a subgroup: associativity and the identity
+    carry over from the parent, and g^-1 is a power of g.  So only those
+    facts are checked here: the O(|H|^3) law checks, run again on the
+    subset, could never fail.  The parent may itself be a Subgroup, as
+    Mackey's K meet gHg^-1 is taken inside K."""
 
-    def __init__(self, parent: FiniteGroup, elements):
-        elems = sorted(set(elements))
+    __slots__ = ("parent", "order", "table", "inverses", "elements", "classes", "class_index", "name")
+
+    def __init__(self, parent: FiniteGroup | Subgroup, elements):
+        elems = tuple(sorted(set(elements)))
         if not elems or elems[0] != 0:
             raise GroupError("subgroup must contain the identity (element 0)")
-        if any(not (0 <= g < parent.order) for g in elems):
+        if any(g not in parent.class_index for g in elems):
             raise GroupError("subgroup contains indices outside the parent")
-        to_local = {g: i for i, g in enumerate(elems)}
-        table = []
+        members = set(elems)
         for a in elems:
-            row = []
+            row = parent.table[a]
             for b in elems:
-                ab = parent.table[a][b]
-                if ab not in to_local:
+                if row[b] not in members:
                     raise GroupError(f"not closed under multiplication: ({a}, {b})")
-                row.append(to_local[ab])
-            table.append(row)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "elements", tuple(elems))
-        object.__setattr__(self, "to_local", to_local)
-        object.__setattr__(self, "group", FiniteGroup(table))
+        classes, class_index = _conjugacy_classes(parent.table, parent.inverses, elems)
+        _freeze(self, parent=parent, order=len(elems), table=parent.table,
+                inverses=parent.inverses, elements=elems, classes=classes,
+                class_index=class_index, name=f"order {len(elems)} in {parent.name}")
 
     def __setattr__(self, name, value):
         raise AttributeError("Subgroup is immutable")
 
-    @property
-    def order(self) -> int:
-        return self.group.order
-
     def __repr__(self):
-        return f"Subgroup(order={self.order} in {self.parent.name})"
+        return f"Subgroup({self.name})"
 
 
 def generated_subgroup(parent: FiniteGroup, generators) -> Subgroup:

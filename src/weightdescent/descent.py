@@ -300,14 +300,12 @@ def audit(max_k: int) -> AuditReport:
     """
     _check_max_k(max_k)
     num, den = RATIO_BOUND.numerator, RATIO_BOUND.denominator
-    ratio_failures, m_bound_failures, skip_failures = [], [], []
+    ratio_failures, m_bound_failures = [], []
 
     def checked() -> Iterator[tuple[int, int, int, int]]:
         for k, p in next_primes(_reducible(max_k)):
             p, skips, _, m, _, _, k_hi, k_lo = _recipe(k, p)
             if k > 36:
-                if skips:
-                    skip_failures.append(k)
                 if m <= 6:
                     m_bound_failures.append(k)
                 if den * p <= num * k_hi:
@@ -317,6 +315,7 @@ def audit(max_k: int) -> AuditReport:
             yield k, k_hi, k_lo, skips
 
     term = _fold(max_k, checked(), reduction_step)
+    skip_failures = tuple(k for k in term.weights_with_skips if k > 36)
     unexpected = tuple(k for k in term.weights_with_skips if k != 32)
     passed = term.terminates and not (
         ratio_failures or m_bound_failures or skip_failures or unexpected
@@ -326,7 +325,7 @@ def audit(max_k: int) -> AuditReport:
         termination=term,
         ratio_failures=tuple(ratio_failures),
         m_bound_failures=tuple(m_bound_failures),
-        skip_failures=tuple(skip_failures),
+        skip_failures=skip_failures,
         unexpected_skippers=unexpected,
         passed=passed,
     )

@@ -4,13 +4,18 @@ Everything here is deliberately naive (trial division, element-by-element
 sums, direct fraction comparisons), and none shares code with the package.
 The two character oracles sum element by element in the test tree's
 `Fraction`-based cyclotomic kernel; `as_fraction_cyclo` carries a package
-value over to it, coordinate by coordinate.
+value over to it, coordinate by coordinate.  `relabelled_classes` is the one
+exception: it builds a subgroup as a package `FiniteGroup` of its own, so the
+full group-law checks run on it, to compare with the classes a `Subgroup`
+computes in its parent's indices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+
+from weightdescent.charconj.groups import FiniteGroup
 
 from fraction_cyclo import Cyclo
 
@@ -118,6 +123,25 @@ def closure_oracle(G, gens) -> list[int]:
         elems = grown
 
 
+def element_order(G, x) -> int:
+    """The least k >= 1 with x^k the identity, by repeated multiplication."""
+    k, power = 1, x
+    while power != 0:
+        power, k = G.table[power][x], k + 1
+    return k
+
+
+def relabelled_classes(parent, elements) -> tuple[tuple[int, ...], ...]:
+    """The conjugacy classes of the subgroup on `elements`, from a separate
+    `FiniteGroup` on its multiplication table relabelled 0..|H|-1 in
+    ascending order (which runs every group-law check on that table), each
+    class mapped back to parent indices."""
+    elems = sorted(elements)
+    local = {g: i for i, g in enumerate(elems)}
+    group = FiniteGroup([[local[parent.table[a][b]] for b in elems] for a in elems])
+    return tuple(tuple(elems[i] for i in cls) for cls in group.classes)
+
+
 def brute_force_induced_values(G, H, chi) -> list[Cyclo]:
     """(Ind chi)(g) = (1/|H|) sum over x in G with x^-1 g x in H of
     chi(x^-1 g x), evaluated at every class representative."""
@@ -127,9 +151,8 @@ def brute_force_induced_values(G, H, chi) -> list[Cyclo]:
         total = Cyclo.from_rational(0)
         for x in range(G.order):
             conj = G.table[G.table[G.inverses[x]][g]][x]
-            loc = H.to_local.get(conj)
-            if loc is not None:
-                total = total + as_fraction_cyclo(chi.value(loc))
+            if conj in H.class_index:
+                total = total + as_fraction_cyclo(chi.value(conj))
         out.append(total * Fraction(1, H.order))
     return out
 
@@ -138,6 +161,6 @@ def brute_force_inner(chi, psi) -> Cyclo:
     """(1/|G|) sum over every element g of chi(g) psi(g^-1)."""
     G = chi.group
     total = Cyclo.from_rational(0)
-    for g in range(G.order):
+    for g in G.elements:
         total = total + as_fraction_cyclo(chi.value(g)) * as_fraction_cyclo(psi.value(G.inverses[g]))
     return total * Fraction(1, G.order)

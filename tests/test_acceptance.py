@@ -195,7 +195,7 @@ def test_criterion_6_character_suite():
         assert g.order <= 24
         for _ in range(3):
             h = random_subgroup(rng, g)
-            chi = random_class_function(rng, h.group)
+            chi = random_class_function(rng, h)
             assert lifted(induce(h, chi)) == brute_force_induced_values(g, h, chi), name
             oracle_checks += 1
     elapsed = time.perf_counter() - t0

@@ -41,19 +41,26 @@ from weightdescent.charconj.groups import (
 )
 from weightdescent.cli import canonical_json
 
-from oracles import as_fraction_cyclo, brute_force_induced_values, brute_force_inner, lifted
+from oracles import (
+    as_fraction_cyclo,
+    brute_force_induced_values,
+    brute_force_inner,
+    element_order,
+    lifted,
+    relabelled_classes,
+)
 
 
 SPEC_GROUPS = suite_groups(("S3", "S4", "Q8", "C12"))
 
 
 def c3_in_s3(s3):
-    rot = next(x for x in range(6) if s3.element_order(x) == 3)
+    rot = next(x for x in range(6) if element_order(s3, x) == 3)
     return generated_subgroup(s3, [rot])
 
 
 def c2_in_s3(s3):
-    flip = next(x for x in range(6) if s3.element_order(x) == 2)
+    flip = next(x for x in range(6) if element_order(s3, x) == 2)
     return generated_subgroup(s3, [flip])
 
 
@@ -79,15 +86,14 @@ class TestInduce:
     def test_full_subgroup_is_identity(self):
         s3 = symmetric(3)
         h = Subgroup(s3, range(s3.order))
-        chi = ClassFunction(h.group, [1, 2, 3])
+        chi = ClassFunction(h, [1, 2, 3])
         ind = induce(h, chi)
-        # h.group relabels s3 with identical class structure
         assert [str(v) for v in ind.values] == [str(v) for v in chi.values]
 
     def test_s3_from_c3_zeta3(self):
         s3 = symmetric(3)
         c3 = c3_in_s3(s3)
-        chi = linear_character_of_cyclic(c3.group, 1)
+        chi = linear_character_of_cyclic(c3, 1)
         ind = induce(c3, chi)
         assert ind.value(0) == 2
         by_size = {len(cls): ind.values[i] for i, cls in enumerate(s3.classes)}
@@ -98,14 +104,14 @@ class TestInduce:
     def test_regular_from_trivial(self):
         c2 = cyclic(2)
         one = Subgroup(c2, [0])
-        ind = induce(one, ClassFunction(one.group, [1]))
+        ind = induce(one, ClassFunction(one, [1]))
         assert ind == ClassFunction(c2, [2, 0])
 
     def test_degree_law(self):
         rng = random.Random(3)
         for g in (symmetric(4), quaternion(), cyclic(12)):
             h = random_subgroup(rng, g)
-            chi = random_class_function(rng, h.group)
+            chi = random_class_function(rng, h)
             ind = induce(h, chi)
             index = Fraction(g.order, h.order)
             assert ind.value(0) == chi.value(0) * index
@@ -116,7 +122,7 @@ class TestInduce:
             assert g.order <= 24
             for _ in range(3):
                 h = random_subgroup(rng, g)
-                chi = random_class_function(rng, h.group)
+                chi = random_class_function(rng, h)
                 assert lifted(induce(h, chi)) == brute_force_induced_values(g, h, chi)
 
 
@@ -131,14 +137,14 @@ class TestRestrict:
     def test_restrict_of_induced_is_sum_of_conjugates(self):
         s3 = symmetric(3)
         c3 = c3_in_s3(s3)
-        chi = linear_character_of_cyclic(c3.group, 1)
+        chi = linear_character_of_cyclic(c3, 1)
         res = restrict(c3, induce(c3, chi))
-        assert res == chi + linear_character_of_cyclic(c3.group, 2)
+        assert res == chi + linear_character_of_cyclic(c3, 2)
 
     def test_trivial_restricts_to_trivial(self):
         s3 = symmetric(3)
         c2 = c2_in_s3(s3)
-        assert restrict(c2, ClassFunction(s3, [1, 1, 1])) == ClassFunction(c2.group, [1, 1])
+        assert restrict(c2, ClassFunction(s3, [1, 1, 1])) == ClassFunction(c2, [1, 1])
 
 
 class TestInnerProduct:
@@ -155,7 +161,7 @@ class TestInnerProduct:
     def test_induced_zeta3_is_irreducible(self):
         s3 = symmetric(3)
         c3 = c3_in_s3(s3)
-        ind = induce(c3, linear_character_of_cyclic(c3.group, 1))
+        ind = induce(c3, linear_character_of_cyclic(c3, 1))
         assert inner_product(ind, ind) == 1
 
     def test_matches_brute_force(self):
@@ -174,7 +180,7 @@ class TestInnerProduct:
         for g in (symmetric(3), symmetric(4), quaternion()):
             for _ in range(5):
                 h = random_subgroup(rng, g)
-                chi = random_class_function(rng, h.group)
+                chi = random_class_function(rng, h)
                 psi = random_class_function(rng, g)
                 assert inner_product(induce(h, chi), psi) == inner_product(
                     chi, restrict(h, psi)
@@ -201,13 +207,13 @@ class TestMackey:
     def test_s3_c3_c3(self):
         s3 = symmetric(3)
         c3 = c3_in_s3(s3)
-        chi = linear_character_of_cyclic(c3.group, 1)
+        chi = linear_character_of_cyclic(c3, 1)
         assert mackey_check(c3, c3, chi) is True
 
     def test_a_dropped_double_coset_breaks_the_identity(self, monkeypatch):
         s3 = symmetric(3)
         c3 = c3_in_s3(s3)
-        chi = linear_character_of_cyclic(c3.group, 1)
+        chi = linear_character_of_cyclic(c3, 1)
         whole = characters.double_cosets
         monkeypatch.setattr(characters, "double_cosets", lambda *args: whole(*args)[:-1])
         assert mackey_check(c3, c3, chi) is False
@@ -215,12 +221,12 @@ class TestMackey:
     def test_full_subgroup_single_coset(self):
         s3 = symmetric(3)
         h = Subgroup(s3, range(s3.order))
-        chi = ClassFunction(h.group, [1, Cyclo.zeta(4), -2])
+        chi = ClassFunction(h, [1, Cyclo.zeta(4), -2])
         assert mackey_check(h, h, chi) is True
 
     def test_s4_d4_c4(self):
         s4 = symmetric(4)
-        r = next(x for x in range(24) if s4.element_order(x) == 4)
+        r = next(x for x in range(24) if element_order(s4, x) == 4)
         d4 = None
         for s in range(24):
             h = generated_subgroup(s4, [r, s])
@@ -229,7 +235,7 @@ class TestMackey:
                 break
         c4 = generated_subgroup(s4, [r])
         rng = random.Random(8)
-        chi = random_class_function(rng, d4.group)
+        chi = random_class_function(rng, d4)
         assert mackey_check(d4, c4, chi) is True
 
     def test_random_draws(self):
@@ -238,14 +244,32 @@ class TestMackey:
             for _ in range(5):
                 h = random_subgroup(rng, g)
                 k = random_subgroup(rng, g)
-                chi = random_class_function(rng, h.group)
+                chi = random_class_function(rng, h)
                 assert mackey_check(h, k, chi) is True
+
+    def test_nested_subgroups_match_the_relabelled_group(self, monkeypatch):
+        built = []
+
+        def recording(parent, elements):
+            built.append(Subgroup(parent, elements))
+            return built[-1]
+
+        monkeypatch.setattr(characters, "Subgroup", recording)
+        rng = random.Random(5)
+        for g in suite_groups(("S4", "D4", "Q8")).values():
+            for _ in range(10):
+                h, k = random_subgroup(rng, g), random_subgroup(rng, g)
+                assert mackey_check(h, k, random_class_function(rng, h)) is True
+        assert any(L.order > 1 for L in built)
+        for L in built:
+            assert isinstance(L.parent, Subgroup)
+            assert L.classes == relabelled_classes(L.parent, L.elements), L.elements
 
     def test_a_subgroup_of_another_group_is_refused(self):
         s3 = symmetric(3)
         c3 = c3_in_s3(s3)
         other = c3_in_s3(symmetric(3))
-        chi = linear_character_of_cyclic(c3.group, 1)
+        chi = linear_character_of_cyclic(c3, 1)
         with pytest.raises(CharacterError):
             mackey_check(c3, other, chi)
 
@@ -254,8 +278,8 @@ class TestBrauer:
     def test_single_full_summand_is_identity(self):
         s3 = symmetric(3)
         h = Subgroup(s3, range(s3.order))
-        chi = ClassFunction(h.group, [2, 0, -1])
-        spec = BrauerSpec(s3, [BrauerSummand(1, h, chi, ClassFunction(h.group, [1, 1, 1]))])
+        chi = ClassFunction(h, [2, 0, -1])
+        spec = BrauerSpec(s3, [BrauerSummand(1, h, chi, ClassFunction(h, [1, 1, 1]))])
         rho = brauer_combination(spec)
         assert [str(v) for v in rho.values] == [str(v) for v in chi.values]
 
@@ -268,13 +292,13 @@ class TestBrauer:
         s3 = symmetric(3)
         c3 = c3_in_s3(s3)
         c2 = c2_in_s3(s3)
-        chi3 = linear_character_of_cyclic(c3.group, 1)
-        sign2 = linear_character_of_cyclic(c2.group, 1)
+        chi3 = linear_character_of_cyclic(c3, 1)
+        sign2 = linear_character_of_cyclic(c2, 1)
         spec = BrauerSpec(
             s3,
             [
-                BrauerSummand(1, c3, chi3, ClassFunction(c3.group, [1, 1, 1])),
-                BrauerSummand(1, c2, ClassFunction(c2.group, [1, 1]), sign2),
+                BrauerSummand(1, c3, chi3, ClassFunction(c3, [1, 1, 1])),
+                BrauerSummand(1, c2, ClassFunction(c2, [1, 1]), sign2),
             ],
         )
         rho = brauer_combination(spec)
@@ -290,9 +314,9 @@ class TestBrauer:
     def test_twist_must_be_degree_one(self):
         s3 = symmetric(3)
         c3 = c3_in_s3(s3)
-        bad_twist = ClassFunction(c3.group, [2, 1, 1])
+        bad_twist = ClassFunction(c3, [2, 1, 1])
         with pytest.raises(CharacterError, match="degree 1"):
-            BrauerSpec(s3, [BrauerSummand(1, c3, ClassFunction(c3.group, [1, 1, 1]), bad_twist)])
+            BrauerSpec(s3, [BrauerSummand(1, c3, ClassFunction(c3, [1, 1, 1]), bad_twist)])
 
 
 class TestVirtualCharacterIntegrality:
@@ -310,8 +334,8 @@ class TestConjugationInvariance:
     def test_c5_zeta_character(self):
         c5 = cyclic(5)
         h = Subgroup(c5, range(c5.order))
-        chi = linear_character_of_cyclic(h.group, 1)
-        spec = BrauerSpec(c5, [BrauerSummand(1, h, chi, ClassFunction(h.group, [1] * 5))])
+        chi = linear_character_of_cyclic(h, 1)
+        spec = BrauerSpec(c5, [BrauerSummand(1, h, chi, ClassFunction(h, [1] * 5))])
         report = verify_conjugation_invariance(spec, 2)
         assert report.passed
         assert report.rational and report.equal_exactly
@@ -320,7 +344,7 @@ class TestConjugationInvariance:
     def test_j_equals_one_is_identical(self):
         s3 = symmetric(3)
         c3 = c3_in_s3(s3)
-        chi = linear_character_of_cyclic(c3.group, 1)
+        chi = linear_character_of_cyclic(c3, 1)
         spec = BrauerSpec(s3, [BrauerSummand(2, c3, chi, chi)])
         report = verify_conjugation_invariance(spec, 1)
         assert report.passed
@@ -329,8 +353,8 @@ class TestConjugationInvariance:
     def test_j_must_be_coprime(self):
         c5 = cyclic(5)
         h = Subgroup(c5, range(c5.order))
-        chi = linear_character_of_cyclic(h.group, 1)
-        spec = BrauerSpec(c5, [BrauerSummand(1, h, chi, ClassFunction(h.group, [1] * 5))])
+        chi = linear_character_of_cyclic(h, 1)
+        spec = BrauerSpec(c5, [BrauerSummand(1, h, chi, ClassFunction(h, [1] * 5))])
         with pytest.raises(CharacterError, match="coprime"):
             verify_conjugation_invariance(spec, 5)
 

@@ -18,11 +18,11 @@ from weightdescent.charconj.groups import (
     symmetric,
 )
 
-from oracles import closure_oracle
+from oracles import closure_oracle, element_order, relabelled_classes
 
 
 def three_cycle(g):
-    return next(x for x in range(g.order) if g.element_order(x) == 3)
+    return next(x for x in range(g.order) if element_order(g, x) == 3)
 
 
 class TestBuiltins:
@@ -51,7 +51,7 @@ class TestBuiltins:
         g = quaternion()
         assert g.order == 8
         assert sorted(len(c) for c in g.classes) == [1, 1, 2, 2, 2]
-        minus_one = next(x for x in range(8) if x != 0 and g.element_order(x) == 2)
+        minus_one = next(x for x in range(8) if x != 0 and element_order(g, x) == 2)
         assert g.table[minus_one][minus_one] == 0
 
     def test_builtin_names(self):
@@ -152,11 +152,33 @@ class TestSubgroups:
                     closure_oracle(group, gens)
                 ), gens
 
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_classes_match_the_relabelled_group(self, name):
+        group = suite_groups((name,))[name]
+        generated = {
+            generated_subgroup(group, (a, b)).elements
+            for a in group.elements
+            for b in group.elements
+        }
+        for elems in generated:
+            h = Subgroup(group, elems)
+            want = relabelled_classes(group, elems)
+            assert h.classes == want, elems
+            assert h.class_index == {g: i for i, cls in enumerate(want) for g in cls}
+
+    def test_a_subgroup_of_a_subgroup_holds_only_its_elements(self):
+        s3 = symmetric(3)
+        c3 = generated_subgroup(s3, [three_cycle(s3)])
+        assert Subgroup(c3, c3.elements).elements == c3.elements
+        for x in set(s3.elements) - set(c3.elements):
+            with pytest.raises(GroupError, match="outside the parent"):
+                Subgroup(c3, [0, x])
+
     def test_not_closed_subset_rejected(self):
         s3 = symmetric(3)
-        transposition = next(x for x in range(6) if s3.element_order(x) == 2)
+        transposition = next(x for x in range(6) if element_order(s3, x) == 2)
         other = next(
-            x for x in range(6) if s3.element_order(x) == 2 and x != transposition
+            x for x in range(6) if element_order(s3, x) == 2 and x != transposition
         )
         with pytest.raises(GroupError, match="closed"):
             Subgroup(s3, [0, transposition, other])
@@ -175,7 +197,7 @@ class TestSubgroups:
         c3 = generated_subgroup(s3, [three_cycle(s3)])
         for g in range(6):
             assert {s3.conjugate(g, x) for x in c3.elements} == set(c3.elements)  # normal
-        flips = [x for x in range(6) if s3.element_order(x) == 2]
+        flips = [x for x in range(6) if element_order(s3, x) == 2]
         for t in flips:  # the three C2 = <t> are conjugate to one another
             assert {s3.conjugate(g, t) for g in range(6)} == set(flips)
 
