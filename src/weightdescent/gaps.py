@@ -2,25 +2,31 @@
 
 Consecutive-prime ratio scans (plain and shifted by one), the Chebyshev
 threshold a^(C/(a-C)) in enclosure arithmetic, the exact quotient grid for
-the three twist-exponent families, and the m > 6 bound.  Every pass/fail
-decision is an exact rational comparison.
+the three twist-exponent families, and the m > 6 bound.  One scan, `_scan`,
+tests every adjacent prime pair it is given; the ratio scans give it the
+pairs of a prime table and the m > 6 bound the pairs of the prime stream,
+shifted by one at M_BOUND_RATIO.  Every pass/fail decision is an exact
+rational comparison.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 
 from .descent import choose_t
 from .numeric import (
     CHEBYSHEV_A,
     CHEBYSHEV_B,
+    M_BOUND_RATIO,
     RATIO_BOUND,
     SHIFTED_RATIO_BOUND,
     RealEnclosure,
     pow_enclosure,
 )
-from .primes import PrimeTable, consecutive_pairs, next_primes
+from .primes import PrimeTable, consecutive_pairs, iter_primes, next_prime
 
 X0 = 100000
 
@@ -41,13 +47,17 @@ class GapReport:
         return not self.violations
 
 
-def _scan(table: PrimeTable, low: int, high: int, bound: Fraction, shift: int) -> GapReport:
+def _scan(
+    pairs: Iterable[tuple[int, int]], low: int, high: int, bound: Fraction, shift: int
+) -> GapReport:
+    """Check (q-shift)/(p-shift) < bound for each adjacent prime pair (p, q)
+    in pairs, which cover the range (low, high] the report names."""
     bound = Fraction(bound)
     num, den = bound.numerator, bound.denominator
     violations = []
     best = None  # (ratio numerator, ratio denominator, p, q)
     count = 0
-    for p, q in consecutive_pairs(table, low, high):
+    for p, q in pairs:
         a, b = q - shift, p - shift
         count += 1
         if den * a >= num * b:
@@ -67,12 +77,12 @@ def _scan(table: PrimeTable, low: int, high: int, bound: Fraction, shift: int) -
 
 def verify_ratio(table: PrimeTable, low: int, high: int, bound=RATIO_BOUND) -> GapReport:
     """Check q/p < bound for all adjacent prime pairs with low < q <= high."""
-    return _scan(table, low, high, bound, shift=0)
+    return _scan(consecutive_pairs(table, low, high), low, high, bound, shift=0)
 
 
 def verify_shifted_ratio(table: PrimeTable, low: int, high: int, bound=SHIFTED_RATIO_BOUND) -> GapReport:
     """Check (q-1)/(p-1) < bound for all adjacent pairs with low < q <= high."""
-    return _scan(table, low, high, bound, shift=1)
+    return _scan(consecutive_pairs(table, low, high), low, high, bound, shift=1)
 
 
 @dataclass(frozen=True)
@@ -213,20 +223,31 @@ class MBoundReport:
 
 def m_bound_check(k_max: int) -> MBoundReport:
     """For every even k in (36, k_max] with p the next prime after k, check
-    5(p-1) < 6(k-2) exactly, from one prime stream.  That alone gives m > 6,
-    m = (p-1)/d with d = gcd(p-1, k-2): as k < p, k-2 = jd for some
-    1 <= j <= m-1, so m <= 6 would give 6(k-2) <= 6(m-1)(p-1)/m <= 5(p-1)."""
+    5(p-1) < 6(k-2) exactly.  That alone gives m > 6, m = (p-1)/d with
+    d = gcd(p-1, k-2): as k < p, k-2 = jd for some 1 <= j <= m-1, so m <= 6
+    would give 6(k-2) <= 6(m-1)(p-1)/m <= 5(p-1).
+
+    The weights are checked a gap at a time.  The even k of a gap between
+    consecutive primes q < p all have p as their next prime, and the clause
+    is hardest at the smallest, q + 1, so the gap holds a failing weight
+    exactly when 5(p-1) >= 6(q-1): the shifted scan at M_BOUND_RATIO over the
+    pairs of one prime stream from 37 to the prime after k_max.  Only a
+    failing gap is expanded, into its even k up to 2 + 5(p-1)//6.
+    """
     if k_max < 38:
         raise ValueError("k_max must be >= 38")
-    failures = []
-    checked = 0
-    for k, p in next_primes(range(38, k_max + 1, 2)):
-        checked += 1
-        if 5 * (p - 1) >= 6 * (k - 2):
-            failures.append((k, p))
+    num, den = M_BOUND_RATIO.numerator, M_BOUND_RATIO.denominator
+    end = next_prime(k_max)
+    scan = _scan(pairwise(iter_primes(37, end)), 37, end, M_BOUND_RATIO, shift=1)
+    failures = tuple(
+        (k, p)
+        for q, p in scan.violations
+        for k in range(max(38, q + 1), min(k_max, p - 1, 2 + den * (p - 1) // num) + 1, 2)
+    )
+    checked = (k_max - 38) // 2 + 1
     # the motivating boundary case, outside the checked range: at k = 32 the
     # next prime 37 gives exactly 36/30 = 6/5 and m = 6
     near_miss = {"k": 32, "p": 37, "ratio": "36/30", "m": 6}
     return MBoundReport(
-        k_range=(38, k_max), failures=tuple(failures), checked=checked, near_miss=near_miss
+        k_range=(38, k_max), failures=failures, checked=checked, near_miss=near_miss
     )

@@ -19,6 +19,7 @@ from fractions import Fraction
 # literals are finite, so these identifications are lossless.
 RATIO_BOUND = Fraction(143, 125)          # 1.144
 SHIFTED_RATIO_BOUND = Fraction(23, 20)    # 1.15
+M_BOUND_RATIO = Fraction(6, 5)            # (p-1)/(k-2) below it gives m > 6
 CHEBYSHEV_A = Fraction(1)
 CHEBYSHEV_B = Fraction(1130289, 1000000)  # 1.130289
 

@@ -5,7 +5,8 @@ increasing order.  It sieves one window at a time, starting a few hundred
 integers wide and doubling up to SEGMENT_SIZE, so it holds one window plus
 the base primes up to the square root of the window's end, and taking a
 single prime (`next_prime`) sieves only a few hundred integers.  One loop,
-`_mark_segment`, marks composites: the base primes up to a root are
+`_mark_segment`, marks composites, keeping a flag for each odd integer of
+its window only and giving 2 on its own: the base primes up to a root are
 windows of [2, root] over the base primes up to the root's own square
 root.  They are built once per process for each power-of-two bound, as
 8-byte integers, so a run of lookups (a descent chain) sieves its base
@@ -20,7 +21,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress
+from itertools import chain, compress
 from math import isqrt
 
 SEGMENT_SIZE = 1 << 16
@@ -43,14 +44,27 @@ class PrimeTable:
 
 
 def _mark_segment(base: Sequence[int], lo: int, hi: int) -> Iterator[int]:
-    """Primes in [lo, hi], ascending; lo >= 2 and base holds every prime up to isqrt(hi)."""
-    flags = bytearray(b"\x01") * (hi - lo + 1)
+    """Primes in [lo, hi], ascending; lo >= 2 and base holds every prime up to
+    isqrt(hi), ascending.
+
+    Flag i stands for the odd integer first + 2i, so a window keeps one flag
+    per odd integer and 2 is yielded on its own.  An odd prime p marks its
+    odd multiples from the first at or above max(lo, p*p), one flag in p.
+    """
+    first = lo | 1
+    flags = bytearray(b"\x01") * ((hi - first) // 2 + 1)
     for p in base:
-        start = p * p if p * p >= lo else lo + -lo % p
-        if start > hi:
+        if p * p > hi:
+            break
+        if p == 2:
             continue
-        flags[start - lo :: p] = b"\x00" * ((hi - start) // p + 1)
-    return compress(range(lo, hi + 1), flags)
+        start = p * p if p * p >= lo else lo + -lo % p
+        if not start & 1:
+            start += p
+        if start <= hi:
+            flags[(start - first) // 2 :: p] = b"\x00" * ((hi - start) // (2 * p) + 1)
+    odd = compress(range(first, hi + 1, 2), flags)
+    return chain((2,), odd) if lo <= 2 <= hi else odd
 
 
 @cache

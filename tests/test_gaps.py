@@ -4,7 +4,7 @@ from math import gcd
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightdescent import gaps
@@ -17,7 +17,7 @@ from weightdescent.gaps import (
     verify_ratio,
     verify_shifted_ratio,
 )
-from weightdescent.numeric import RATIO_BOUND, SHIFTED_RATIO_BOUND
+from weightdescent.numeric import M_BOUND_RATIO, RATIO_BOUND, SHIFTED_RATIO_BOUND
 
 from oracles import m_bound_oracle, max_ratio_pair_scan, trial_division_next_prime
 
@@ -177,6 +177,16 @@ class TestStarInequality:
             star_inequality_check(10, 0)
 
 
+@st.composite
+def fake_prime_gaps(draw):
+    """An increasing odd "prime" stream from 37 with gaps up to 80 wide, and a
+    k_max, odd or even, below its last element."""
+    stream = [37]
+    for h in draw(st.lists(st.integers(1, 40), min_size=1, max_size=12)):
+        stream.append(stream[-1] + 2 * h)
+    return stream, draw(st.integers(38, stream[-1] - 1))
+
+
 class TestMBound:
     def test_k38_row(self):
         report = m_bound_check(38)
@@ -212,7 +222,7 @@ class TestMBound:
             for s in range(1, m)
             if gcd(m, s) == 1
         ]
-        assert min(ratios) == Fraction(6, 5)
+        assert min(ratios) == Fraction(6, 5) == M_BOUND_RATIO
         assert all(r >= Fraction(6, 5) for r in ratios)
 
     @given(k_max=st.integers(38, 20000))
@@ -236,9 +246,37 @@ class TestMBound:
         assert len(small_m) == 7 and set(small_m) <= set(ratio_fails)
 
     def test_a_failing_weight_is_reported(self, monkeypatch, capsys):
-        # (38, 100000] holds no failure, so a prime stream is faked: 46/36 > 6/5
-        monkeypatch.setattr(gaps, "next_primes", lambda ks: iter([(38, 47)]))
+        # (38, 100000] holds no failure, so the prime stream the scan reads is
+        # faked: 46/36 > 6/5, and in the gap (37, 47) the clause fails at 38
+        # and 40 (46/38 >= 6/5) but not at 42 (46/40 < 6/5)
+        monkeypatch.setattr(gaps, "iter_primes", lambda lo, hi: iter([37, 47]))
         report = m_bound_check(38)
         assert report.failures == ((38, 47),)
         assert json.loads(canonical_json(report))["verdict"] == "fail"
         assert main(["mbound", "--max-k", "38"]) == 1
+        assert m_bound_check(46).failures == ((38, 47), (40, 47))
+
+    @given(case=fake_prime_gaps())
+    @example(case=([37, 47], 38))  # the first gap fails at k = 38
+    @example(case=([37, 41, 61], 45))  # (41, 61) fails to k = 52; k_max cuts it
+    @example(case=([37, 41, 61], 44))
+    @settings(max_examples=200, deadline=None)
+    def test_the_gap_expansion_agrees_with_a_weight_loop(self, case):
+        # real primes hold no failure above 36, so the stream is faked, to
+        # reach the expansion arithmetic
+        stream, k_max = case
+
+        def fake_next_prime(n):
+            return next(q for q in stream if q > n)
+
+        expected = []
+        for k in range(38, k_max + 1, 2):
+            p = fake_next_prime(k)
+            if 5 * (p - 1) >= 6 * (k - 2):
+                expected.append((k, p))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gaps, "iter_primes", lambda lo, hi: (q for q in stream if lo <= q <= hi))
+            mp.setattr(gaps, "next_prime", fake_next_prime)
+            report = m_bound_check(k_max)
+        assert report.failures == tuple(expected)
+        assert report.checked == len(range(38, k_max + 1, 2))

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from itertools import islice
+from math import isqrt
 
 import pytest
 
@@ -48,6 +49,20 @@ def test_sieve_spot_check_random_subranges(table_100k):
         lo = rng.randrange(2, 99000)
         for n in range(lo, lo + 200):
             assert (n in members) == trial_division_is_prime(n)
+
+
+def test_every_small_window_against_trial_division():
+    # every [lo, hi] in [2, 200], even and odd ends alike, over the base primes
+    # up to isqrt(hi) and over a longer base: a slip in the odd-only flag
+    # index or the first odd multiple shows in some window
+    expected = trial_division_primes(200)
+    long_base = trial_division_primes(50)
+    for hi in range(2, 201):
+        base = trial_division_primes(isqrt(hi))
+        for lo in range(2, hi + 1):
+            want = [p for p in expected if lo <= p <= hi]
+            assert list(primes._mark_segment(base, lo, hi)) == want, (lo, hi)
+            assert list(primes._mark_segment(long_base, lo, hi)) == want, (lo, hi)
 
 
 def test_segment_boundaries(monkeypatch):
