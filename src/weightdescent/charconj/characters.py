@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclotomic import Cyclo
-from .groups import FiniteGroup, Subgroup, double_cosets
+from .groups import FiniteGroup, Subgroup, double_cosets, generated_subgroup
 
 
 class CharacterError(ValueError):
@@ -77,14 +77,28 @@ class ClassFunction:
         return self.group is other.group and self.values == other.values
 
     def is_multiplicative_degree_one(self) -> bool:
-        """True for homomorphisms to the roots of unity (degree-1 characters)."""
+        """True for homomorphisms to the roots of unity (degree-1 characters).
+
+        Checks f(e) = 1 and f(sh) = f(s)f(h) for each s of a generating set S
+        and each h: |S|.|H| products, not |H|^2.  That is enough: each a is a
+        word s_1...s_r in S (inverses are powers), and f(ab) = f(a)f(b) follows
+        by induction on r: r = 0 is f(e) = 1, and f(s a' b) = f(s) f(a' b) =
+        f(s) f(a') f(b) = f(s a') f(b).  S is greedy: an element outside the
+        span so far joins it.
+        """
         g = self.group
         if self.value(0) != 1:
             return False
-        for a in g.elements:
-            va = self.value(a)
-            for b in g.elements:
-                if self.value(g.table[a][b]) != va * self.value(b):
+        gens: list[int] = []
+        span = {0}
+        for s in g.elements:
+            if s not in span:
+                gens.append(s)
+                span = set(generated_subgroup(g, gens).elements)
+        for s in gens:
+            row, vs = g.table[s], self.value(s)
+            for h in g.elements:
+                if self.value(row[h]) != vs * self.value(h):
                     return False
         return True
 

@@ -125,7 +125,7 @@ class Subgroup:
         return f"Subgroup({self.name})"
 
 
-def generated_subgroup(parent: FiniteGroup, generators) -> Subgroup:
+def generated_subgroup(parent: FiniteGroup | Subgroup, generators) -> Subgroup:
     """Closure of the generators (always includes the identity): every right
     product of generators from the identity, which is closed under inverses
     too, as in a finite group g^-1 = g^(ord g - 1)."""

@@ -3,14 +3,14 @@
 For an even weight k (k = 10 or k >= 16) pick the smallest usable prime
 p > k, set d = gcd(p-1, k-2) and m = (p-1)/d, choose the halfway twist
 exponent t, and reduce to the two candidate weights dt+2 and p+1-dt.  One
-kernel runs this recipe for every caller and checks each invariant of the
-step in integers.  Both candidate weights are strictly smaller than k, so a
-weight is settled once both children are.  The audit is therefore one
-ascending sweep over k: one stream of consecutive primes supplies each next
-prime, the kernel's plain tuple is checked on the spot, and no step object is
-formed except along the longest chain.  The audit holds no table of primes,
-and a step given no table takes its prime from a window of a few hundred
-integers just above k.
+kernel runs this recipe for every caller, over a range of weights a prime
+gap at a time, and checks each invariant of the step in integers.  Both
+candidate weights are strictly smaller than k, so a weight is settled once
+both children are: one ascending sweep checks each step and settles its
+depth, fed by the kernel in the audit and by a stored graph's steps.  No
+step object is formed except along the longest chain, the audit holds no
+table of primes, and a step given no table takes its prime from a window of
+a few hundred integers just above k.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cache
 from math import gcd
 
 from .numeric import RATIO_BOUND
-from .primes import PrimeTable, next_prime, next_primes
+from .primes import PrimeTable, iter_primes, next_prime
 
 BASE_WEIGHTS = frozenset({2, 4, 6, 8, 12, 14})
 
@@ -74,51 +74,51 @@ class ReductionStep:
     matches_paper: bool | None = None
 
 
-def _broken_invariant(
-    k: int, p: int, d: int, m: int, t: int, dt: int, k_hi: int, k_lo: int
-) -> str | None:
-    """The first invariant the step at k breaks, or None when it holds them all."""
-    n = p - 1
-    if d != gcd(n, k - 2) or m * d != n or dt != d * t:
-        return f"inconsistent arithmetic in step at k = {k}"
-    if gcd(t, m) != 1 or not (1 < t < m - 1):
-        return f"invalid twist exponent t = {t} at k = {k}"
-    if k_hi != dt + 2 or k_lo != p + 1 - dt:
-        return f"candidate weights mismatch at k = {k}"
-    if k_hi % 2 or k_lo % 2:
-        return f"odd candidate weight at k = {k}"
-    if k_hi >= k or k_lo >= k:
-        return f"non-decreasing step at k = {k}"
-    r = dt % n
-    if r == (k - 2) % n or r == (2 - k) % n:
-        return f"twist reproduces the original exponent at k = {k}"
-    return None
+def _recipes(lo: int, hi: int, p: int) -> Iterator[tuple[int, ...]]:
+    """The checked recipe at every even k in [lo, hi], ascending, as
+    (k, p, skips, d, m, t, dt, k_hi, k_lo); p is the smallest prime above lo.
 
-
-def _recipe(k: int, p: int) -> tuple[int, int, int, int, int, int, int, int]:
-    """The recipe at weight k from p, the smallest prime above k.
-
-    Skips primes whose m admits no twist exponent and returns
-    (p, skips, d, m, t, dt, k_hi, k_lo) after checking every invariant in
-    _broken_invariant; raises DescentError if one fails.
+    Every even k between consecutive primes q < p has p as its next prime, so
+    the weights are taken a gap at a time from one stream of primes.  Primes
+    whose m admits no twist exponent are skipped, and the first invariant of
+    the step that fails raises DescentError.
     """
-    skips = 0
-    # Ends: once p - 1 > 6(k - 2), m >= (p - 1)/(k - 2) > 6, and every m >= 7
-    # is admissible in choose_t.
+    primes = iter_primes(p + 1)
+    top, k = p, lo
     while True:
-        d = gcd(p - 1, k - 2)
-        m = (p - 1) // d
-        t = choose_t(m)
-        if t is not None:
-            break
-        skips += 1
-        p = next_prime(p)
-    dt = d * t
-    k_hi, k_lo = dt + 2, p + 1 - dt
-    error = _broken_invariant(k, p, d, m, t, dt, k_hi, k_lo)
-    if error:
-        raise DescentError(error)
-    return p, skips, d, m, t, dt, k_hi, k_lo
+        for k in range(k, min(top, hi + 1), 2):
+            p, skips = top, 0
+            # Ends: once p - 1 > 6(k - 2), m >= (p - 1)/(k - 2) > 6, and every
+            # m >= 7 is admissible in choose_t.
+            while True:
+                n = p - 1
+                d = gcd(n, k - 2)
+                m = n // d
+                t = choose_t(m)
+                if t is not None:
+                    break
+                skips += 1
+                p = next_prime(p)
+            dt = d * t
+            k_hi, k_lo = dt + 2, p + 1 - dt
+            if d != gcd(n, k - 2) or m * d != n or dt != d * t:
+                raise DescentError(f"inconsistent arithmetic in step at k = {k}")
+            if gcd(t, m) != 1 or not (1 < t < m - 1):
+                raise DescentError(f"invalid twist exponent t = {t} at k = {k}")
+            if k_hi != dt + 2 or k_lo != p + 1 - dt:
+                raise DescentError(f"candidate weights mismatch at k = {k}")
+            if k_hi % 2 or k_lo % 2:
+                raise DescentError(f"odd candidate weight at k = {k}")
+            if k_hi >= k or k_lo >= k:
+                raise DescentError(f"non-decreasing step at k = {k}")
+            r = dt % n
+            if r == (k - 2) % n or r == (2 - k) % n:
+                raise DescentError(f"twist reproduces the original exponent at k = {k}")
+            yield k, p, skips, d, m, t, dt, k_hi, k_lo
+        k = top + 1
+        if k > hi:
+            return
+        top = next(primes)
 
 
 def reduction_step(k: int, table: PrimeTable | None = None) -> ReductionStep:
@@ -128,13 +128,17 @@ def reduction_step(k: int, table: PrimeTable | None = None) -> ReductionStep:
     from a window sieved just above k.
     """
     _check_weight(k)
-    p, skips, d, m, t, dt, k_hi, k_lo = _recipe(k, next_prime(k, table))
+    _, p, skips, d, m, t, dt, k_hi, k_lo = next(_recipes(k, k, next_prime(k, table)))
     return ReductionStep(k=k, p=p, d=d, m=m, t=t, dt=dt, k_hi=k_hi, k_lo=k_lo, prime_skips=skips)
 
 
-def _reducible(max_k: int) -> Iterator[int]:
-    """Every even weight <= max_k outside BASE_WEIGHTS, ascending."""
-    return itertools.filterfalse(BASE_WEIGHTS.__contains__, range(2, max_k + 1, 2))
+def _reducible_runs(max_k: int) -> Iterator[tuple[int, int]]:
+    """The maximal runs [lo, hi] of even weights <= max_k outside BASE_WEIGHTS."""
+    lo = 2
+    for base in sorted(w for w in BASE_WEIGHTS if w <= max_k) + [max_k + 2]:
+        if lo < base:
+            yield lo, base - 2
+        lo = base + 2
 
 
 # Published values of the twelve hand-checkable rows.  For k = 34 and 36
@@ -196,7 +200,9 @@ def build_graph(max_k: int, table: PrimeTable | None = None) -> DescentGraph:
     """
     _check_max_k(max_k)
     return DescentGraph(max_k=max_k, steps={
-        k: reduction_step(k, table) for k in _reducible(max_k)
+        k: reduction_step(k, table)
+        for lo, hi in _reducible_runs(max_k)
+        for k in range(lo, hi + 1, 2)
     })
 
 
@@ -211,31 +217,53 @@ class TerminationReport:
     edge_count: int
 
 
-def _fold(
-    max_k: int,
-    steps: Iterable[tuple[int, int, int, int]],
-    step_at: Callable[[int], ReductionStep],
-) -> TerminationReport:
-    """Termination and chain statistics in one pass over the steps, given as
-    (k, k_hi, k_lo, prime_skips) ascending in k.
+@dataclass(frozen=True)
+class AuditReport:
+    """Termination plus the exhaustive per-step inequality checks."""
 
-    level[w // 2] is 0 while weight w is unsettled and 1 + its chain depth
-    once settled (a byte: a depth above 254 raises instead of wrapping).  Base
-    weights start settled; a step settles k once both children are settled
-    even weights in [2, k).  Termination needs every weight <= max_k settled.
-    The longest chain is then walked down through step_at.
+    max_k: int
+    termination: TerminationReport
+    ratio_failures: tuple[tuple[int, str, int, int], ...]
+    m_bound_failures: tuple[int, ...]
+    skip_failures: tuple[int, ...]
+    unexpected_skippers: tuple[int, ...]
+    passed: bool
+
+
+def _sweep(
+    max_k: int, steps: Iterable[tuple[int, ...]], step_at: Callable[[int], ReductionStep]
+) -> AuditReport:
+    """The audit of the steps at weights <= max_k, given as (k, p, skips, d,
+    m, t, dt, k_hi, k_lo) ascending in k, in one pass.
+
+    At each k > 36 it checks m > 6 and both exact ratios p/k_hi and p/k_lo
+    above RATIO_BOUND.  level[w // 2] is 0 while weight w is unsettled and
+    1 + its chain depth once settled (a byte: a depth above 254 raises
+    instead of wrapping).  Base weights start settled; a step settles k once
+    both children are settled even weights in [2, k), and termination needs
+    every weight <= max_k settled.  The longest chain is then walked down
+    through step_at.
     """
+    num, den = RATIO_BOUND.numerator, RATIO_BOUND.denominator
+    ratio_failures, m_bound_failures = [], []
     level = bytearray(max_k // 2 + 1)
     for w in BASE_WEIGHTS:
         level[w // 2] = 1
     skipped: dict[int, int] = {}
     skippers = []
     edges = 0
-    for k, hi, lo, skips in steps:
+    for k, p, skips, _, m, _, _, hi, lo in steps:
         edges += 1
         if skips:
             skippers.append(k)
             skipped[skips] = skipped.get(skips, 0) + 1
+        if k > 36:
+            if m <= 6:
+                m_bound_failures.append(k)
+            if den * p <= num * hi:
+                ratio_failures.append((k, "hi", p, hi))
+            if den * p <= num * lo:
+                ratio_failures.append((k, "lo", p, lo))
         if hi % 2 == 0 and lo % 2 == 0 and 2 <= hi < k and 2 <= lo < k:
             l_hi, l_lo = level[hi // 2], level[lo // 2]
             if l_hi and l_lo:
@@ -254,7 +282,7 @@ def _fold(
             hi, lo = step.k_hi, step.k_lo
             node = hi if level[hi // 2] >= level[lo // 2] else lo
             path.append(node)
-    return TerminationReport(
+    term = TerminationReport(
         terminates=level.find(0, 1) == -1,
         longest_chain_length=top - 1,
         longest_chain_path=tuple(path),
@@ -263,60 +291,8 @@ def _fold(
         node_count=max_k // 2,
         edge_count=edges,
     )
-
-
-def verify_termination(graph: DescentGraph) -> TerminationReport:
-    """Walk every node down to the base set and report chain statistics."""
-    steps = graph.steps
-    ordered = (steps[k] for k in sorted(steps))
-    return _fold(
-        graph.max_k, ((s.k, s.k_hi, s.k_lo, s.prime_skips) for s in ordered), steps.__getitem__
-    )
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    """Termination plus the exhaustive per-step inequality checks."""
-
-    max_k: int
-    termination: TerminationReport
-    ratio_failures: tuple[tuple[int, str, int, int], ...]
-    m_bound_failures: tuple[int, ...]
-    skip_failures: tuple[int, ...]
-    unexpected_skippers: tuple[int, ...]
-    passed: bool
-
-
-def audit(max_k: int) -> AuditReport:
-    """Full descent audit up to max_k, in one ascending sweep over the weights.
-
-    Requires, for every k > 36: no skipped primes, m > 6, and both exact
-    ratios p/k_hi and p/k_lo above RATIO_BOUND; and for the whole graph:
-    termination with 32 as the only weight needing a skipped prime.  Each
-    weight's next prime comes from one stream of consecutive primes and its
-    recipe is checked by the kernel; no step object is formed except the
-    longest chain's, formed again at the end, each from a window sieved just
-    above its weight.  Memory is the depth byte per weight and one window.
-    """
-    _check_max_k(max_k)
-    num, den = RATIO_BOUND.numerator, RATIO_BOUND.denominator
-    ratio_failures, m_bound_failures = [], []
-
-    def checked() -> Iterator[tuple[int, int, int, int]]:
-        for k, p in next_primes(_reducible(max_k)):
-            p, skips, _, m, _, _, k_hi, k_lo = _recipe(k, p)
-            if k > 36:
-                if m <= 6:
-                    m_bound_failures.append(k)
-                if den * p <= num * k_hi:
-                    ratio_failures.append((k, "hi", p, k_hi))
-                if den * p <= num * k_lo:
-                    ratio_failures.append((k, "lo", p, k_lo))
-            yield k, k_hi, k_lo, skips
-
-    term = _fold(max_k, checked(), reduction_step)
-    skip_failures = tuple(k for k in term.weights_with_skips if k > 36)
-    unexpected = tuple(k for k in term.weights_with_skips if k != 32)
+    skip_failures = tuple(k for k in skippers if k > 36)
+    unexpected = tuple(k for k in skippers if k != 32)
     passed = term.terminates and not (
         ratio_failures or m_bound_failures or skip_failures or unexpected
     )
@@ -329,6 +305,34 @@ def audit(max_k: int) -> AuditReport:
         unexpected_skippers=unexpected,
         passed=passed,
     )
+
+
+def verify_termination(graph: DescentGraph) -> TerminationReport:
+    """Walk every node down to the base set and report chain statistics: the
+    audit's sweep over the graph's stored steps, in ascending k."""
+    steps = graph.steps
+    ordered = (steps[k] for k in sorted(steps))
+    return _sweep(graph.max_k, (
+        (s.k, s.p, s.prime_skips, s.d, s.m, s.t, s.dt, s.k_hi, s.k_lo) for s in ordered
+    ), steps.__getitem__).termination
+
+
+def audit(max_k: int) -> AuditReport:
+    """Full descent audit up to max_k, in one ascending sweep over the weights.
+
+    Requires, for every k > 36: no skipped primes, m > 6, and both exact
+    ratios p/k_hi and p/k_lo above RATIO_BOUND; and for the whole graph:
+    termination with 32 as the only weight needing a skipped prime.  The
+    kernel takes each run of reducible weights a prime gap at a time from one
+    stream of primes, and the sweep checks each step as it comes.  No step
+    object is formed except the longest chain's, each from a window sieved
+    just above its weight.  Memory is the depth byte per weight and one window.
+    """
+    _check_max_k(max_k)
+    steps = itertools.chain.from_iterable(
+        _recipes(lo, hi, next_prime(lo)) for lo, hi in _reducible_runs(max_k)
+    )
+    return _sweep(max_k, steps, reduction_step)
 
 
 def chain(k: int, policy: str = "hi-branch") -> tuple[list[ReductionStep], list[int]]:

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, compress
+from itertools import chain, compress, pairwise
 from math import isqrt
 
 SEGMENT_SIZE = 1 << 16
@@ -120,35 +120,10 @@ def next_prime(n: int, table: PrimeTable | None = None) -> int:
     return next(iter_primes(n + 1))
 
 
-def next_primes(ns: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """(n, next_prime(n)) for each n of an ascending sequence of n >= 1.
-
-    One stream of consecutive primes, started at the first n, is walked
-    forward.  While n stays below the last prime taken, that prime is still
-    the smallest one above n.
-    """
-    primes = None
-    p = 0
-    for n in ns:
-        if p <= n:
-            if primes is None:
-                primes = iter_primes(n + 1)
-            p = next(primes)
-            while p <= n:
-                p = next(primes)
-        yield n, p
-
-
 def consecutive_pairs(table: PrimeTable, low: int, high: int) -> list[tuple[int, int]]:
     """All adjacent prime pairs (p, q) with low < q <= high, in order."""
     if high > table.limit:
         raise ValueError(f"range end {high} exceeds the table limit {table.limit}")
     ps = table.primes
-    out = []
     start = max(bisect_right(ps, low), 1)
-    for j in range(start, len(ps)):
-        q = ps[j]
-        if q > high:
-            break
-        out.append((ps[j - 1], q))
-    return out
+    return list(pairwise(ps[start - 1 : bisect_right(ps, high)]))

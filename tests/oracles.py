@@ -164,3 +164,14 @@ def brute_force_inner(chi, psi) -> Cyclo:
     for g in G.elements:
         total = total + as_fraction_cyclo(chi.value(g)) * as_fraction_cyclo(psi.value(G.inverses[g]))
     return total * Fraction(1, G.order)
+
+
+def multiplicative_all_pairs(f) -> bool:
+    """f(e) = 1 and f(ab) = f(a)f(b) for every pair a, b of f's group, in the
+    reference kernel: |H|^2 products, with no generating set."""
+    G = f.group
+    values = lifted(f)
+    at = {g: values[G.class_index[g]] for g in G.elements}
+    if at[0] != 1:
+        return False
+    return all(at[G.table[a][b]] == at[a] * at[b] for a in G.elements for b in G.elements)

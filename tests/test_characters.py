@@ -47,6 +47,7 @@ from oracles import (
     brute_force_inner,
     element_order,
     lifted,
+    multiplicative_all_pairs,
     relabelled_classes,
 )
 
@@ -76,6 +77,49 @@ class TestClassFunctionBasics:
             chi = linear_character_of_cyclic(cyclic(n), 1)
             assert chi.is_multiplicative_degree_one()
         assert not ClassFunction(cyclic(3), [3, 0, 0]).is_multiplicative_degree_one()
+
+    def test_generating_set_check_agrees_with_all_pairs(self):
+        # on each suite group G and each cyclic subgroup H of it: every linear
+        # character of H, copies of them with one class value turned by a root
+        # of unity or doubled, and every function that is 1 on a normal cyclic
+        # subgroup K of H and -1 or zeta off it (these pass the products by
+        # the members of K, so a set that does not generate H lets them
+        # through); on the non-abelian G also every +-1 function on classes
+        verdicts = []
+        for G in suite_groups().values():
+            cyclics = [
+                Subgroup(G, elems)
+                for elems in sorted({generated_subgroup(G, [x]).elements for x in G.elements})
+            ]
+            candidates = []
+            for H in cyclics:
+                for a in range(H.order):
+                    chi = linear_character_of_cyclic(H, a)
+                    candidates.append(chi)
+                    for c in range(1, len(H.classes)):
+                        for factor in (Cyclo.zeta(H.order), 2):
+                            values = list(chi.values)
+                            values[c] = values[c] * factor
+                            candidates.append(ClassFunction(H, values))
+            for H in [G, *cyclics]:
+                zeta = Cyclo.zeta(H.order)
+                for K in {generated_subgroup(H, [x]).elements for x in H.elements}:
+                    if all(set(cls) <= set(K) or not set(cls) & set(K) for cls in H.classes):
+                        for z in (-1, zeta):
+                            candidates.append(
+                                ClassFunction(H, [1 if cls[0] in K else z for cls in H.classes])
+                            )
+            if len(G.classes) < G.order:
+                n = len(G.classes) - 1
+                candidates += [
+                    ClassFunction(G, [1] + [-1 if bits >> i & 1 else 1 for i in range(n)])
+                    for bits in range(2**n)
+                ]
+            for f in candidates:
+                verdict = f.is_multiplicative_degree_one()
+                assert verdict == multiplicative_all_pairs(f), (G.name, f)
+                verdicts.append(verdict)
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
     def test_linear_character_requires_cyclic(self):
         with pytest.raises(CharacterError, match="cyclic"):

@@ -372,14 +372,14 @@ class TestNoFullTable:
 
 class TestDescentError:
     def test_broken_step_is_one_error_line_and_exit_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(descent, "_broken_invariant", lambda k, *rest: f"broken at k = {k}")
-        for argv in (["reduce", "16"], ["audit", "--max-k", "100"]):
+        # t = 1 is no twist exponent: the kernel's check rejects it
+        monkeypatch.setattr(descent, "choose_t", lambda m: 1)
+        for argv, k in ((["reduce", "16"], 16), (["audit", "--max-k", "100"], 10)):
             code = main(argv)
             captured = capsys.readouterr()
             assert code == 3
             assert captured.out == ""
-            assert captured.err.startswith("error: broken at k = ")
-            assert captured.err.count("\n") == 1
+            assert captured.err == f"error: invalid twist exponent t = 1 at k = {k}\n"
 
 
 def test_out_of_memory_is_one_error_line_and_exit_3(capsys):

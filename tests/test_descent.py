@@ -19,7 +19,7 @@ from weightdescent.descent import (
     reference_table,
     verify_termination,
 )
-from weightdescent.primes import sieve
+from weightdescent.primes import next_prime, sieve
 
 from oracles import recipe_oracle
 
@@ -126,19 +126,24 @@ class TestRecipeOracle:
             assert self.fields(reduction_step(k)) == expected, k
             assert self.fields(reduction_step(k, table)) == expected, k
 
-    def test_swept_steps_match_the_oracle_to_20000(self, monkeypatch):
-        swept = {}
-        real = descent._recipe
+    def test_swept_steps_match_the_oracle_to_20000(self):
+        # the audit's route: the kernel over each run of reducible weights,
+        # a prime gap at a time from one stream
+        runs = list(descent._reducible_runs(20_000))
+        assert runs == [(10, 10), (16, 20_000)]
+        swept = [s for lo, hi in runs for s in descent._recipes(lo, hi, next_prime(lo))]
+        assert [s[0] for s in swept] == self.NON_BASE
+        for k, *fields in swept:
+            assert tuple(fields) == recipe_oracle(k), k
 
-        def recording(k, p):
-            swept[k] = real(k, p)
-            return swept[k]
-
-        monkeypatch.setattr(descent, "_recipe", recording)
-        assert audit(20_000).passed
-        assert sorted(swept) == self.NON_BASE
-        for k in self.NON_BASE:
-            assert swept[k] == recipe_oracle(k), k
+    @pytest.mark.parametrize("lo,hi", [(16, 16), (22, 22), (24, 28), (30, 36), (32, 32),
+                                       (38, 38), (90, 98), (1000, 1200), (31398, 31470)])
+    def test_any_window_of_weights_matches_the_oracle(self, lo, hi):
+        # windows that start and end inside a gap, on either side of a prime,
+        # at the skipping weight 32, and across the gap of 72 after 31397
+        swept = list(descent._recipes(lo, hi, next_prime(lo)))
+        assert [s[0] for s in swept] == list(range(lo, hi + 1, 2))
+        assert [s[1:] for s in swept] == [recipe_oracle(k) for k in range(lo, hi + 1, 2)]
 
 
 class TestReferenceTable:
@@ -186,10 +191,11 @@ class TestGraph:
         assert rep.longest_chain_path[-1] in BASE_WEIGHTS
 
     def test_child_outside_the_graph_breaks_termination(self):
-        # k_lo = -2 breaks the recipe's invariants; built by hand, it must not
-        # be read as the depth of some other weight
+        # k_lo = -2 is no recipe's output: from the same k and p the kernel
+        # gives k_lo = 6.  Built by hand, the step must not be read as the
+        # depth of some other weight
         bad = ReductionStep(k=10, p=11, d=2, m=5, t=3, dt=6, k_hi=8, k_lo=-2, prime_skips=0)
-        assert descent._broken_invariant(10, 11, 2, 5, 3, 6, 8, -2) is not None
+        assert list(descent._recipes(10, 10, 11)) == [(10, 11, 0, 2, 5, 3, 6, 8, 6)]
         graph = DescentGraph(max_k=14, steps={10: bad})
         rep = verify_termination(graph)
         assert rep.terminates is False
@@ -299,21 +305,23 @@ class TestAudit:
         assert formed == list(term.longest_chain_path[:-1])
 
     def test_checks_run_on_every_weight_above_36(self, monkeypatch):
-        real = descent._recipe
-
-        def skipping_m6(k, p):
-            p, _, d, _, t, dt, k_hi, k_lo = real(k, p)
-            return p, 1, d, 6, t, dt, k_hi, k_lo
-
-        monkeypatch.setattr(descent, "_recipe", skipping_m6)
+        # hand-built steps that each skip a prime and have m = 6, under a
+        # bound no ratio passes; their children are the real ones, so the
+        # graph still terminates
+        steps = [
+            (k, p, 1, d, 6, t, dt, k_hi, k_lo)
+            for lo, hi in descent._reducible_runs(100)
+            for k, p, _, d, _, t, dt, k_hi, k_lo in descent._recipes(lo, hi, next_prime(lo))
+        ]
         monkeypatch.setattr(descent, "RATIO_BOUND", Fraction(10**6))
-        report = audit(100)
+        report = descent._sweep(100, steps, reduction_step)
         above = tuple(range(38, 101, 2))
         assert report.skip_failures == above
         assert report.m_bound_failures == above
         assert [f[:2] for f in report.ratio_failures] == [
             (k, side) for k in above for side in ("hi", "lo")
         ]
+        assert report.unexpected_skippers == (10, *(k for k in range(16, 101, 2) if k != 32))
         assert report.termination.terminates and not report.passed
 
     def test_audit_to_10k(self):

@@ -12,7 +12,6 @@ from weightdescent.primes import (
     consecutive_pairs,
     iter_primes,
     next_prime,
-    next_primes,
     sieve,
 )
 
@@ -112,13 +111,13 @@ def test_stream_across_a_prime_square_where_the_base_must_grow(lo):
 
 
 @pytest.mark.parametrize("limit", [0, 2, 30, 1000])
-def test_next_primes_walks_into_and_past_the_table(limit):
-    # the stream against the table (and a window past its end) and the oracle
+def test_next_prime_walks_into_and_past_the_table(limit):
+    # without a table, and with one the answer lies inside, at its end or past it
     ns = [1, 2, 2, 3, 10, 11, 12, 29, 30, 31, 96, 500, 996, 997, 1000, 1008, 1010]
-    expected = [(n, trial_division_next_prime(n)) for n in ns]
-    assert list(next_primes(ns)) == expected
+    expected = [trial_division_next_prime(n) for n in ns]
+    assert [next_prime(n) for n in ns] == expected
     table = sieve(limit)
-    assert [(n, next_prime(n, table)) for n in ns] == expected
+    assert [next_prime(n, table) for n in ns] == expected
 
 
 def test_the_base_primes_are_built_once_per_process(monkeypatch):
@@ -196,6 +195,18 @@ def test_consecutive_pairs_examples(table_100k):
 def test_consecutive_pairs_range_check(table_100k):
     with pytest.raises(ValueError):
         consecutive_pairs(table_100k, 0, 100001)
+    with pytest.raises(ValueError, match="exceeds the table limit 200"):
+        consecutive_pairs(sieve(200), 0, 201)
+
+
+def test_consecutive_pairs_of_every_small_range_against_trial_division():
+    table = sieve(200)
+    ps = trial_division_primes(200)
+    adjacent = list(zip(ps, ps[1:]))
+    for high in range(1, 201):
+        for low in range(high):
+            want = [(p, q) for p, q in adjacent if low < q <= high]
+            assert consecutive_pairs(table, low, high) == want, (low, high)
 
 
 def test_pairs_are_adjacent_and_next_prime_consistent(table_100k):
