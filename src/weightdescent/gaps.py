@@ -242,7 +242,7 @@ def m_bound_check(k_max: int) -> MBoundReport:
     failures = tuple(
         (k, p)
         for q, p in scan.violations
-        for k in range(max(38, q + 1), min(k_max, p - 1, 2 + den * (p - 1) // num) + 1, 2)
+        for k in range(max(38, q + 1), min(k_max, 2 + den * (p - 1) // num) + 1, 2)
     )
     checked = (k_max - 38) // 2 + 1
     # the motivating boundary case, outside the checked range: at k = 32 the

@@ -372,14 +372,24 @@ class TestNoFullTable:
 
 class TestDescentError:
     def test_broken_step_is_one_error_line_and_exit_3(self, capsys, monkeypatch):
-        # t = 1 is no twist exponent: the kernel's check rejects it
-        monkeypatch.setattr(descent, "choose_t", lambda m: 1)
-        for argv, k in ((["reduce", "16"], 16), (["audit", "--max-k", "100"], 10)):
+        choose_t = descent.choose_t
+        # t = 1 is no twist exponent.  t = m - 2 is one for odd m >= 5, but at
+        # k = 20 (p = 23, d = 2, m = 11) it gives k_hi = 20.  Each of the
+        # kernel's two checks rejects one of these rules.
+        no_twist = lambda m: 1
+        no_descent = lambda m: m - 2 if m % 2 and m >= 5 else choose_t(m)
+        for rule, argv, error in (
+            (no_twist, ["reduce", "16"], "invalid twist exponent t = 1 at k = 16"),
+            (no_twist, ["audit", "--max-k", "100"], "invalid twist exponent t = 1 at k = 10"),
+            (no_descent, ["reduce", "20"], "non-decreasing step at k = 20"),
+            (no_descent, ["audit", "--max-k", "100"], "non-decreasing step at k = 20"),
+        ):
+            monkeypatch.setattr(descent, "choose_t", rule)
             code = main(argv)
             captured = capsys.readouterr()
             assert code == 3
             assert captured.out == ""
-            assert captured.err == f"error: invalid twist exponent t = 1 at k = {k}\n"
+            assert captured.err == f"error: {error}\n"
 
 
 def test_out_of_memory_is_one_error_line_and_exit_3(capsys):

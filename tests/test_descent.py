@@ -90,8 +90,13 @@ class TestReductionStep:
         s = reduction_step(k, table_2k)
         assert (s.p, s.d, s.m, s.t, s.dt, s.k_hi, s.k_lo) == expected
 
+    # beyond the audit's range and the table, so through sieved windows; d runs
+    # from 2 to 64
+    FAR = [10**6, 1_000_042, 100_000_130, 4_294_967_296, 10**10, 10_000_000_154,
+           31_622_776_602, 123_456_789_012, 999_999_999_998, 10**12, 1_000_000_000_214]
+
     def test_invariants_over_a_range(self, table_2k):
-        for k in [10] + list(range(16, 1500, 2)):
+        for k in [10] + list(range(16, 1500, 2)) + self.FAR:
             s = reduction_step(k, table_2k)
             assert s.d == gcd(s.p - 1, s.k - 2)
             assert s.m * s.d == s.p - 1

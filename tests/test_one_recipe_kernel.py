@@ -2,10 +2,12 @@
 
 Every caller (a single `reduction_step`, the audit's sweep over the weights)
 takes its steps from that kernel, which calls `choose_t`, the only statement
-of the twist rule, and checks each step's invariants inline.  This reads the
-package with `ast` and fails while a removed per-weight layer is defined
-again, or while more than one function in `descent.py` calls `choose_t` or
-computes `gcd(p - 1, k - 2)`, so that a second recipe cannot come back.
+of the twist rule, and checks inline the two facts of a step that can fail.
+This reads the package with `ast` and fails while a removed per-weight layer
+is defined again, or while more than one function in `descent.py` calls
+`choose_t` or computes `gcd(p - 1, k - 2)`, so that a second recipe cannot
+come back, or while the kernel computes that gcd more than once, as a
+restated check.
 """
 
 import ast
@@ -49,9 +51,11 @@ def test_no_removed_layer_is_defined_again():
 def test_one_function_states_the_recipe():
     tree = ast.parse(Path(descent.__file__).read_text(encoding="utf-8"))
     twisting = [f.name for f in functions(tree) if calls(f, "choose_t")]
-    gcd_of_weight = [
-        f.name for f in functions(tree)
-        if any(any(map(is_weight_exponent, c.args)) for c in calls(f, "gcd"))
-    ]
+    gcd_of_weight = {
+        f.name: sum(any(map(is_weight_exponent, c.args)) for c in calls(f, "gcd"))
+        for f in functions(tree)
+    }
     assert twisting == [KERNEL]
-    assert gcd_of_weight == [KERNEL]
+    # the kernel takes d = gcd(p - 1, k - 2) once per weight and never
+    # re-derives it as a check
+    assert {name: n for name, n in gcd_of_weight.items() if n} == {KERNEL: 1}
