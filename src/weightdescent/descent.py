@@ -8,16 +8,18 @@ gap at a time.  It checks in integers the two facts of a step that can fail,
 an admissible twist exponent and both candidates below k; the other
 invariants hold by construction (see _recipes).  As both candidates are
 below k, a weight is settled once both children are: one ascending sweep
-checks each step and settles its depth, fed by the kernel in the audit and
-by a stored graph's steps.  No step object is formed except along the
-longest chain, the audit holds no table of primes, and a step given no table
-takes its prime from a window of a few hundred integers just above k.
+checks each step and settles its depth in one function, settle, fed by the
+kernel in the audit and by a stored graph's steps.  Within a prime gap a
+step depends on k only through d, so the kernel runs the recipe once per
+(gap, d) class and copies a clean class's depth byte to its later weights.
+No step object is formed except along the longest chain, the audit holds no
+table of primes, and a step given no table takes its prime from a window of
+a few hundred integers just above k.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from functools import cache
 from math import gcd
@@ -75,9 +77,14 @@ class ReductionStep:
     matches_paper: bool | None = None
 
 
-def _recipes(lo: int, hi: int, p: int) -> Iterator[tuple[int, ...]]:
-    """The checked recipe at every even k in [lo, hi], ascending, as
-    (k, p, skips, d, m, t, dt, k_hi, k_lo); p is the smallest prime above lo.
+# settle(step) with step = (k, p, skips, d, m, t, dt, k_hi, k_lo): a nonzero
+# return is k's depth byte, shared with the later weights of k's class
+Settle = Callable[[tuple[int, ...]], int | None]
+
+
+def _recipes(lo: int, hi: int, p: int, settle: Settle, level: bytearray | None = None) -> None:
+    """Run the checked recipe at every even k in [lo, hi], ascending, and hand
+    each step to settle; p is the smallest prime above lo.
 
     Every even k between consecutive primes q < p has p as its next prime, so
     the weights are taken a gap at a time from one stream of primes.  Primes
@@ -88,30 +95,57 @@ def _recipes(lo: int, hi: int, p: int) -> Iterator[tuple[int, ...]]:
     k_hi, k_lo are even: p odd and k even make d = gcd(p-1, k-2) even.
     The twist moves the exponent: the twist check gives 0 < dt < n and k < p
     gives 0 < k-2 < n, so dt = ±(k-2) mod n means k_hi = k or k_lo = k.
+
+    The weights of a gap that share d form a class.  settle returns a nonzero
+    byte only for a step with no skip that settles k and fails no check; the
+    class is then clean, each later weight k' of it gets level[k' // 2] =
+    that byte, and neither the recipe nor settle runs at k'.  Any other
+    class is run and settled at each of its weights, so settle sees every
+    weight that skips or fails, in ascending k; a settle that returns None,
+    as list.append does, sees every weight and needs no level.  Three facts
+    make the copy exact:
+    - In a gap with top prime p, the step depends on k only through d: m =
+      n/d, t = choose_t(m), dt, k_hi = dt+2 and k_lo = p+1-dt, so m > 6 and
+      both ratios p/k_hi, p/k_lo too.  A clean step took p itself, so every
+      weight of its class does (choose_t(m) is not None).  Whether k > 36 is
+      fixed in a gap as well, since 37 is prime.
+    - The checks at the class's smallest k cover every larger k: the twist
+      check reads t and m alone, and k_hi, k_lo < k_first < k'.
+    - The depth settle reads at the class's first weight is final: both
+      children lie below k_first, settle writes only level[k // 2] and the
+      kernel only level[k' // 2], both at the current weight of an ascending
+      walk, so the children's bytes cannot change by the time k' is reached,
+      and settle would read the same two bytes at k'.
     """
     primes = iter_primes(p + 1)
     top, k = p, lo
     while True:
+        settled: dict[int, int] = {}  # d -> depth byte of a clean class of this gap
         for k in range(k, min(top, hi + 1), 2):
             p, skips = top, 0
             # Ends: once p - 1 > 6(k - 2), m >= (p - 1)/(k - 2) > 6, and every
             # m >= 7 is admissible in choose_t.
             while True:
-                n = p - 1
-                d = gcd(n, k - 2)
-                m = n // d
-                t = choose_t(m)
-                if t is not None:
+                d = gcd(p - 1, k - 2)
+                if not skips and d in settled:
+                    level[k // 2] = settled[d]
                     break
-                skips += 1
-                p = next_prime(p)
-            dt = d * t
-            k_hi, k_lo = dt + 2, p + 1 - dt
-            if gcd(t, m) != 1 or not (1 < t < m - 1):
-                raise DescentError(f"invalid twist exponent t = {t} at k = {k}")
-            if k_hi >= k or k_lo >= k:
-                raise DescentError(f"non-decreasing step at k = {k}")
-            yield k, p, skips, d, m, t, dt, k_hi, k_lo
+                m = (p - 1) // d
+                t = choose_t(m)
+                if t is None:
+                    skips += 1
+                    p = next_prime(p)
+                    continue
+                dt = d * t
+                k_hi, k_lo = dt + 2, p + 1 - dt
+                if gcd(t, m) != 1 or not (1 < t < m - 1):
+                    raise DescentError(f"invalid twist exponent t = {t} at k = {k}")
+                if k_hi >= k or k_lo >= k:
+                    raise DescentError(f"non-decreasing step at k = {k}")
+                byte = settle((k, p, skips, d, m, t, dt, k_hi, k_lo))
+                if byte:
+                    settled[d] = byte
+                break
         k = top + 1
         if k > hi:
             return
@@ -125,7 +159,9 @@ def reduction_step(k: int, table: PrimeTable | None = None) -> ReductionStep:
     from a window sieved just above k.
     """
     _check_weight(k)
-    _, p, skips, d, m, t, dt, k_hi, k_lo = next(_recipes(k, k, next_prime(k, table)))
+    steps: list[tuple[int, ...]] = []
+    _recipes(k, k, next_prime(k, table), steps.append)
+    [(_, p, skips, d, m, t, dt, k_hi, k_lo)] = steps
     return ReductionStep(k=k, p=p, d=d, m=m, t=t, dt=dt, k_hi=k_hi, k_lo=k_lo, prime_skips=skips)
 
 
@@ -228,18 +264,22 @@ class AuditReport:
 
 
 def _sweep(
-    max_k: int, steps: Iterable[tuple[int, ...]], step_at: Callable[[int], ReductionStep]
+    max_k: int, edges: int, feed: Callable[[Settle, bytearray], None],
+    step_at: Callable[[int], ReductionStep],
 ) -> AuditReport:
-    """The audit of the steps at weights <= max_k, given as (k, p, skips, d,
-    m, t, dt, k_hi, k_lo) ascending in k, in one pass.
+    """The audit of the `edges` steps at weights <= max_k, in one ascending
+    pass.  feed(settle, level) hands the steps to settle in ascending k; the
+    kernel copies a clean class's byte to its later weights instead (see
+    _recipes).
 
-    At each k > 36 it checks m > 6 and both exact ratios p/k_hi and p/k_lo
-    above RATIO_BOUND.  level[w // 2] is 0 while weight w is unsettled and
-    1 + its chain depth once settled (a byte: a depth above 254 raises
-    instead of wrapping).  Base weights start settled; a step settles k once
-    both children are settled even weights in [2, k), and termination needs
-    every weight <= max_k settled.  The longest chain is then walked down
-    through step_at.
+    settle checks m > 6 and both exact ratios p/k_hi and p/k_lo above
+    RATIO_BOUND at each k > 36.  level[w // 2] is 0 while weight w is
+    unsettled and 1 + its chain depth once settled (a byte: a depth above 254
+    raises instead of wrapping).  Base weights start settled; a step settles
+    k once both children are settled even weights in [2, k), and termination
+    needs every weight <= max_k settled.  settle returns k's byte when it
+    settled k and the step adds nothing to the report (no skip, no failure),
+    else 0.  The longest chain is then walked down through step_at.
     """
     num, den = RATIO_BOUND.numerator, RATIO_BOUND.denominator
     ratio_failures, m_bound_failures = [], []
@@ -248,23 +288,31 @@ def _sweep(
         level[w // 2] = 1
     skipped: dict[int, int] = {}
     skippers = []
-    edges = 0
-    for k, p, skips, _, m, _, _, hi, lo in steps:
-        edges += 1
-        if skips:
-            skippers.append(k)
-            skipped[skips] = skipped.get(skips, 0) + 1
-        if k > 36:
-            if m <= 6:
-                m_bound_failures.append(k)
-            if den * p <= num * hi:
-                ratio_failures.append((k, "hi", p, hi))
-            if den * p <= num * lo:
-                ratio_failures.append((k, "lo", p, lo))
+
+    def settle(step: tuple[int, ...]) -> int:
+        k, p, skips, _, m, _, _, hi, lo = step
+        byte = 0
         if hi % 2 == 0 and lo % 2 == 0 and 2 <= hi < k and 2 <= lo < k:
             l_hi, l_lo = level[hi // 2], level[lo // 2]
             if l_hi and l_lo:
-                level[k // 2] = 1 + (l_hi if l_hi >= l_lo else l_lo)
+                byte = level[k // 2] = 1 + (l_hi if l_hi >= l_lo else l_lo)
+        if skips:
+            skippers.append(k)
+            skipped[skips] = skipped.get(skips, 0) + 1
+            byte = 0
+        if k > 36:
+            if m <= 6:
+                m_bound_failures.append(k)
+                byte = 0
+            if den * p <= num * hi:
+                ratio_failures.append((k, "hi", p, hi))
+                byte = 0
+            if den * p <= num * lo:
+                ratio_failures.append((k, "lo", p, lo))
+                byte = 0
+        return byte
+
+    feed(settle, level)
     unskipped = edges - len(skippers)
     histogram = ({0: unskipped} if unskipped else {}) | skipped
 
@@ -305,12 +353,15 @@ def _sweep(
 
 def verify_termination(graph: DescentGraph) -> TerminationReport:
     """Walk every node down to the base set and report chain statistics: the
-    audit's sweep over the graph's stored steps, in ascending k."""
+    audit's sweep settling each of the graph's stored steps, in ascending k."""
     steps = graph.steps
-    ordered = (steps[k] for k in sorted(steps))
-    return _sweep(graph.max_k, (
-        (s.k, s.p, s.prime_skips, s.d, s.m, s.t, s.dt, s.k_hi, s.k_lo) for s in ordered
-    ), steps.__getitem__).termination
+
+    def feed(settle: Settle, _: bytearray) -> None:
+        for k in sorted(steps):
+            s = steps[k]
+            settle((s.k, s.p, s.prime_skips, s.d, s.m, s.t, s.dt, s.k_hi, s.k_lo))
+
+    return _sweep(graph.max_k, len(steps), feed, steps.__getitem__).termination
 
 
 def audit(max_k: int) -> AuditReport:
@@ -320,15 +371,19 @@ def audit(max_k: int) -> AuditReport:
     ratios p/k_hi and p/k_lo above RATIO_BOUND; and for the whole graph:
     termination with 32 as the only weight needing a skipped prime.  The
     kernel takes each run of reducible weights a prime gap at a time from one
-    stream of primes, and the sweep checks each step as it comes.  No step
-    object is formed except the longest chain's, each from a window sieved
-    just above its weight.  Memory is the depth byte per weight and one window.
+    stream of primes, runs the recipe once per (gap, d) class and settles
+    each step as it comes.  No step object is formed except the longest
+    chain's, each from a window sieved just above its weight.  Memory is the
+    depth byte per weight and one window.
     """
     _check_max_k(max_k)
-    steps = itertools.chain.from_iterable(
-        _recipes(lo, hi, next_prime(lo)) for lo, hi in _reducible_runs(max_k)
-    )
-    return _sweep(max_k, steps, reduction_step)
+    runs = list(_reducible_runs(max_k))
+
+    def feed(settle: Settle, level: bytearray) -> None:
+        for lo, hi in runs:
+            _recipes(lo, hi, next_prime(lo), settle, level)
+
+    return _sweep(max_k, sum((hi - lo) // 2 + 1 for lo, hi in runs), feed, reduction_step)
 
 
 def chain(k: int, policy: str = "hi-branch") -> tuple[list[ReductionStep], list[int]]:

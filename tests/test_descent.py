@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weightdescent import descent
 from weightdescent.cli import canonical_json
@@ -21,7 +23,7 @@ from weightdescent.descent import (
 )
 from weightdescent.primes import next_prime, sieve
 
-from oracles import recipe_oracle
+from oracles import recipe_oracle, trial_division_is_prime
 
 
 class TestChooseT:
@@ -136,7 +138,9 @@ class TestRecipeOracle:
         # a prime gap at a time from one stream
         runs = list(descent._reducible_runs(20_000))
         assert runs == [(10, 10), (16, 20_000)]
-        swept = [s for lo, hi in runs for s in descent._recipes(lo, hi, next_prime(lo))]
+        swept = []
+        for lo, hi in runs:
+            descent._recipes(lo, hi, next_prime(lo), swept.append)
         assert [s[0] for s in swept] == self.NON_BASE
         for k, *fields in swept:
             assert tuple(fields) == recipe_oracle(k), k
@@ -146,9 +150,30 @@ class TestRecipeOracle:
     def test_any_window_of_weights_matches_the_oracle(self, lo, hi):
         # windows that start and end inside a gap, on either side of a prime,
         # at the skipping weight 32, and across the gap of 72 after 31397
-        swept = list(descent._recipes(lo, hi, next_prime(lo)))
+        swept = []
+        descent._recipes(lo, hi, next_prime(lo), swept.append)
         assert [s[0] for s in swept] == list(range(lo, hi + 1, 2))
         assert [s[1:] for s in swept] == [recipe_oracle(k) for k in range(lo, hi + 1, 2)]
+
+
+class TestClassLemma:
+    """The fact the audit's kernel shares steps by: in a prime gap q < p, a
+    weight that takes p itself has a step that depends on k only through
+    d = gcd(p-1, k-2).  Checked on the oracle alone."""
+
+    @given(k=st.integers(8, 500_000).map(lambda n: 2 * n), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_weights_of_a_gap_with_one_d_have_one_step(self, k, data):
+        step = recipe_oracle(k)
+        p, skips, d = step[:3]
+        assume(skips == 0)
+        q = k - 1
+        while not trial_division_is_prime(q):
+            q -= 1
+        mates = [w for w in range(q + 1, p, 2) if w != k and gcd(p - 1, w - 2) == d]
+        assume(mates)
+        # equal tuples: the mate takes p with no skip, and every other field agrees
+        assert recipe_oracle(data.draw(st.sampled_from(mates))) == step
 
 
 class TestReferenceTable:
@@ -200,7 +225,9 @@ class TestGraph:
         # gives k_lo = 6.  Built by hand, the step must not be read as the
         # depth of some other weight
         bad = ReductionStep(k=10, p=11, d=2, m=5, t=3, dt=6, k_hi=8, k_lo=-2, prime_skips=0)
-        assert list(descent._recipes(10, 10, 11)) == [(10, 11, 0, 2, 5, 3, 6, 8, 6)]
+        kernel = []
+        descent._recipes(10, 10, 11, kernel.append)
+        assert kernel == [(10, 11, 0, 2, 5, 3, 6, 8, 6)]
         graph = DescentGraph(max_k=14, steps={10: bad})
         rep = verify_termination(graph)
         assert rep.terminates is False
@@ -312,14 +339,19 @@ class TestAudit:
     def test_checks_run_on_every_weight_above_36(self, monkeypatch):
         # hand-built steps that each skip a prime and have m = 6, under a
         # bound no ratio passes; their children are the real ones, so the
-        # graph still terminates
-        steps = [
-            (k, p, 1, d, 6, t, dt, k_hi, k_lo)
-            for lo, hi in descent._reducible_runs(100)
-            for k, p, _, d, _, t, dt, k_hi, k_lo in descent._recipes(lo, hi, next_prime(lo))
-        ]
+        # graph still terminates.  settle shares no failing step's byte
+        recipes = []
+        for lo, hi in descent._reducible_runs(100):
+            descent._recipes(lo, hi, next_prime(lo), recipes.append)
+        steps = [(k, p, 1, d, 6, t, dt, k_hi, k_lo) for k, p, _, d, _, t, dt, k_hi, k_lo in recipes]
         monkeypatch.setattr(descent, "RATIO_BOUND", Fraction(10**6))
-        report = descent._sweep(100, steps, reduction_step)
+        shared = []
+
+        def feed(settle, _):
+            shared.extend(map(settle, steps))
+
+        report = descent._sweep(100, len(steps), feed, reduction_step)
+        assert shared == [0] * len(steps)
         above = tuple(range(38, 101, 2))
         assert report.skip_failures == above
         assert report.m_bound_failures == above
@@ -328,6 +360,20 @@ class TestAudit:
         ]
         assert report.unexpected_skippers == (10, *(k for k in range(16, 101, 2) if k != 32))
         assert report.termination.terminates and not report.passed
+
+    @pytest.mark.parametrize("bound,failures", [(Fraction(2), 3547), (Fraction(19, 10), 59)])
+    def test_failing_weights_are_reported_one_by_one(self, monkeypatch, bound, failures):
+        # under these bounds whole (gap, d) classes of several weights fail;
+        # each weight must still be listed, in ascending k
+        expected = []
+        for k in range(38, 5001, 2):
+            p, _, _, _, _, _, k_hi, k_lo = recipe_oracle(k)
+            expected += [(k, side, p, w) for side, w in (("hi", k_hi), ("lo", k_lo))
+                         if Fraction(p, w) <= bound]
+        monkeypatch.setattr(descent, "RATIO_BOUND", bound)
+        report = audit(5000)
+        assert len(expected) == failures
+        assert report.ratio_failures == tuple(expected)
 
     def test_audit_to_10k(self):
         report = audit(10000)

@@ -7,7 +7,9 @@ This reads the package with `ast` and fails while a removed per-weight layer
 is defined again, or while more than one function in `descent.py` calls
 `choose_t` or computes `gcd(p - 1, k - 2)`, so that a second recipe cannot
 come back, or while the kernel computes that gcd more than once, as a
-restated check.
+restated check.  It also fails while more than one function reads
+`RATIO_BOUND`: the sweep states the `k > 36` checks once, in the `settle`
+it hands the kernel, so no second sweep can stand beside it.
 """
 
 import ast
@@ -59,3 +61,12 @@ def test_one_function_states_the_recipe():
     # the kernel takes d = gcd(p - 1, k - 2) once per weight and never
     # re-derives it as a check
     assert {name: n for name, n in gcd_of_weight.items() if n} == {KERNEL: 1}
+
+
+def test_one_function_reads_the_ratio_bound():
+    tree = ast.parse(Path(descent.__file__).read_text(encoding="utf-8"))
+    readers = [
+        f.name for f in functions(tree)
+        if any(isinstance(n, ast.Name) and n.id == "RATIO_BOUND" for n in ast.walk(f))
+    ]
+    assert readers == ["_sweep"]
