@@ -232,7 +232,7 @@ def _cmd_char(args):
     if args.mode == "verify":
         if args.group.endswith(".json"):
             raise ValueError(f"char verify runs builtin groups only; {args.group} is a group file")
-        kwargs = {} if args.group in ("all", "suite") else {"names": (args.group,)}
+        kwargs = {} if args.group == "all" else {"names": (args.group,)}
         reports = [
             frobenius_campaign(draws=args.draws, seed=args.seed, **kwargs),
             mackey_campaign(draws=args.draws, seed=args.seed, **kwargs),

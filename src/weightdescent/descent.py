@@ -92,7 +92,8 @@ def _recipes(lo: int, hi: int, p: int, settle: Settle, level: bytearray | None =
     the two checks that can fail, choose_t's contract and k_hi, k_lo < k.
     The other invariants hold by construction, one lemma each (n = p-1):
     d = gcd(n, k-2), m*d = n, dt = d*t, k_hi and k_lo hold by assignment.
-    k_hi, k_lo are even: p odd and k even make d = gcd(p-1, k-2) even.
+    k_hi, k_lo are even weights in [6, k), so settle reads them unchecked:
+    p odd and k even make d even, 1 < t < m-1 gives 2d <= dt <= n-2d.
     The twist moves the exponent: the twist check gives 0 < dt < n and k < p
     gives 0 < k-2 < n, so dt = ±(k-2) mod n means k_hi = k or k_lo = k.
 
@@ -276,10 +277,11 @@ def _sweep(
     RATIO_BOUND at each k > 36.  level[w // 2] is 0 while weight w is
     unsettled and 1 + its chain depth once settled (a byte: a depth above 254
     raises instead of wrapping).  Base weights start settled; a step settles
-    k once both children are settled even weights in [2, k), and termination
-    needs every weight <= max_k settled.  settle returns k's byte when it
-    settled k and the step adds nothing to the report (no skip, no failure),
-    else 0.  The longest chain is then walked down through step_at.
+    k once both children are settled (read unchecked: see _recipes and
+    verify_termination), and termination needs every weight <= max_k
+    settled.  settle returns k's byte when it settled k and the step adds
+    nothing to the report (no skip, no failure), else 0.  The longest chain
+    is then walked down through step_at.
     """
     num, den = RATIO_BOUND.numerator, RATIO_BOUND.denominator
     ratio_failures, m_bound_failures = [], []
@@ -292,10 +294,9 @@ def _sweep(
     def settle(step: tuple[int, ...]) -> int:
         k, p, skips, _, m, _, _, hi, lo = step
         byte = 0
-        if hi % 2 == 0 and lo % 2 == 0 and 2 <= hi < k and 2 <= lo < k:
-            l_hi, l_lo = level[hi // 2], level[lo // 2]
-            if l_hi and l_lo:
-                byte = level[k // 2] = 1 + (l_hi if l_hi >= l_lo else l_lo)
+        l_hi, l_lo = level[hi // 2], level[lo // 2]
+        if l_hi and l_lo:
+            byte = level[k // 2] = 1 + (l_hi if l_hi >= l_lo else l_lo)
         if skips:
             skippers.append(k)
             skipped[skips] = skipped.get(skips, 0) + 1
@@ -353,13 +354,16 @@ def _sweep(
 
 def verify_termination(graph: DescentGraph) -> TerminationReport:
     """Walk every node down to the base set and report chain statistics: the
-    audit's sweep settling each of the graph's stored steps, in ascending k."""
+    audit's sweep settling each of the graph's stored steps, in ascending k.
+    A child that is not an even weight in [2, k) is pointed at weight 0,
+    never settled, so k stays unsettled and its skips still count."""
     steps = graph.steps
 
     def feed(settle: Settle, _: bytearray) -> None:
         for k in sorted(steps):
             s = steps[k]
-            settle((s.k, s.p, s.prime_skips, s.d, s.m, s.t, s.dt, s.k_hi, s.k_lo))
+            hi, lo = (c if c % 2 == 0 and 2 <= c < s.k else 0 for c in (s.k_hi, s.k_lo))
+            settle((s.k, s.p, s.prime_skips, s.d, s.m, s.t, s.dt, hi, lo))
 
     return _sweep(graph.max_k, len(steps), feed, steps.__getitem__).termination
 

@@ -6,12 +6,11 @@ integers wide and doubling up to SEGMENT_SIZE, so it holds one window plus
 the base primes up to the square root of the window's end, and taking a
 single prime (`next_prime`) sieves only a few hundred integers.  One loop,
 `_mark_segment`, marks composites, keeping a flag for each odd integer of
-its window only and giving 2 on its own: the base primes up to a root are
-windows of [2, root] over the base primes up to the root's own square
-root.  They are built once per process for each power-of-two bound, as
-8-byte integers, so a run of lookups (a descent chain) sieves its base
-once.  `sieve` materialises the stream into a `PrimeTable` of every prime
-up to its limit, for the scans that index consecutive pairs.
+its window only and giving 2 on its own.  The base primes up to a
+power-of-two bound are the stream itself from 2 to that bound, collected
+once per process as 8-byte integers, so a run of lookups (a descent chain)
+sieves its base once.  `sieve` materialises the stream into a `PrimeTable`
+of every prime up to its limit, for the scans that index consecutive pairs.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ class PrimeTable:
 
 
 def _mark_segment(base: Sequence[int], lo: int, hi: int) -> Iterator[int]:
-    """Primes in [lo, hi], ascending; lo >= 2 and base holds every prime up to
-    isqrt(hi), ascending.
+    """Primes in [lo, hi], ascending; lo >= 2 and base holds every odd prime up
+    to isqrt(hi), ascending.
 
     Flag i stands for the odd integer first + 2i, so a window keeps one flag
     per odd integer and 2 is yielded on its own.  An odd prime p marks its
@@ -69,13 +68,8 @@ def _mark_segment(base: Sequence[int], lo: int, hi: int) -> Iterator[int]:
 
 @cache
 def _base_primes(n: int) -> array:
-    """Every prime <= n: [2, n] in windows of SEGMENT_SIZE over the base
-    primes up to isqrt(n), so the flags never outgrow one window."""
-    out = array("q")
-    base = _base_primes(isqrt(n)) if n >= 2 else ()
-    for lo in range(2, n + 1, SEGMENT_SIZE):
-        out.extend(_mark_segment(base, lo, min(lo + SEGMENT_SIZE - 1, n)))
-    return out
+    """Every prime <= n, collected from iter_primes as 8-byte integers."""
+    return array("q", iter_primes(2, n))
 
 
 def iter_primes(lo: int = 2, hi: int | None = None) -> Iterator[int]:
@@ -84,13 +78,15 @@ def iter_primes(lo: int = 2, hi: int | None = None) -> Iterator[int]:
 
     Windows start _FIRST_WINDOW wide and double up to SEGMENT_SIZE.  Each
     window takes the shared base primes up to the power of two above its
-    end's square root, so the cache keys stay few.
+    end's square root, so the cache keys stay few; one ending below 9 takes
+    none, as 3, 5 and 7 are prime, which ends _base_primes' recursion.
     """
     lo = max(lo, 2)
     width = min(_FIRST_WINDOW, SEGMENT_SIZE)
     while hi is None or lo <= hi:
         top = lo + width - 1 if hi is None else min(lo + width - 1, hi)
-        yield from _mark_segment(_base_primes(1 << isqrt(top).bit_length()), lo, top)
+        base = _base_primes(1 << isqrt(top).bit_length()) if top >= 9 else ()
+        yield from _mark_segment(base, lo, top)
         lo, width = top + 1, min(2 * width, SEGMENT_SIZE)
 
 

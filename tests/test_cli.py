@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from weightdescent.cli import build_parser, canonical_json, main
 from oracles import recipe_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 json_scalars = (st.none() | st.booleans() | st.integers(-3, 50)
                 | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4))
@@ -56,6 +58,23 @@ def test_parser_defaults_reproduce_canonical_parameters():
     assert args.b == Fraction(1130289, 1000000)
     assert parser.parse_args(["audit"]).max_k == 10**6
     assert parser.parse_args(["mbound"]).max_k == 10**6
+
+
+def readme_cli_lines() -> list[str]:
+    """The `weightdescent ...` lines of the code block in README's CLI section."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("weightdescent ")]
+
+
+def test_every_documented_command_parses():
+    lines = readme_cli_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README's CLI block has a command the parser refuses: {line}")
 
 
 def run_cli(capsys, *argv):
@@ -304,7 +323,8 @@ class TestChar:
     @pytest.mark.parametrize("group,message", [
         ("x.json", "error: char verify runs builtin groups only; x.json is a group file\n"),
         ("e8", "error: unknown group name: e8\n"),
-    ], ids=["group-file", "unknown-name"])
+        ("suite", "error: unknown group name: suite\n"),
+    ], ids=["group-file", "unknown-name", "no-suite-alias"])
     def test_verify_names_a_group_it_cannot_run(self, capsys, group, message):
         code = main(["char", "verify", "--group", group, "--draws", "1", "--trials", "1"])
         captured = capsys.readouterr()

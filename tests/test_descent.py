@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -13,6 +14,7 @@ from weightdescent.descent import (
     BASE_WEIGHTS,
     DescentGraph,
     ReductionStep,
+    TerminationReport,
     audit,
     build_graph,
     chain,
@@ -220,11 +222,15 @@ class TestGraph:
         assert rep.longest_chain_path[0] == 32
         assert rep.longest_chain_path[-1] in BASE_WEIGHTS
 
-    def test_child_outside_the_graph_breaks_termination(self):
-        # k_lo = -2 is no recipe's output: from the same k and p the kernel
-        # gives k_lo = 6.  Built by hand, the step must not be read as the
-        # depth of some other weight
-        bad = ReductionStep(k=10, p=11, d=2, m=5, t=3, dt=6, k_hi=8, k_lo=-2, prime_skips=0)
+    @pytest.mark.parametrize(
+        "k_lo", [-2, 7, 10, 12], ids=["negative", "odd", "equal-to-k", "base-weight-above-k"]
+    )
+    def test_child_outside_the_graph_breaks_termination(self, k_lo):
+        # no recipe gives these k_lo: from the same k and p the kernel gives
+        # k_lo = 6.  Built by hand, the step must not be read as the depth of
+        # some other weight: as an index, -2 reads weight 14's byte, 7 weight
+        # 6's and 12 the base weight 12's, all settled
+        bad = ReductionStep(k=10, p=11, d=2, m=5, t=3, dt=6, k_hi=8, k_lo=k_lo, prime_skips=0)
         kernel = []
         descent._recipes(10, 10, 11, kernel.append)
         assert kernel == [(10, 11, 0, 2, 5, 3, 6, 8, 6)]
@@ -232,6 +238,21 @@ class TestGraph:
         rep = verify_termination(graph)
         assert rep.terminates is False
         assert rep.node_count == 7 and rep.edge_count == 1
+
+    def test_skips_of_a_malformed_step_still_count(self, table_2k):
+        # the step at 16 is left unsettled, and its skip is still counted
+        steps = dict(build_graph(20, table_2k).steps)
+        steps[16] = replace(steps[16], k_lo=-2, prime_skips=1)
+        rep = verify_termination(DescentGraph(max_k=20, steps=steps))
+        assert rep == TerminationReport(
+            terminates=False,
+            longest_chain_length=2,
+            longest_chain_path=(18, 10, 8),
+            weights_with_skips=(16,),
+            skip_histogram={0: 3, 1: 1},
+            node_count=10,
+            edge_count=4,
+        )
 
     def test_missing_step_of_a_child_breaks_termination(self, table_2k):
         steps = dict(build_graph(20, table_2k).steps)

@@ -121,23 +121,26 @@ def test_next_prime_walks_into_and_past_the_table(limit):
 
 
 def test_the_base_primes_are_built_once_per_process(monkeypatch):
-    # a chain's 311 steps, a lookup far past them and a full audit share one
-    # cache of base primes; each bound is sieved once, not once per stream
+    # a chain's 121 steps, a lookup far past them and a full audit share one
+    # cache of base primes; each bound is sieved once, not once per stream.
+    # A base is the stream from 2 to its bound, so building one is a call
+    # iter_primes(2, n); the streams of lookups start above their weight
     builds = []
-    real = primes._mark_segment
+    real = primes.iter_primes
 
-    def recording(base, lo, hi):
-        if lo == 2:  # a segment from 2 builds base primes
+    def recording(lo=2, hi=None):
+        if lo == 2 and hi is not None:
             builds.append(hi)
-        return real(base, lo, hi)
+        return real(lo, hi)
 
-    monkeypatch.setattr(primes, "_mark_segment", recording)
+    monkeypatch.setattr(primes, "iter_primes", recording)
     primes._base_primes.cache_clear()
     descent.chain(999998, "longest")
     assert len(builds) == len(set(builds)) <= 20
     next_prime(10**10)
     descent.audit(10**6)
     assert len(builds) == len(set(builds))
+    assert all(n & (n - 1) == 0 for n in builds), builds
     assert primes._base_primes.cache_info().currsize <= 40
 
 
@@ -169,12 +172,13 @@ def test_next_prime_without_table_across_maximal_gaps(monkeypatch, first_window)
     real = primes._mark_segment
 
     def recording(base, lo, hi):
-        if lo != 2:  # a segment from 2 builds base primes, not a window
-            windows.append(hi - lo + 1)
+        windows.append(hi - lo + 1)
         return real(base, lo, hi)
 
     monkeypatch.setattr(primes, "_mark_segment", recording)
     for n in GAP_EDGES:
+        # a first lookup may build base primes, in windows of their own
+        next_prime(n)
         windows.clear()
         assert next_prime(n) == trial_division_next_prime(n), n
         assert windows == [first_window << i for i in range(len(windows))]
