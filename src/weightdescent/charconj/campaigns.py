@@ -30,7 +30,9 @@ _CONDUCTOR_POOL = (1, 3, 4, 5, 8, 12)
 
 
 def suite_groups(names=SUITE_NAMES) -> dict[str, FiniteGroup]:
-    return {name: builtin_group(name) for name in names}
+    """The named builtin groups, keyed by each group's own name, so that a
+    name typed in any case is reported as the group calls itself."""
+    return {G.name: G for G in map(builtin_group, names)}
 
 
 def random_cyclo(rng: random.Random) -> Cyclo:
@@ -124,7 +126,7 @@ def random_brauer_spec(rng: random.Random, group: FiniteGroup) -> BrauerSpec:
         twist = linear_character_of_cyclic(H, rng.randrange(order))
         coeff = rng.choice((-2, -1, 1, 2))
         summands.append(BrauerSummand(coeff, H, chi, twist))
-    return BrauerSpec(group, summands)
+    return BrauerSpec(group, tuple(summands))
 
 
 def _random_coprime(rng: random.Random, n: int) -> int:

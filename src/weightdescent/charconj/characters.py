@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .cyclotomic import Cyclo
-from .groups import FiniteGroup, Subgroup, double_cosets, generated_subgroup
+from .groups import FiniteGroup, Subgroup, double_cosets
 
 
 class CharacterError(ValueError):
@@ -75,32 +75,6 @@ class ClassFunction:
         if not isinstance(other, ClassFunction):
             return NotImplemented
         return self.group is other.group and self.values == other.values
-
-    def is_multiplicative_degree_one(self) -> bool:
-        """True for homomorphisms to the roots of unity (degree-1 characters).
-
-        Checks f(e) = 1 and f(sh) = f(s)f(h) for each s of a generating set S
-        and each h: |S|.|H| products, not |H|^2.  That is enough: each a is a
-        word s_1...s_r in S (inverses are powers), and f(ab) = f(a)f(b) follows
-        by induction on r: r = 0 is f(e) = 1, and f(s a' b) = f(s) f(a' b) =
-        f(s) f(a') f(b) = f(s a') f(b).  S is greedy: an element outside the
-        span so far joins it.
-        """
-        g = self.group
-        if self.value(0) != 1:
-            return False
-        gens: list[int] = []
-        span = {0}
-        for s in g.elements:
-            if s not in span:
-                gens.append(s)
-                span = set(generated_subgroup(g, gens).elements)
-        for s in gens:
-            row, vs = g.table[s], self.value(s)
-            for h in g.elements:
-                if self.value(row[h]) != vs * self.value(h):
-                    return False
-        return True
 
     def __repr__(self):
         return f"ClassFunction({self.group.name}, {[str(v) for v in self.values]})"
@@ -188,27 +162,19 @@ class BrauerSummand:
     twist: ClassFunction
 
 
+@dataclass(frozen=True)
 class BrauerSpec:
-    """An integer combination of induced, twisted subgroup characters."""
+    """An integer combination of induced, twisted subgroup characters.
 
-    __slots__ = ("group", "summands")
+    Its one producer, `campaigns.random_brauer_spec`, takes each `H = <g>`
+    inside `group` and both `chi` and the twist from
+    `linear_character_of_cyclic(H, .)`, so both live on `H`.  The twist
+    `g^i -> zeta^(b i)` is multiplicative because `i -> b i mod |H|` is
+    additive, and so is each of its Galois images.  So nothing about a
+    summand is checked here."""
 
-    def __init__(self, group: FiniteGroup, summands):
-        summands = tuple(summands)
-        for s in summands:
-            if s.subgroup.parent is not group:
-                raise CharacterError("summand subgroup does not live in the ambient group")
-            if s.character.group is not s.subgroup:
-                raise CharacterError("summand character is not on its subgroup")
-            if s.twist.group is not s.subgroup:
-                raise CharacterError("summand twist is not on its subgroup")
-            if not s.twist.is_multiplicative_degree_one():
-                raise CharacterError("twist must be multiplicative of degree 1")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "summands", summands)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BrauerSpec is immutable")
+    group: FiniteGroup
+    summands: tuple[BrauerSummand, ...]
 
     def conductor(self) -> int:
         n = 1

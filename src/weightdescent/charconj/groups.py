@@ -3,8 +3,9 @@
 Elements are indices 0..order-1 with 0 the identity.  Group laws are
 verified exhaustively once per table, when a `FiniteGroup` is built; a
 `Subgroup` is a subset of its parent's table, in the parent's indices,
-and checks only closure.  Conjugacy classes, subgroups and double cosets
-are all computed by brute force; the order cap keeps that cheap.
+and checks nothing, as its producers only make subgroups.  Conjugacy
+classes, subgroups and double cosets are all computed by brute force; the
+order cap keeps that cheap.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ MAX_ORDER = 48
 
 
 class GroupError(ValueError):
-    """The given table or subset does not satisfy the group laws."""
+    """The given table does not satisfy the group laws, or its definition
+    is malformed."""
 
 
 def _check_order(n: int) -> None:
@@ -92,27 +94,18 @@ class Subgroup:
     `table` and `inverses` shared with the parent, and classes of its own,
     ordered by their smallest element.  `g in H.class_index` tests membership.
 
-    A subset of a verified finite group that holds the identity and is
-    closed under the product is a subgroup: associativity and the identity
-    carry over from the parent, and g^-1 is a power of g.  So only those
-    facts are checked here: the O(|H|^3) law checks, run again on the
-    subset, could never fail.  The parent may itself be a Subgroup, as
-    Mackey's K meet gHg^-1 is taken inside K."""
+    Nothing is checked here, because both producers give subgroups.
+    `generated_subgroup` returns every word in the generators, reached by
+    right multiplication from 0: it holds 0, the product of two words is a
+    word, and g^-1 is the word g^(ord g - 1), so the words form a subgroup.
+    `mackey_check` takes K meet gHg^-1, and the intersection of two
+    subgroups is a subgroup.  The parent may itself be a Subgroup, as that
+    intersection is taken inside K."""
 
     __slots__ = ("parent", "order", "table", "inverses", "elements", "classes", "class_index", "name")
 
     def __init__(self, parent: FiniteGroup | Subgroup, elements):
         elems = tuple(sorted(set(elements)))
-        if not elems or elems[0] != 0:
-            raise GroupError("subgroup must contain the identity (element 0)")
-        if any(g not in parent.class_index for g in elems):
-            raise GroupError("subgroup contains indices outside the parent")
-        members = set(elems)
-        for a in elems:
-            row = parent.table[a]
-            for b in elems:
-                if row[b] not in members:
-                    raise GroupError(f"not closed under multiplication: ({a}, {b})")
         classes, class_index = _conjugacy_classes(parent.table, parent.inverses, elems)
         _freeze(self, parent=parent, order=len(elems), table=parent.table,
                 inverses=parent.inverses, elements=elems, classes=classes,

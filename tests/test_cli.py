@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import weightdescent
 from weightdescent import cli, descent, primes
+from weightdescent.charconj.campaigns import SUITE_NAMES
 from weightdescent.cli import build_parser, canonical_json, main
 
 from oracles import recipe_oracle
@@ -320,6 +321,13 @@ class TestChar:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_verify_reports_a_group_by_its_own_name(self, capsys, fmt):
+        argv = ["char", "verify", "--draws", "2", "--trials", "2", "--format", fmt]
+        runs = [run_cli(capsys, *argv, "--group", group) for group in ("s3", "S3")]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and "s3" not in runs[0][1]
+
     @pytest.mark.parametrize("group,message", [
         ("x.json", "error: char verify runs builtin groups only; x.json is a group file\n"),
         ("e8", "error: unknown group name: e8\n"),
@@ -514,3 +522,63 @@ class TestJsonRoundTrip:
         main(argv)
         out = capsys.readouterr().out.rstrip("\n")
         assert canonical_json(json.loads(out)) == out
+
+
+# the report fields that count what a run checked; a run that exits 0 must
+# have checked something
+COUNTS = {"edge_count", "pairs_checked", "checked", "checks_run"}
+
+
+def _counts(data) -> list[int]:
+    if isinstance(data, dict):
+        return [v for k, v in data.items() if k in COUNTS] + [
+            n for v in data.values() for n in _counts(v)]
+    if isinstance(data, list):
+        return [n for v in data for n in _counts(v)]
+    return []
+
+
+_group_names = st.tuples(
+    st.sampled_from(SUITE_NAMES + ("D5", "C13", "E8", "S5", "C0", "D1", "suite", "")),
+    st.sampled_from((str, str.lower, str.upper)),
+).map(lambda t: t[1](t[0]))
+_small = st.integers(-10, 30)
+_argv = st.one_of(
+    st.tuples(st.just("table"), st.sampled_from([[], ["--strict"]])),
+    st.tuples(st.just("reduce"), st.integers(-10, 5000).map(lambda k: [str(k)])),
+    st.tuples(st.just("chain"), st.tuples(st.integers(-10, 5000), st.sampled_from(
+        descent.CHAIN_POLICIES)).map(lambda t: [str(t[0]), "--policy", t[1]])),
+    st.tuples(st.sampled_from(["audit", "mbound"]),
+              st.integers(-10, 2000).map(lambda k: ["--max-k", str(k)])),
+    st.tuples(st.sampled_from(["gaps", "gaps-shifted"]), st.tuples(
+        st.integers(-10, 5000), st.integers(-10, 5000)).map(
+        lambda t: ["--low", str(t[0]), "--high", str(t[1])])),
+    st.tuples(st.just("threshold"), st.tuples(st.integers(1, 60), st.booleans()).map(
+        lambda t: ["--digits", str(t[0])] + ["--typo-variant"] * t[1])),
+    st.tuples(st.just("star"), st.tuples(_small, _small).map(
+        lambda t: ["--m-max", str(t[0]), "--d-max", str(t[1])])),
+    st.tuples(st.just("char"), st.tuples(
+        st.sampled_from(["demo", "verify"]), _group_names | st.just("all"),
+        st.integers(0, 9), st.integers(1, 3), st.integers(1, 3)).map(
+        lambda t: [t[0], "--group", t[1], "--seed", str(t[2]),
+                   "--draws", str(t[3]), "--trials", str(t[4])])),
+)
+
+
+@given(argv=_argv)
+@settings(max_examples=150, deadline=None)
+def test_any_small_argv_gives_an_honest_exit_status(argv):
+    """Every subcommand on small arguments, in both formats: the status is a
+    documented one and the same in both, no exception escapes `main`, and a
+    pass (exit 0) never rests on zero checked items."""
+    command, rest = argv
+    codes = []
+    for fmt in ("text", "json"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            codes.append(main([command, *rest, "--format", fmt]))
+        if codes[-1] == 2:
+            assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    assert codes[0] == codes[1] and codes[0] in (0, 1, 2, 3)
+    if codes[0] == 0:
+        assert all(n >= 1 for n in _counts(json.loads(out.getvalue())))

@@ -170,22 +170,6 @@ class TestSubgroups:
         s3 = symmetric(3)
         c3 = generated_subgroup(s3, [three_cycle(s3)])
         assert Subgroup(c3, c3.elements).elements == c3.elements
-        for x in set(s3.elements) - set(c3.elements):
-            with pytest.raises(GroupError, match="outside the parent"):
-                Subgroup(c3, [0, x])
-
-    def test_not_closed_subset_rejected(self):
-        s3 = symmetric(3)
-        transposition = next(x for x in range(6) if element_order(s3, x) == 2)
-        other = next(
-            x for x in range(6) if element_order(s3, x) == 2 and x != transposition
-        )
-        with pytest.raises(GroupError, match="closed"):
-            Subgroup(s3, [0, transposition, other])
-
-    def test_must_contain_identity(self):
-        with pytest.raises(GroupError, match="identity"):
-            Subgroup(cyclic(4), [1, 2, 3])
 
     def test_trivial_and_full(self):
         s3 = symmetric(3)

@@ -20,7 +20,7 @@ from weightdescent import descent
 
 PACKAGE = Path(weightdescent.__file__).parent
 KERNEL = "_recipes"
-REMOVED = {"_recipe", "_broken_invariant", "_fold", "next_primes"}
+REMOVED = {"_recipe", "_broken_invariant", "_fold", "next_primes", "is_multiplicative_degree_one"}
 
 
 def calls(func: ast.AST, name: str) -> list[ast.Call]:
