@@ -6,9 +6,10 @@ table divergence only fails `table` under --strict), 2 on usage or input
 errors, among them a gap range holding no adjacent prime pair, a
 non-positive draw, trial or digit count and an unreadable or malformed group
 file, and 3 when the verdict is inconclusive (a `threshold` enclosure
-straddling x0, reported as "inconclusive" and `below_x0: null`) or a
-reduction step breaks its invariants or the run exhausts memory (a
-DescentError or MemoryError, reported on one `error:` line).
+straddling x0, reported as "inconclusive" and `below_x0: null`), a
+reduction step breaks its invariants, a prime cannot be certified beyond
+psi13 ~ 3.3 * 10^24 or the run exhausts memory (a DescentError,
+CannotCertifyError or MemoryError, reported on one `error:` line).
 Defaults reproduce the canonical parameters: gap range (37, 100000],
 bounds 143/125 (gaps) and 23/20 (gaps-shifted), B = 1130289/1000000,
 a = 143/125 with A = 1 fixed, and audit max_k = 10^6.
@@ -36,7 +37,7 @@ from .charconj.campaigns import (
 from .charconj.characters import verify_conjugation_invariance
 from .charconj.groups import builtin_group, load_group
 from .numeric import CHEBYSHEV_B, RATIO_BOUND, SHIFTED_RATIO_BOUND
-from .primes import sieve
+from .primes import CannotCertifyError, sieve
 
 # Text mode lists at most this many gap violations; JSON lists them all.
 TEXT_VIOLATIONS = 20
@@ -350,7 +351,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (descent.DescentError, MemoryError) as exc:
+    except (descent.DescentError, CannotCertifyError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     if args.format == "json":

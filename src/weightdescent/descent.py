@@ -13,8 +13,8 @@ kernel in the audit and by a stored graph's steps.  Within a prime gap a
 step depends on k only through d, so the kernel runs the recipe once per
 (gap, d) class and copies a clean class's depth byte to its later weights.
 No step object is formed except along the longest chain, the audit holds no
-table of primes, and a step given no table takes its prime from a window of
-a few hundred integers just above k.
+table of primes, and a step given no table, like the kernel's skip past a
+prime, takes its next prime from primes.is_prime, tried above k.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def reduction_step(k: int, table: PrimeTable | None = None) -> ReductionStep:
     """Fully populated, validated reduction step at weight k.
 
     The first prime above k comes from the table when it holds it, otherwise
-    from a window sieved just above k.
+    from primes.next_prime's single-prime tests just above k.
     """
     _check_weight(k)
     steps: list[tuple[int, ...]] = []
@@ -377,8 +377,8 @@ def audit(max_k: int) -> AuditReport:
     kernel takes each run of reducible weights a prime gap at a time from one
     stream of primes, runs the recipe once per (gap, d) class and settles
     each step as it comes.  No step object is formed except the longest
-    chain's, each from a window sieved just above its weight.  Memory is the
-    depth byte per weight and one window.
+    chain's, each taking its prime from single-prime tests above its weight.
+    Memory is the depth byte per weight and one window.
     """
     _check_max_k(max_k)
     runs = list(_reducible_runs(max_k))

@@ -3,10 +3,10 @@
 Consecutive-prime ratio scans (plain and shifted by one), the Chebyshev
 threshold a^(C/(a-C)) in enclosure arithmetic, the exact quotient grid for
 the three twist-exponent families, and the m > 6 bound.  One scan, `_scan`,
-tests every adjacent prime pair it is given; the ratio scans give it the
-pairs of a prime table and the m > 6 bound the pairs of the prime stream,
-shifted by one at M_BOUND_RATIO.  Every pass/fail decision is an exact
-rational comparison.
+tests every adjacent prime pair of a prime table it is given; the m > 6
+bound walks a chain of single primes instead, each as far past the last
+as 6/5 allows, and reports the gaps the chain cannot jump.  Every pass/fail
+decision is an exact rational comparison.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
 
 from .descent import choose_t
 from .numeric import (
@@ -26,7 +25,7 @@ from .numeric import (
     RealEnclosure,
     pow_enclosure,
 )
-from .primes import PrimeTable, consecutive_pairs, iter_primes, next_prime
+from .primes import PrimeTable, consecutive_pairs, is_prime, next_prime
 
 X0 = 100000
 
@@ -53,6 +52,8 @@ def _scan(
     """Check (q-shift)/(p-shift) < bound for each adjacent prime pair (p, q)
     in pairs, which cover the range (low, high] the report names."""
     bound = Fraction(bound)
+    if bound <= 0:
+        raise ValueError(f"bound must be positive, got {bound}")
     num, den = bound.numerator, bound.denominator
     violations = []
     best = None  # (ratio numerator, ratio denominator, p, q)
@@ -230,18 +231,31 @@ def m_bound_check(k_max: int) -> MBoundReport:
     The weights are checked a gap at a time.  The even k of a gap between
     consecutive primes q < p all have p as their next prime, and the clause
     is hardest at the smallest, q + 1, so the gap holds a failing weight
-    exactly when 5(p-1) >= 6(q-1): the shifted scan at M_BOUND_RATIO over the
-    pairs of one prime stream from 37 to the prime after k_max.  Only a
-    failing gap is expanded, into its even k up to 2 + 5(p-1)//6.
+    exactly when 5(p-1) >= 6(q-1).  The failing gaps up to end, the prime
+    after k_max, are found by a chain of single primes from r = 37.  Let r'
+    be the largest prime <= min(end, (6(r-1) - 1)//5 + 1).  If r' > r, every
+    consecutive pair (q, p) with r <= q < r' passes, as 5(p-1) <= 5(r'-1) <
+    6(r-1) <= 6(q-1), and the chain moves on to r'.  If r' = r, the next
+    prime p after r exceeds the cap, so (r, p) fails, and the chain moves on
+    to p.  Only a failing gap is expanded, into its even k up to
+    2 + 5(p-1)//6.
     """
     if k_max < 38:
         raise ValueError("k_max must be >= 38")
     num, den = M_BOUND_RATIO.numerator, M_BOUND_RATIO.denominator
     end = next_prime(k_max)
-    scan = _scan(pairwise(iter_primes(37, end)), 37, end, M_BOUND_RATIO, shift=1)
+    violations = []
+    r = 37
+    while r < end:
+        cap = min(end, (num * (r - 1) - 1) // den + 1)
+        top = next((n for n in range(cap, r, -1) if is_prime(n)), r)
+        if top == r:
+            top = next_prime(r)
+            violations.append((r, top))
+        r = top
     failures = tuple(
         (k, p)
-        for q, p in scan.violations
+        for q, p in violations
         for k in range(max(38, q + 1), min(k_max, 2 + den * (p - 1) // num) + 1, 2)
     )
     checked = (k_max - 38) // 2 + 1

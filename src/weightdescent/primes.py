@@ -1,16 +1,18 @@
-"""Prime generation and consecutive-prime iteration.
+"""Prime generation, consecutive-prime iteration and single-prime tests.
 
 One segmented stream, `iter_primes`, produces the primes of a range in
-increasing order.  It sieves one window at a time, starting a few hundred
-integers wide and doubling up to SEGMENT_SIZE, so it holds one window plus
-the base primes up to the square root of the window's end, and taking a
-single prime (`next_prime`) sieves only a few hundred integers.  One loop,
-`_mark_segment`, marks composites, keeping a flag for each odd integer of
-its window only and giving 2 on its own.  The base primes up to a
-power-of-two bound are the stream itself from 2 to that bound, collected
-once per process as 8-byte integers, so a run of lookups (a descent chain)
-sieves its base once.  `sieve` materialises the stream into a `PrimeTable`
-of every prime up to its limit, for the scans that index consecutive pairs.
+increasing order.  It sieves one window of SEGMENT_SIZE integers at a
+time, so it holds one window plus the base primes up to the square root of
+the window's end.  One loop, `_mark_segment`, marks composites, keeping a
+flag for each odd integer of its window only and giving 2 on its own.  The
+base primes up to a power-of-two bound are the stream itself from 2 to that
+bound, collected once per process as 8-byte integers.  `sieve` materialises
+the stream into a `PrimeTable` of every prime up to its limit, for the
+scans that index consecutive pairs.  The stream is the one source of prime
+ranges; `is_prime`, a strong probable-prime test proven deterministic below
+psi13 ~ 3.3 * 10^24, is the one test of a single number, and `next_prime`
+searches with it, so a lookup costs a few modular powers for each candidate
+that survives trial division, whatever the size of n.
 """
 
 from __future__ import annotations
@@ -20,14 +22,26 @@ from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, compress, pairwise
-from math import isqrt
+from itertools import chain, compress, count, pairwise
+from math import gcd, isqrt
 
 SEGMENT_SIZE = 1 << 16
-# Width of a stream's first window.  The largest gap between primes below
-# 10^6 is 114 (after 492113), so one window almost always holds the prime
-# after any such n; the stream widens when it does not.
-_FIRST_WINDOW = 256
+
+# The 13 prime bases of is_prime, and psi_t (OEIS A014233): the least odd
+# composite that is a strong probable prime to each of the first t bases.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+_BASE_PRODUCT = 304250263527210  # 2 * 3 * 5 * ... * 41
+
+
+class CannotCertifyError(Exception):
+    """A number passed all 13 strong probable-prime tests at or beyond
+    psi13, where they prove nothing: neither prime nor composite is known."""
 
 
 @dataclass(frozen=True)
@@ -76,18 +90,17 @@ def iter_primes(lo: int = 2, hi: int | None = None) -> Iterator[int]:
     """Every prime p with lo <= p <= hi in increasing order; with hi None, every
     prime from lo on, without end.
 
-    Windows start _FIRST_WINDOW wide and double up to SEGMENT_SIZE.  Each
-    window takes the shared base primes up to the power of two above its
-    end's square root, so the cache keys stay few; one ending below 9 takes
-    none, as 3, 5 and 7 are prime, which ends _base_primes' recursion.
+    Every window is SEGMENT_SIZE wide and takes the shared base primes up
+    to the power of two above its end's square root, so the cache keys stay
+    few; one ending below 9 takes none, as 3, 5 and 7 are prime, which ends
+    _base_primes' recursion.
     """
     lo = max(lo, 2)
-    width = min(_FIRST_WINDOW, SEGMENT_SIZE)
     while hi is None or lo <= hi:
-        top = lo + width - 1 if hi is None else min(lo + width - 1, hi)
+        top = lo + SEGMENT_SIZE - 1 if hi is None else min(lo + SEGMENT_SIZE - 1, hi)
         base = _base_primes(1 << isqrt(top).bit_length()) if top >= 9 else ()
         yield from _mark_segment(base, lo, top)
-        lo, width = top + 1, min(2 * width, SEGMENT_SIZE)
+        lo = top + 1
 
 
 def sieve(limit: int) -> PrimeTable:
@@ -101,11 +114,49 @@ def sieve(limit: int) -> PrimeTable:
     return PrimeTable(limit, tuple(iter_primes(2, limit)))
 
 
+def is_prime(n: int) -> bool:
+    """Whether n is prime, proven for every n below psi13.
+
+    n is trial-divided by the 13 prime bases 2..41 (past them, n < 43^2 is
+    prime), then tested for a strong probable prime to those bases in
+    order.  A failed test proves n composite.  Once n passes the first t
+    bases and n < psi_t, the least odd composite passing them all, n is
+    prime.  psi_1..psi_8 are tabulated in Jaeschke, "On strong pseudoprimes
+    to several bases" (Math. Comp. 61, 1993), and psi_1..psi_13 in Sorenson
+    and Webster, "Strong pseudoprimes to twelve prime bases" (Math. Comp.
+    86, 2017, arXiv:1509.00864), who proved psi_12 and psi_13.  An n >=
+    psi13 that passes all 13 raises CannotCertifyError.
+    """
+    if n <= _BASES[-1]:
+        return n in _BASES
+    if gcd(n, _BASE_PRODUCT) != 1:
+        return False
+    if n < 43 * 43:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a, psi in zip(_BASES, _PSI):
+        x = pow(a, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    raise CannotCertifyError(
+        f"cannot certify {n} as prime: it passes all {len(_BASES)} strong "
+        f"probable-prime tests, which prove nothing at or beyond psi13 = {_PSI[-1]}"
+    )
+
+
 def next_prime(n: int, table: PrimeTable | None = None) -> int:
     """Smallest prime strictly greater than n.
 
-    Uses the table when the answer is inside it, otherwise takes the first
-    prime of a stream started at n + 1.
+    Uses the table when the answer is inside it, otherwise the first n' > n
+    with is_prime(n').
     """
     if n < 1:
         raise ValueError("next_prime requires n >= 1")
@@ -113,7 +164,7 @@ def next_prime(n: int, table: PrimeTable | None = None) -> int:
         i = bisect_right(table.primes, n)
         if i < len(table.primes):
             return table.primes[i]
-    return next(iter_primes(n + 1))
+    return next(q for q in count(n + 1) if is_prime(q))
 
 
 def consecutive_pairs(table: PrimeTable, low: int, high: int) -> list[tuple[int, int]]:

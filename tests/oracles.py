@@ -46,6 +46,16 @@ def trial_division_next_prime(n: int) -> int:
     return q
 
 
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n > 2 is a strong probable prime to base a, from the
+    definition: with n - 1 = 2^s d and d odd, a^d = 1 or a^(2^r d) = -1
+    (mod n) for some r < s, each power taken afresh."""
+    s, d = 0, n - 1
+    while d % 2 == 0:
+        s, d = s + 1, d // 2
+    return pow(a, d, n) == 1 or any(pow(a, 2**r * d, n) == n - 1 for r in range(s))
+
+
 def recipe_oracle(k: int) -> tuple[int, int, int, int, int, int, int, int]:
     """(p, skips, d, m, t, dt, k_hi, k_lo) at weight k, from the definitions.
 

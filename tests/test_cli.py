@@ -165,7 +165,7 @@ class TestGaps:
         assert json.loads(out)["bound"] == "9/8"
 
     def test_text_lists_the_first_20_violations(self, capsys):
-        argv = ["gaps", "--low", "37", "--high", "2000", "--bound", "0"]
+        argv = ["gaps", "--low", "37", "--high", "2000", "--bound", "1"]
         code, out = run_cli(capsys, *argv)
         assert code == 1
         _, json_out = run_cli(capsys, *argv, "--format", "json")
@@ -185,6 +185,16 @@ class TestGaps:
         assert captured.out == ""
         assert captured.err.startswith("error: no adjacent prime pair")
         assert captured.err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("command", ["gaps", "gaps-shifted"])
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_non_positive_bound_is_usage_error(self, capsys, command, bound):
+        code = main([command, "--high", "50", "--bound", bound])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: bound must be positive, got {bound}\n"
 
 
 class TestThreshold:
@@ -418,6 +428,36 @@ class TestDescentError:
             assert code == 3
             assert captured.out == ""
             assert captured.err == f"error: {error}\n"
+
+
+PSI_13 = 3317044064679887385961981
+# the largest prime below psi13: each even weight from it to psi13 - 1 has
+# its next prime past psi13, where no prime can be certified
+LAST_PRIME_BELOW_PSI_13 = PSI_13 - 168
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", str(PSI_13 - 1)],
+    ["reduce", str(LAST_PRIME_BELOW_PSI_13 + 1)],
+    ["chain", str(PSI_13 - 1), "--policy", "longest"],
+    ["chain", str(LAST_PRIME_BELOW_PSI_13 + 1)],
+    ["mbound", "--max-k", str(PSI_13 - 1)],
+    ["mbound", "--max-k", str(PSI_13)],
+    ["mbound", "--max-k", str(LAST_PRIME_BELOW_PSI_13)],
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_an_uncertifiable_prime_is_one_error_line_and_exit_3(capsys, argv, fmt):
+    assert main([*argv, "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot certify ") and captured.err.count("\n") == 1
+
+
+def test_the_last_weight_below_the_last_certified_prime_reduces(capsys):
+    assert primes.is_prime(LAST_PRIME_BELOW_PSI_13)
+    assert not any(map(primes.is_prime, range(LAST_PRIME_BELOW_PSI_13 + 1, PSI_13)))
+    code, out = run_cli(capsys, "reduce", str(LAST_PRIME_BELOW_PSI_13 - 1), "--format", "json")
+    assert code == 0 and json.loads(out)["p"] == LAST_PRIME_BELOW_PSI_13
 
 
 def test_out_of_memory_is_one_error_line_and_exit_3(capsys):

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import pairwise
 from math import gcd
 
 import mpmath
@@ -18,6 +19,7 @@ from weightdescent.gaps import (
     verify_shifted_ratio,
 )
 from weightdescent.numeric import M_BOUND_RATIO, RATIO_BOUND, SHIFTED_RATIO_BOUND
+from weightdescent.primes import iter_primes, next_prime
 
 from oracles import m_bound_oracle, max_ratio_pair_scan, trial_division_next_prime
 
@@ -246,10 +248,11 @@ class TestMBound:
         assert len(small_m) == 7 and set(small_m) <= set(ratio_fails)
 
     def test_a_failing_weight_is_reported(self, monkeypatch, capsys):
-        # (38, 100000] holds no failure, so the prime stream the scan reads is
+        # (38, 100000] holds no failure, so the primes the chain tests are
         # faked: 46/36 > 6/5, and in the gap (37, 47) the clause fails at 38
         # and 40 (46/38 >= 6/5) but not at 42 (46/40 < 6/5)
-        monkeypatch.setattr(gaps, "iter_primes", lambda lo, hi: iter([37, 47]))
+        monkeypatch.setattr(gaps, "is_prime", lambda n: n in (37, 47))
+        monkeypatch.setattr(gaps, "next_prime", lambda n: 37 if n < 37 else 47)
         report = m_bound_check(38)
         assert report.failures == ((38, 47),)
         assert json.loads(canonical_json(report))["verdict"] == "fail"
@@ -262,8 +265,8 @@ class TestMBound:
     @example(case=([37, 41, 61], 44))
     @settings(max_examples=200, deadline=None)
     def test_the_gap_expansion_agrees_with_a_weight_loop(self, case):
-        # real primes hold no failure above 36, so the stream is faked, to
-        # reach the expansion arithmetic
+        # real primes hold no failure above 36, so the primes are faked, to
+        # reach the chain's jumps and the expansion arithmetic
         stream, k_max = case
 
         def fake_next_prime(n):
@@ -275,8 +278,38 @@ class TestMBound:
             if 5 * (p - 1) >= 6 * (k - 2):
                 expected.append((k, p))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gaps, "iter_primes", lambda lo, hi: (q for q in stream if lo <= q <= hi))
+            mp.setattr(gaps, "is_prime", set(stream).__contains__)
             mp.setattr(gaps, "next_prime", fake_next_prime)
             report = m_bound_check(k_max)
         assert report.failures == tuple(expected)
         assert report.checked == len(range(38, k_max + 1, 2))
+
+    @pytest.mark.parametrize("ratio", [M_BOUND_RATIO, Fraction(11, 10), Fraction(21, 20)])
+    @given(k_max=st.integers(38, 10**6))
+    @example(k_max=38)
+    @example(k_max=39)
+    @example(k_max=10**6)
+    @example(k_max=10**6 + 1)
+    @settings(max_examples=20, deadline=None)
+    def test_the_chain_agrees_with_the_stream_scan(self, ratio, k_max):
+        # the failures of the chain against those of the shifted scan over
+        # every adjacent pair of the stream from 37 to the prime after k_max;
+        # real primes break 6/5 nowhere above 36, so two smaller ratios,
+        # which they do break, reach the chain's violation branch
+        num, den = ratio.numerator, ratio.denominator
+        end = next_prime(k_max)
+        scan = gaps._scan(pairwise(iter_primes(37, end)), 37, end, ratio, shift=1)
+        expected = tuple(
+            (k, p)
+            for q, p in scan.violations
+            for k in range(max(38, q + 1), min(k_max, 2 + den * (p - 1) // num) + 1, 2)
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gaps, "M_BOUND_RATIO", ratio)
+            assert m_bound_check(k_max).failures == expected
+        assert bool(expected) == (ratio != M_BOUND_RATIO)
+
+    def test_the_chain_reaches_1e12(self):
+        report = m_bound_check(10**12)
+        assert report.passed
+        assert report.checked == (10**12 - 38) // 2 + 1

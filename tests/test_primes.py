@@ -4,6 +4,8 @@ from itertools import islice
 from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weightdescent import descent, primes
 from weightdescent.primes import (
@@ -15,7 +17,12 @@ from weightdescent.primes import (
     sieve,
 )
 
-from oracles import trial_division_is_prime, trial_division_next_prime, trial_division_primes
+from oracles import (
+    strong_probable_prime,
+    trial_division_is_prime,
+    trial_division_next_prime,
+    trial_division_primes,
+)
 
 
 def test_sieve_30():
@@ -124,7 +131,8 @@ def test_the_base_primes_are_built_once_per_process(monkeypatch):
     # a chain's 121 steps, a lookup far past them and a full audit share one
     # cache of base primes; each bound is sieved once, not once per stream.
     # A base is the stream from 2 to its bound, so building one is a call
-    # iter_primes(2, n); the streams of lookups start above their weight
+    # iter_primes(2, n); the kernel's streams start above their weight, and
+    # single lookups test numbers without a stream
     builds = []
     real = primes.iter_primes
 
@@ -165,27 +173,71 @@ def test_a_large_base_holds_eight_bytes_a_prime():
 GAP_EDGES = [31396, 31397, 31430, 31468, 31469, 492112, 492113, 492170, 492226, 492227]
 
 
-@pytest.mark.parametrize("first_window", [256, 16, 1])
-def test_next_prime_without_table_across_maximal_gaps(monkeypatch, first_window):
-    monkeypatch.setattr(primes, "_FIRST_WINDOW", first_window)
-    windows = []
-    real = primes._mark_segment
+def test_next_prime_without_table_across_maximal_gaps(monkeypatch):
+    # next_prime tests single numbers: across the longest gaps below 10^6 it
+    # agrees with trial division and sieves no window
+    def refuse(base, lo, hi):
+        raise AssertionError(f"a window [{lo}, {hi}] was sieved")
 
-    def recording(base, lo, hi):
-        windows.append(hi - lo + 1)
-        return real(base, lo, hi)
-
-    monkeypatch.setattr(primes, "_mark_segment", recording)
+    monkeypatch.setattr(primes, "_mark_segment", refuse)
     for n in GAP_EDGES:
-        # a first lookup may build base primes, in windows of their own
-        next_prime(n)
-        windows.clear()
         assert next_prime(n) == trial_division_next_prime(n), n
-        assert windows == [first_window << i for i in range(len(windows))]
-    # 492227 is the 114th integer above 492113: a narrower window must widen
-    windows.clear()
-    next_prime(492113)
-    assert (len(windows) > 1) == (first_window < 114)
+
+
+# the odd composites below 10^5 that are strong probable primes to base 2
+# (OEIS A001262)
+BASE_2_PSEUDOPRIMES = [2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141,
+                       52633, 65281, 74665, 80581, 85489, 88357, 90751]
+# psi_t, t = 1..13 (OEIS A014233)
+PUBLISHED_PSI = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                 341550071728321, 341550071728321, 3825123056546413051,
+                 3825123056546413051, 3825123056546413051, 318665857834031151167461,
+                 3317044064679887385961981]
+PSI_13 = PUBLISHED_PSI[-1]
+
+
+def test_is_prime_agrees_with_trial_division_to_1e5():
+    assert [n for n in range(-3, 10**5 + 1) if primes.is_prime(n)] == trial_division_primes(10**5)
+
+
+def test_the_base_2_pseudoprimes_below_1e5_are_rejected():
+    found = [n for n in range(3, 10**5, 2)
+             if strong_probable_prime(n, 2) and not trial_division_is_prime(n)]
+    assert found == BASE_2_PSEUDOPRIMES
+    assert not any(map(primes.is_prime, found))
+
+
+def test_every_psi_below_psi13_is_rejected_and_psi13_is_refused():
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    assert primes._PSI == tuple(PUBLISHED_PSI)
+    for t, psi in enumerate(PUBLISHED_PSI, 1):
+        # each is a strong probable prime to the first t bases
+        assert all(strong_probable_prime(psi, a) for a in bases[:t]), t
+    assert not any(map(primes.is_prime, PUBLISHED_PSI[:-1]))
+    # psi13 = 1287836182261 * 2575672364521 passes all 13 tests
+    assert 1287836182261 * 2575672364521 == PSI_13
+    with pytest.raises(primes.CannotCertifyError, match="cannot certify 3317044064679887385961981"):
+        primes.is_prime(PSI_13)
+
+
+def test_is_prime_proves_composites_beyond_psi13():
+    # a failed test is a proof at any size; only an n passing all 13 is refused
+    assert not primes.is_prime(PSI_13 + 2 * 43)
+    assert not primes.is_prime(PSI_13 * 3)
+    assert not primes.is_prime(2**89 + 1)
+    with pytest.raises(primes.CannotCertifyError):
+        primes.is_prime(2**89 - 1)  # a Mersenne prime, past psi13
+
+
+@given(n=st.integers(1, 10**12))
+@example(n=1)
+@example(n=2)
+@example(n=492113)
+@example(n=10**12)
+@example(n=2152302898747 - 1)  # psi_5
+@settings(max_examples=200, deadline=None)
+def test_next_prime_is_the_first_prime_of_the_stream(n):
+    assert next_prime(n) == next(iter_primes(n + 1))
 
 
 def test_consecutive_pairs_examples(table_100k):
