@@ -173,15 +173,22 @@ def test_a_large_base_holds_eight_bytes_a_prime():
 GAP_EDGES = [31396, 31397, 31430, 31468, 31469, 492112, 492113, 492170, 492226, 492227]
 
 
-def test_next_prime_without_table_across_maximal_gaps(monkeypatch):
+@pytest.mark.parametrize("stride", [256, 16, 1])
+def test_next_prime_without_table_across_maximal_gaps(monkeypatch, stride):
     # next_prime tests single numbers: across the longest gaps below 10^6 it
-    # agrees with trial division and sieves no window
+    # agrees with trial division and sieves no window. Each gap is walked
+    # from the prime before it to the prime after it, every stride-th integer
     def refuse(base, lo, hi):
         raise AssertionError(f"a window [{lo}, {hi}] was sieved")
 
     monkeypatch.setattr(primes, "_mark_segment", refuse)
-    for n in GAP_EDGES:
+    walked = set(GAP_EDGES)
+    for p, q in [(31397, 31469), (492113, 492227)]:
+        walked.update(range(p - 1, q + 1, stride))
+    for n in sorted(walked):
         assert next_prime(n) == trial_division_next_prime(n), n
+    # stride 1 visits every integer of both gaps
+    assert (len(walked) == 72 + 114 + 4) == (stride == 1)
 
 
 # the odd composites below 10^5 that are strong probable primes to base 2
