@@ -179,6 +179,7 @@ def _gap_lines(report) -> list[str]:
 
 def _cmd_gaps(args):
     shifted = args.command == "gaps-shifted"
+    gaps.positive_bound(args.bound)  # before the sieve, which a large --high makes slow
     table = sieve(args.high)
     fn = gaps.verify_shifted_ratio if shifted else gaps.verify_ratio
     report = fn(table, args.low, args.high, args.bound)

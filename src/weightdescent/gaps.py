@@ -3,17 +3,22 @@
 Consecutive-prime ratio scans (plain and shifted by one), the Chebyshev
 threshold a^(C/(a-C)) in enclosure arithmetic, the exact quotient grid for
 the three twist-exponent families, and the m > 6 bound.  One scan, `_scan`,
-tests every adjacent prime pair of a prime table it is given; the m > 6
-bound walks a chain of single primes instead, each as far past the last
-as 6/5 allows, and reports the gaps the chain cannot jump.  Every pass/fail
-decision is an exact rational comparison.
+covers every adjacent prime pair of a prime table it is given: a pass over
+the gaps finds the records, the pairs whose gap beats every earlier one,
+and only those can hold the maximum ratio; only the pairs below a cut that
+the largest gap sets can break the bound, and only those are tested.  The
+m > 6 bound walks a chain of single primes instead, each as far past the
+last as 6/5 allows, and reports the gaps the chain cannot jump.  Every
+pass/fail decision is an exact rational comparison.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .descent import choose_t
 from .numeric import (
@@ -46,33 +51,61 @@ class GapReport:
         return not self.violations
 
 
-def _scan(
-    pairs: Iterable[tuple[int, int]], low: int, high: int, bound: Fraction, shift: int
-) -> GapReport:
-    """Check (q-shift)/(p-shift) < bound for each adjacent prime pair (p, q)
-    in pairs, which cover the range (low, high] the report names."""
+def positive_bound(bound) -> Fraction:
+    """bound as a Fraction; a ratio bound must be positive."""
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError(f"bound must be positive, got {bound}")
+    return bound
+
+
+def _scan(
+    pairs: Sequence[tuple[int, int]], low: int, high: int, bound: Fraction, shift: int
+) -> GapReport:
+    """Check (q-shift)/(p-shift) < bound for each adjacent prime pair (p, q)
+    in pairs, which cover the range (low, high] the report names.
+
+    Pairs come in increasing p, with p - shift >= 1 and gap g = q - p >= 1,
+    and the ratio is (q-shift)/(p-shift) = 1 + g/(p-shift).  Two facts let
+    the scan work only at a few pairs:
+    - The first pair of maximum ratio is a record, its gap strictly larger
+      than every earlier gap.  An earlier pair has a smaller p - shift, so
+      were its gap at least as large, its ratio would be strictly larger.
+      So one loop keeps the records, and only a record is compared with the
+      best so far, by cross-multiplication and on a strict >, so the first
+      of equal ratios wins.
+    - With bound num/den, a pair violates it when den(q-shift) >=
+      num(p-shift), that is when den*g >= (num-den)(p-shift).  If num <= den
+      the right side is at most 0 < den*g, and every pair violates.  If
+      num > den, a violation needs p - shift <= den*g/(num-den) <=
+      den*top/(num-den), with top the largest gap, the last record's, so
+      every violation lies among the pairs with p <= shift + den*top //
+      (num-den), a prefix of pairs, and only that prefix is tested.
+    """
+    bound = positive_bound(bound)
     num, den = bound.numerator, bound.denominator
-    violations = []
+    top = 0
     best = None  # (ratio numerator, ratio denominator, p, q)
-    count = 0
     for p, q in pairs:
-        a, b = q - shift, p - shift
-        count += 1
-        if den * a >= num * b:
-            violations.append((p, q))
-        if best is None or a * best[1] > best[0] * b:
-            best = (a, b, p, q)
-    pair = (best[2], best[3]) if best else None
+        if q - p > top:
+            top = q - p
+            a, b = q - shift, p - shift
+            if best is None or a * best[1] > best[0] * b:
+                best = (a, b, p, q)
+    if num <= den:
+        violations = pairs
+    else:
+        end = bisect_right(pairs, shift + den * top // (num - den), key=itemgetter(0))
+        violations = [
+            (p, q) for p, q in pairs[:end] if den * (q - shift) >= num * (p - shift)
+        ]
     return GapReport(
         range=(low, high),
         bound=bound,
         shifted=bool(shift),
         violations=tuple(violations),
-        max_ratio_pair=pair,
-        pairs_checked=count,
+        max_ratio_pair=(best[2], best[3]) if best else None,
+        pairs_checked=len(pairs),
     )
 
 

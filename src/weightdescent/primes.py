@@ -5,11 +5,13 @@ increasing order.  It sieves one window of SEGMENT_SIZE integers at a
 time, so it holds one window plus the base primes up to the square root of
 the window's end.  One loop, `_mark_segment`, marks composites, keeping a
 flag for each odd integer of its window only and giving 2 on its own.  The
-base primes up to a power-of-two bound are the stream itself from 2 to that
-bound, collected once per process as 8-byte integers.  `sieve` materialises
-the stream into a `PrimeTable` of every prime up to its limit, for the
-scans that index consecutive pairs.  The stream is the one source of prime
-ranges; `is_prime`, a strong probable-prime test proven deterministic below
+process keeps one array, `_PRIMES`, of every prime up to a covered bound,
+8 bytes a prime; it grows only past that bound, and only through the
+stream, so no integer is sieved twice to fill it.  Every stream takes its
+base primes from it, and `sieve` grows it to its limit and copies the
+primes up to that limit into a `PrimeTable`, for the scans that index
+consecutive pairs.  The stream is the one source of prime ranges;
+`is_prime`, a strong probable-prime test proven deterministic below
 psi13 ~ 3.3 * 10^24, is the one test of a single number, and `next_prime`
 searches with it, so a lookup costs a few modular powers for each candidate
 that survives trial division, whatever the size of n.
@@ -21,7 +23,6 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain, compress, count, pairwise
 from math import gcd, isqrt
 
@@ -80,38 +81,54 @@ def _mark_segment(base: Sequence[int], lo: int, hi: int) -> Iterator[int]:
     return chain((2,), odd) if lo <= 2 <= hi else odd
 
 
-@cache
-def _base_primes(n: int) -> array:
-    """Every prime <= n, collected from iter_primes as 8-byte integers."""
-    return array("q", iter_primes(2, n))
+# Every prime <= _covered, ascending: the base primes of every stream and
+# the source of every table.  It only grows, by _grow.
+_PRIMES = array("q")
+_covered = 1
+
+
+def _grow(n: int) -> None:
+    """Extend _PRIMES to every prime <= n, sieving only past _covered.
+
+    Each stretch ends below (_covered + 1)^2, so the array already holds the
+    base primes of every window in it and the stream never grows the array
+    from inside a growth: from 1 the stretches end at 3, 15, 255, 65535 and
+    then at n itself, for any n below 2^32.
+    """
+    global _covered
+    while _covered < n:
+        top = min(n, (_covered + 1) ** 2 - 1)
+        _PRIMES.extend(iter_primes(_covered + 1, top))
+        _covered = top
 
 
 def iter_primes(lo: int = 2, hi: int | None = None) -> Iterator[int]:
     """Every prime p with lo <= p <= hi in increasing order; with hi None, every
     prime from lo on, without end.
 
-    Every window is SEGMENT_SIZE wide and takes the shared base primes up
-    to the power of two above its end's square root, so the cache keys stay
-    few; one ending below 9 takes none, as 3, 5 and 7 are prime, which ends
-    _base_primes' recursion.
+    Every window is SEGMENT_SIZE wide and takes its base primes from
+    _PRIMES, first grown to the square root of the window's end.
     """
     lo = max(lo, 2)
     while hi is None or lo <= hi:
         top = lo + SEGMENT_SIZE - 1 if hi is None else min(lo + SEGMENT_SIZE - 1, hi)
-        base = _base_primes(1 << isqrt(top).bit_length()) if top >= 9 else ()
-        yield from _mark_segment(base, lo, top)
+        _grow(isqrt(top))
+        yield from _mark_segment(_PRIMES, lo, top)
         lo = top + 1
 
 
 def sieve(limit: int) -> PrimeTable:
-    """Table of all primes <= limit, collected from iter_primes.
+    """Table of all primes <= limit: _PRIMES, grown to limit if it falls
+    short, cut at limit.
 
-    The table holds every prime it lists (~limit / ln(limit) ints); the sieve
-    behind it works one segment of at most SEGMENT_SIZE integers at a time.
+    The table holds every prime it lists (~limit / ln(limit) ints); the array
+    behind it takes 8 bytes a prime, and the sieve that grows it works one
+    segment of at most SEGMENT_SIZE integers at a time.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    return PrimeTable(limit, tuple(iter_primes(2, limit)))
+    _grow(limit)
+    return PrimeTable(limit, tuple(_PRIMES[: bisect_right(_PRIMES, limit)]))
 
 
 def is_prime(n: int) -> bool:

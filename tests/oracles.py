@@ -105,6 +105,28 @@ def max_ratio_pair_scan(
     return best
 
 
+def reference_scan(
+    pairs, bound: Fraction, shift: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, int] | None, int]:
+    """The per-pair ratio scan: every pair (p, q) is tested against the
+    bound and compared with the best so far, both by cross-multiplication
+    of (q-shift)/(p-shift).  Returns (violations, max ratio pair, pairs
+    checked); a pair on the bound is a violation, and of equal ratios the
+    first is the max."""
+    num, den = bound.numerator, bound.denominator
+    violations = []
+    best = None  # (ratio numerator, ratio denominator, p, q)
+    count = 0
+    for p, q in pairs:
+        a, b = q - shift, p - shift
+        count += 1
+        if den * a >= num * b:
+            violations.append((p, q))
+        if best is None or a * best[1] > best[0] * b:
+            best = (a, b, p, q)
+    return tuple(violations), (best[2], best[3]) if best else None, count
+
+
 def as_fraction_cyclo(value) -> Cyclo:
     """The reference kernel's copy of a package `Cyclo`, from its integer
     coordinates and common denominator."""

@@ -361,7 +361,8 @@ class TestAudit:
 
 class TestNoFullTable:
     """reduce, chain, audit and mbound take their primes from the stream or a
-    window: with every full sieve refused they still give their outputs."""
+    window: with every full sieve refused they still give their outputs, and
+    gaps refuses a non-positive bound without building one."""
 
     @pytest.fixture(autouse=True)
     def refuse_sieve(self, monkeypatch):
@@ -406,6 +407,15 @@ class TestNoFullTable:
         assert payload["path"][0] == 10**10 and payload["path"][-1] in descent.BASE_WEIGHTS
         for step in payload["steps"]:
             assert self.fields(step) == recipe_oracle(step["k"]), step["k"]
+
+    @pytest.mark.parametrize("command", ["gaps", "gaps-shifted"])
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_a_non_positive_bound_is_refused_before_the_sieve(self, capsys, command, bound):
+        # at --high 2 * 10^7 the sieve alone would take most of a second
+        code = main([command, "--high", str(2 * 10**7), "--bound", bound])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: bound must be positive, got {bound}\n"
 
 
 class TestDescentError:

@@ -21,10 +21,65 @@ from weightdescent.gaps import (
 from weightdescent.numeric import M_BOUND_RATIO, RATIO_BOUND, SHIFTED_RATIO_BOUND
 from weightdescent.primes import iter_primes, next_prime
 
-from oracles import m_bound_oracle, max_ratio_pair_scan, trial_division_next_prime
+from oracles import (
+    m_bound_oracle,
+    max_ratio_pair_scan,
+    reference_scan,
+    trial_division_next_prime,
+)
+
+
+@st.composite
+def scan_inputs(draw):
+    """(pairs, bound, shift): the adjacent pairs of an increasing sequence
+    from p0 >= 2 with gaps 1..200, and a bound above, at or below 1, or on
+    one of the pairs, the widest among them.  Half the sequences open with
+    two pairs of equal ratio 1 + g/x, (x, x+g) and (2x, 2x+2g) shifted,
+    which no other pair reaches: the pair between them has the lower ratio
+    2x/(x+g) as 2x^2 < (x+g)^2, and a later pair has a gap of at most 2g at
+    p - shift >= 2x+2g, so a ratio of at most 1 + g/(x+g)."""
+    shift = draw(st.sampled_from((0, 1)))
+    if draw(st.booleans()):
+        x = draw(st.integers(3, 100))
+        g = draw(st.integers(x // 2 + 1, x - 1))
+        seq, cap = [shift + n for n in (x, x + g, 2 * x, 2 * x + 2 * g)], 2 * g
+    else:
+        seq, cap = [draw(st.integers(2, 10**4))], 200
+    for step in draw(st.lists(st.integers(1, cap), max_size=40)):
+        seq.append(seq[-1] + step)
+    pairs = list(pairwise(seq))
+    kind = draw(st.sampled_from(("above", "one", "below", "on a pair", "on the widest pair")))
+    if kind == "above" or (not pairs and kind.startswith("on")):
+        den = draw(st.integers(1, 1000))
+        bound = Fraction(draw(st.integers(den + 1, 3 * den)), den)
+    elif kind == "one":
+        bound = Fraction(1)
+    elif kind == "below":
+        num = draw(st.integers(1, 1000))
+        bound = Fraction(num, draw(st.integers(num + 1, 3 * num)))
+    else:
+        widest = max(q - p for p, q in pairs)
+        on = draw(st.sampled_from(pairs)) if kind == "on a pair" else next(
+            (p, q) for p, q in pairs if q - p == widest)
+        bound = Fraction(on[1] - shift, on[0] - shift)
+    return pairs, bound, shift
 
 
 class TestRatioScans:
+    @given(scan=scan_inputs())
+    @example(scan=([(2, 3), (3, 4), (4, 6)], Fraction(3, 2), 0))
+    @example(scan=([(3, 4), (4, 5), (5, 7)], Fraction(3, 2), 1))
+    @example(scan=([], Fraction(143, 125), 0))
+    @settings(max_examples=400, deadline=None)
+    def test_the_record_scan_agrees_with_the_per_pair_scan(self, scan):
+        # violations, the first pair of maximum ratio and the count, against
+        # the per-pair loop; a pair on the bound violates it, and of equal
+        # ratios the first is the max
+        pairs, bound, shift = scan
+        report = gaps._scan(pairs, 0, 0, bound, shift)
+        got = (report.violations, report.max_ratio_pair, report.pairs_checked)
+        assert got == reference_scan(pairs, bound, shift)
+
     def test_full_range_passes(self, table_100k):
         report = verify_ratio(table_100k, 37, X0)
         assert report.passed
@@ -298,7 +353,7 @@ class TestMBound:
         # which they do break, reach the chain's violation branch
         num, den = ratio.numerator, ratio.denominator
         end = next_prime(k_max)
-        scan = gaps._scan(pairwise(iter_primes(37, end)), 37, end, ratio, shift=1)
+        scan = gaps._scan(list(pairwise(iter_primes(37, end))), 37, end, ratio, shift=1)
         expected = tuple(
             (k, p)
             for q, p in scan.violations

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 from itertools import islice
 from math import isqrt
 
@@ -23,6 +24,17 @@ from oracles import (
     trial_division_next_prime,
     trial_division_primes,
 )
+
+
+def empty_the_array(monkeypatch):
+    """Give the test an empty prime array, as at the start of a process."""
+    monkeypatch.setattr(primes, "_PRIMES", array("q"))
+    monkeypatch.setattr(primes, "_covered", 1)
+
+
+@pytest.fixture
+def fresh_primes(monkeypatch):
+    empty_the_array(monkeypatch)
 
 
 def test_sieve_30():
@@ -74,6 +86,7 @@ def test_every_small_window_against_trial_division():
 def test_segment_boundaries(monkeypatch):
     # tiny segments force many windows; result must not depend on the split
     expected = sieve(1000).primes
+    empty_the_array(monkeypatch)
     monkeypatch.setattr(primes, "SEGMENT_SIZE", 16)
     assert sieve(1000).primes == expected
 
@@ -100,9 +113,12 @@ def test_stream_equals_the_table_and_trial_division(monkeypatch, n):
     assert list(sieve(n).primes) == expected
     assert list(islice(iter_primes(), len(expected))) == expected
     for segment_size in (1, 2, 7, 16, 300, SEGMENT_SIZE):
+        # an empty array, so that the table is sieved in windows of this
+        # size and not cut from an array grown before
+        empty_the_array(monkeypatch)
         monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
-        assert list(iter_primes(2, n)) == expected
         assert sieve(n).primes == tuple(expected)
+        assert list(iter_primes(2, n)) == expected
         for lo in (0, 3, n // 3, n):
             assert list(iter_primes(lo, n)) == [p for p in expected if p >= lo]
 
@@ -127,43 +143,52 @@ def test_next_prime_walks_into_and_past_the_table(limit):
     assert [next_prime(n, table) for n in ns] == expected
 
 
-def test_the_base_primes_are_built_once_per_process(monkeypatch):
-    # a chain's 121 steps, a lookup far past them and a full audit share one
-    # cache of base primes; each bound is sieved once, not once per stream.
-    # A base is the stream from 2 to its bound, so building one is a call
-    # iter_primes(2, n); the kernel's streams start above their weight, and
-    # single lookups test numbers without a stream
-    builds = []
+def test_every_integer_is_sieved_at_most_once_per_process(monkeypatch, fresh_primes):
+    # the process's prime array grows only through primes.iter_primes, called
+    # on the stretch past what it covers; the kernel's and the chain's streams
+    # call the loop directly and read their base primes from the array. Across
+    # a chain, two equal tables, a larger one and an audit, the stretches are
+    # disjoint and adjacent, a repeated table sieves nothing, and the array
+    # ends where the largest table asked
+    grown = []
     real = primes.iter_primes
 
     def recording(lo=2, hi=None):
-        if lo == 2 and hi is not None:
-            builds.append(hi)
+        grown.append((lo, hi))
         return real(lo, hi)
 
     monkeypatch.setattr(primes, "iter_primes", recording)
-    primes._base_primes.cache_clear()
     descent.chain(999998, "longest")
-    assert len(builds) == len(set(builds)) <= 20
-    next_prime(10**10)
+    assert sieve(10**5).count == 9592
+    stretches = len(grown)
+    assert sieve(10**5).count == 9592
+    assert len(grown) == stretches
+    assert sieve(2 * 10**5).count == 17984
     descent.audit(10**6)
-    assert len(builds) == len(set(builds))
-    assert all(n & (n - 1) == 0 for n in builds), builds
-    assert primes._base_primes.cache_info().currsize <= 40
+    assert grown[0][0] == 2 and grown[-1][1] == 2 * 10**5
+    assert all(lo == prev_hi + 1 for (_, prev_hi), (lo, _) in zip(grown, grown[1:])), grown
+    assert list(primes._PRIMES) == trial_division_primes(2 * 10**5)
 
 
-def test_a_large_base_holds_eight_bytes_a_prime():
-    # the 295,947 primes below 2^22 that the cache keeps take ~2.4 MB as
-    # 8-byte integers and ~12 MB as a tuple of int objects; built in windows,
-    # the flags add one window, where one segment [2, 2^22] peaks at ~8 MB
-    primes._base_primes.cache_clear()
+def test_an_audit_grows_the_array_to_its_square_root(fresh_primes):
+    # the audit's stream needs base primes up to the square root of its last
+    # window's end, a little past sqrt(10^6), and no table
+    descent.audit(10**6)
+    assert 1000 <= primes._covered <= 1100
+    assert list(primes._PRIMES) == trial_division_primes(primes._covered)
+
+
+def test_a_large_base_holds_eight_bytes_a_prime(fresh_primes):
+    # the 295,947 primes below 2^22 take ~2.4 MB in the array as 8-byte
+    # integers and ~12 MB as a tuple of int objects; grown in windows, the
+    # flags add one window, where one segment [2, 2^22] peaks at ~8 MB
     tracemalloc.start()
     try:
-        base = primes._base_primes(1 << 22)
+        primes._grow(1 << 22)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        primes._base_primes.cache_clear()
+    base = primes._PRIMES
     assert (len(base), base[0], base[-1]) == (295947, 2, 4194301)
     assert kept < 3 * 2**20
     assert peak < 3 * 2**20
