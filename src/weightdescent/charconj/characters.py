@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, weighted_sum, weighted_sum_of_products
 from .groups import FiniteGroup, Subgroup, double_cosets
 
 
@@ -23,7 +23,8 @@ class CharacterError(ValueError):
 
 class ClassFunction:
     """A function on a group or subgroup, constant on conjugacy classes, with
-    values in a common cyclotomic field."""
+    values in a common cyclotomic field: one `Cyclo` per class, all at one
+    conductor, the lcm of the given values' conductors."""
 
     __slots__ = ("group", "values")
 
@@ -39,6 +40,27 @@ class ClassFunction:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "values", tuple(v.to_conductor(n) for v in values))
 
+    @classmethod
+    def _of(cls, group: FiniteGroup | Subgroup, values) -> "ClassFunction":
+        """A class function from values that already hold the constructor's
+        invariant: one `Cyclo` per class of `group`, all at one conductor.
+        Nothing is checked, because every caller's values hold it:
+        - `__add__` and `__mul__` combine two class functions of the same
+          group class by class, and each sum or product of a value at n1 and
+          one at n2 lies at lcm(n1, n2);
+        - `scale` and `galois` map each value to one at its own conductor;
+        - `restrict` takes each K-class's value from chi, so every value
+          is at chi's conductor;
+        - `induce` builds one value per G-class, each a `weighted_sum` at
+          chi's conductor;
+        - `zero` repeats one rational 0, and `linear_character_of_cyclic`
+          gives each class of a cyclic group of order n a power of zeta_n,
+          at n."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "group", group)
+        object.__setattr__(obj, "values", tuple(values))
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("ClassFunction is immutable")
 
@@ -48,7 +70,7 @@ class ClassFunction:
 
     @classmethod
     def zero(cls, group: FiniteGroup | Subgroup) -> "ClassFunction":
-        return cls(group, [0] * len(group.classes))
+        return cls._of(group, [Cyclo.from_rational(0)] * len(group.classes))
 
     def value(self, g: int) -> Cyclo:
         return self.values[self.group.class_index[g]]
@@ -59,17 +81,17 @@ class ClassFunction:
 
     def __add__(self, other: "ClassFunction") -> "ClassFunction":
         self._same_group(other)
-        return ClassFunction(self.group, [a + b for a, b in zip(self.values, other.values)])
+        return ClassFunction._of(self.group, [a + b for a, b in zip(self.values, other.values)])
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         self._same_group(other)
-        return ClassFunction(self.group, [a * b for a, b in zip(self.values, other.values)])
+        return ClassFunction._of(self.group, [a * b for a, b in zip(self.values, other.values)])
 
     def scale(self, c) -> "ClassFunction":
-        return ClassFunction(self.group, [v * Fraction(c) for v in self.values])
+        return ClassFunction._of(self.group, [v * Fraction(c) for v in self.values])
 
     def galois(self, j: int) -> "ClassFunction":
-        return ClassFunction(self.group, [v.galois(j) for v in self.values])
+        return ClassFunction._of(self.group, [v.galois(j) for v in self.values])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClassFunction):
@@ -96,25 +118,31 @@ def linear_character_of_cyclic(group: FiniteGroup | Subgroup, a: int = 1) -> Cla
     values = [None] * n
     for i, x in enumerate(powers):
         values[group.class_index[x]] = Cyclo.zeta(n, a * i % n)
-    return ClassFunction(group, values)
+    return ClassFunction._of(group, values)
 
 
 def induce(H: Subgroup, chi: ClassFunction) -> ClassFunction:
     """Induced class function on G = H.parent: (Ind chi)(g) = (1/|H|) sum
-    over x in G with x^-1 g x in H of chi(x^-1 g x); computed classwise."""
+    over x in G with x^-1 g x in H of chi(x^-1 g x); computed classwise.
+
+    For g in a G-class c, x -> x^-1 g x takes each member of c |G|/|c|
+    times, so (Ind chi)(g) = |G|/(|H| |c|) times the sum of chi over c's
+    members in H.  That sum counts how many fall in each H-class and is
+    one `weighted_sum` at chi's conductor."""
     G = H.parent
     if chi.group is not H:
         raise CharacterError("character is not defined on the subgroup")
-    index = Fraction(G.order, H.order)
+    n = chi.conductor
     values = []
     for cls_elems in G.classes:
-        total = Cyclo.from_rational(0)
+        counts = {}
         for g in cls_elems:
             c = H.class_index.get(g)
             if c is not None:
-                total = total + chi.values[c]
-        values.append(total * (index / len(cls_elems)))
-    return ClassFunction(G, values)
+                counts[c] = counts.get(c, 0) + 1
+        terms = [(k, chi.values[c]) for c, k in counts.items()]
+        values.append(weighted_sum(n, terms, Fraction(G.order, H.order * len(cls_elems))))
+    return ClassFunction._of(G, values)
 
 
 def restrict(K: Subgroup, chi: ClassFunction) -> ClassFunction:
@@ -122,19 +150,22 @@ def restrict(K: Subgroup, chi: ClassFunction) -> ClassFunction:
     containing G-class, G = K.parent."""
     if chi.group is not K.parent:
         raise CharacterError("class function is not defined on the ambient group")
-    return ClassFunction(K, [chi.value(c[0]) for c in K.classes])
+    return ClassFunction._of(K, [chi.value(c[0]) for c in K.classes])
 
 
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> Cyclo:
-    """(1/|G|) sum over g of chi(g) psi(g^-1), computed with class sizes."""
+    """(1/|G|) sum over g of chi(g) psi(g^-1), computed with class sizes:
+    both functions' values at the lcm of their conductors, and one
+    `weighted_sum_of_products` over the classes."""
     chi._same_group(psi)
     G = chi.group
-    total = Cyclo.from_rational(0)
+    n = lcm(chi.conductor, psi.conductor)
+    terms = []
     for idx, cls_elems in enumerate(G.classes):
-        rep = cls_elems[0]
-        inv_idx = G.class_index[G.inverses[rep]]
-        total = total + chi.values[idx] * psi.values[inv_idx] * len(cls_elems)
-    return total * Fraction(1, G.order)
+        inv_idx = G.class_index[G.inverses[cls_elems[0]]]
+        terms.append((len(cls_elems), chi.values[idx].to_conductor(n),
+                      psi.values[inv_idx].to_conductor(n)))
+    return weighted_sum_of_products(n, terms, Fraction(1, G.order))
 
 
 def mackey_check(H: Subgroup, K: Subgroup, chi: ClassFunction) -> bool:

@@ -8,6 +8,10 @@ the integers: each power z^e with e >= phi(n) is replaced by its cached
 integer coordinates.  The pair is kept with gcd(den, *num) = 1, so equal
 values at one conductor have identical (num, den).  Mixed conductors embed
 into the lcm.  No floating point anywhere.
+
+`weighted_sum` and `weighted_sum_of_products` add many terms in these
+coordinates over one common denominator and canonicalise the result once,
+so a sum of k values costs one gcd pass, not k.
 """
 
 from __future__ import annotations
@@ -100,6 +104,53 @@ def _canonical(conductor: int, num, den: int) -> "Cyclo":
     return _fill(object.__new__(Cyclo), conductor, num, den)
 
 
+def _add_product(out: list[int], x: tuple[int, ...], y: tuple[int, ...], w: int) -> None:
+    """Add w times the unreduced product of coordinate vectors x and y to out."""
+    for i, a in enumerate(x):
+        if a:
+            a *= w
+            for j, b in enumerate(y, i):
+                if b:
+                    out[j] += a * b
+
+
+def weighted_sum(conductor: int, terms, scale) -> "Cyclo":
+    """scale * (the sum of w * v over (w, v) in terms), for integer weights
+    w, values v all at `conductor` and a rational scale; an empty sum is 0.
+
+    Each v is num/den in reduced coordinates, so over D = lcm of the dens
+    the sum's coordinates are the sum of w * (D // den) * num: a linear
+    combination of reduced vectors is reduced, and only the result is
+    canonicalised."""
+    terms = list(terms)
+    den = lcm(*(v.den for _, v in terms))
+    acc = [0] * (len(cyclotomic_polynomial(conductor)) - 1)
+    for w, v in terms:
+        f = w * (den // v.den)
+        for k, c in enumerate(v.num):
+            if c:
+                acc[k] += f * c
+    p = scale.numerator
+    return _canonical(conductor, [c * p for c in acc], den * scale.denominator)
+
+
+def weighted_sum_of_products(conductor: int, terms, scale) -> "Cyclo":
+    """scale * (the sum of w * x * y over (w, x, y) in terms), for integer
+    weights w, values x and y all at `conductor` and a rational scale.
+
+    Over D = lcm of the products' dens, the products' coordinates are added
+    unreduced, as polynomials in z of degree below 2 phi(n) - 1, so the sum
+    is reduced modulo the cyclotomic polynomial and canonicalised once."""
+    terms = list(terms)
+    den = lcm(*(x.den * y.den for _, x, y in terms))
+    out = [0] * (2 * len(cyclotomic_polynomial(conductor)) - 3)
+    for w, x, y in terms:
+        _add_product(out, x.num, y.num, w * (den // (x.den * y.den)))
+    p = scale.numerator
+    return _canonical(conductor, [c * p for c in _reduce(conductor, out)],
+                      den * scale.denominator)
+
+
 class Cyclo:
     """An element of Q(zeta_n) in canonical coordinates."""
 
@@ -151,7 +202,7 @@ class Cyclo:
 
     def __add__(self, other) -> "Cyclo":
         other = self._coerce(other)
-        a, b = self._align(other)
+        a, b = (self, other) if self.conductor == other.conductor else self._align(other)
         den = lcm(a.den, b.den)
         fa, fb = den // a.den, den // b.den
         return _canonical(a.conductor, [x * fa + y * fb for x, y in zip(a.num, b.num)], den)
@@ -163,14 +214,10 @@ class Cyclo:
             p = other.numerator
             return _canonical(self.conductor, [c * p for c in self.num],
                               self.den * other.denominator)
-        a, b = self._align(other)
+        a, b = (self, other) if self.conductor == other.conductor else self._align(other)
         n = a.conductor
-        out = [0] * (len(a.num) + len(b.num) - 1)
-        for i, x in enumerate(a.num):
-            if x:
-                for j, y in enumerate(b.num, i):
-                    if y:
-                        out[j] += x * y
+        out = [0] * (2 * len(a.num) - 1)
+        _add_product(out, a.num, b.num, 1)
         return _canonical(n, _reduce(n, out), a.den * b.den)
 
     __rmul__ = __mul__
@@ -179,7 +226,7 @@ class Cyclo:
         if not isinstance(other, (Cyclo, int, Fraction)):
             return NotImplemented
         other = self._coerce(other)
-        a, b = self._align(other)
+        a, b = (self, other) if self.conductor == other.conductor else self._align(other)
         return a.den == b.den and a.num == b.num
 
     def is_rational(self) -> bool:

@@ -1,7 +1,9 @@
 """Finite groups as explicit multiplication tables.
 
 Elements are indices 0..order-1 with 0 the identity.  Group laws are
-verified exhaustively once per table, when a `FiniteGroup` is built; a
+verified exhaustively once per table, when a `FiniteGroup` is built: once
+per builtin name in a process, as `builtin_group` keeps what it built, and
+on every load of a group definition; a
 `Subgroup` is a subset of its parent's table, in the parent's indices,
 and checks nothing, as its producers only make subgroups.  Conjugacy
 classes, subgroups and double cosets are all computed by brute force; the
@@ -9,6 +11,8 @@ order cap keeps that cheap.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 MAX_ORDER = 48
 
@@ -215,8 +219,23 @@ def quaternion() -> FiniteGroup:
 
 
 def builtin_group(name: str) -> FiniteGroup:
-    """Constructors by name, in any case: C<n>, D<n>, S3, S4, Q8."""
+    """Constructors by name, in any case: C<n>, D<n>, S3, S4, Q8.
+
+    Each normalised name (upper case, n without leading zeros) is built
+    once per process, and the same immutable group is returned after that.
+    The order cap bounds the names that build, C1..C48, D2..D24, S3, S4 and
+    Q8, so the cache holds at most 74 groups; a refused name is not kept."""
     key = name.strip().upper()
+    if key[:1] in ("C", "D") and key[1:].isdigit():
+        key = f"{key[0]}{int(key[1:])}"
+    try:
+        return _builtin(key)
+    except KeyError:
+        raise ValueError(f"unknown group name: {name}") from None
+
+
+@cache
+def _builtin(key: str) -> FiniteGroup:
     if key == "Q8":
         return quaternion()
     if key in ("S3", "S4"):
@@ -225,7 +244,7 @@ def builtin_group(name: str) -> FiniteGroup:
         return cyclic(int(key[1:]))
     if key.startswith("D") and key[1:].isdigit():
         return dihedral(int(key[1:]))
-    raise ValueError(f"unknown group name: {name}")
+    raise KeyError(key)
 
 
 def _is_int(x) -> bool:

@@ -24,6 +24,7 @@ from .descent import choose_t
 from .numeric import (
     CHEBYSHEV_A,
     CHEBYSHEV_B,
+    EXP_ARG_MAX,
     M_BOUND_RATIO,
     RATIO_BOUND,
     SHIFTED_RATIO_BOUND,
@@ -143,7 +144,10 @@ def chebyshev_threshold(
     """Enclosure of a^(C/(a-C)), C = B/A; typo_variant computes a*C/(a-C) instead.
 
     The exponent C/(a-C) is an exact rational, so only the final power needs
-    enclosure arithmetic.
+    enclosure arithmetic.  Before the power is built, an exact test refuses
+    an a whose power may leave the decimal range: as ln a <= a - 1, the
+    power is in range when C/(a-C) * (a-1) <= EXP_ARG_MAX, and for a <= 1
+    it is at most 1.
     """
     B, a = Fraction(B), Fraction(a)
     if B <= 0 or a <= 0:
@@ -152,6 +156,12 @@ def chebyshev_threshold(
     if a <= C:
         raise ValueError(f"degenerate: a <= C (a = {a}, C = {C})")
     exponent_value = C / (a - C)
+    if not typo_variant and exponent_value * (a - 1) > EXP_ARG_MAX:
+        raise ValueError(
+            f"a = {a} lies too close to C = {C}: the exponent C/(a-C) = "
+            f"{exponent_value} may put a^(C/(a-C)) past 10^{EXP_ARG_MAX // 2}, "
+            "beyond any decimal enclosure"
+        )
     exponent = RealEnclosure.from_rational(exponent_value, digits)
     if typo_variant:
         threshold = RealEnclosure.from_rational(a * exponent_value, digits)

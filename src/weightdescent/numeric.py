@@ -24,6 +24,9 @@ CHEBYSHEV_A = Fraction(1)
 CHEBYSHEV_B = Fraction(1130289, 1000000)  # 1.130289
 
 DEFAULT_DIGITS = 50
+# exp(t) < 10^Emax for t <= 2 Emax, as ln 10 > 2: the enclosure contexts hold
+# exp of every argument up to this bound, at any precision
+EXP_ARG_MAX = 2 * Context().Emax
 
 
 def _ctx(digits: int, rounding: str) -> Context:
@@ -111,10 +114,14 @@ class RealEnclosure:
 def pow_enclosure(base, exponent: RealEnclosure, digits: int = DEFAULT_DIGITS) -> "RealEnclosure":
     """Enclosure of base**exponent for a positive rational base.
 
-    A degenerate integer exponent is evaluated exactly in rational
-    arithmetic; otherwise the power goes through exp(exponent * ln(base))
-    with outward rounding at every step, so larger `digits` yields a nested,
-    tighter enclosure.
+    A degenerate integer exponent n is evaluated exactly in rational
+    arithmetic while the power has at most ~`digits` digits (n times the
+    bit length of base's numerator or denominator at most 4 * digits), so
+    it costs no more than the enclosure itself; otherwise the power goes
+    through exp(exponent * ln(base)) with outward rounding at every step,
+    so larger `digits` yields a nested, tighter enclosure.  The caller keeps
+    exponent * ln(base) at most EXP_ARG_MAX; past it exp raises
+    decimal.Overflow.
     """
     base = Fraction(base)
     if base <= 0:
@@ -123,6 +130,8 @@ def pow_enclosure(base, exponent: RealEnclosure, digits: int = DEFAULT_DIGITS) -
         raise ValueError("digits must be >= 1")
     lo, hi = exponent.lower, exponent.upper
     if lo == hi and lo == lo.to_integral_value():
-        return RealEnclosure.from_rational(base ** int(lo), digits)
+        n = int(lo)
+        if abs(n) * max(base.numerator.bit_length(), base.denominator.bit_length()) <= 4 * digits:
+            return RealEnclosure.from_rational(base ** n, digits)
     ln_base = RealEnclosure.from_rational(base, digits).ln(digits)
     return exponent.mul(ln_base, digits).exp(digits)

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +92,57 @@ class TestClassFunctionBasics:
     def test_linear_character_requires_cyclic(self):
         with pytest.raises(CharacterError, match="cyclic"):
             linear_character_of_cyclic(symmetric(3), 1)
+
+
+def every_subgroup(group):
+    """Every subgroup of `group`: those generated by two elements cover every
+    subgroup of the suite groups, deduplicated by element set."""
+    found = {}
+    for a in group.elements:
+        for b in group.elements:
+            h = generated_subgroup(group, (a, b))
+            found.setdefault(h.elements, h)
+    return list(found.values())
+
+
+def mixed_class_function(rng, group, conductors):
+    """A class function whose given values sit at conductors drawn from
+    `conductors`, the first at the last of them, with coordinates over
+    assorted denominators, and a rational 0 (conductor 1) on the second
+    class when there is one."""
+    values = []
+    for i in range(len(group.classes)):
+        n = conductors[-1] if i == 0 else rng.choice(conductors)
+        values.append(Cyclo(n, [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7)))
+                                for _ in range(n)]))
+    if len(values) > 1:
+        values[1] = 0
+    return ClassFunction(group, values)
+
+
+class TestAccumulationOracle:
+    """`induce` and `inner_product` sum in coordinates over one common
+    denominator; the oracles sum term by term in the `Fraction` kernel.  The
+    values mix denominators, so each term's own factor to the common one
+    matters, and chi and psi sit at different conductors (4 or 12 against
+    5), so the inner product must align them."""
+
+    @pytest.mark.parametrize("name", campaigns.SUITE_NAMES)
+    def test_every_subgroup_matches_the_brute_force_sums(self, name):
+        G = suite_groups((name,))[name]
+        rng = random.Random(f"accumulation:{name}")
+        psi_g = mixed_class_function(rng, G, (1, 5))
+        for H in every_subgroup(G):
+            chi = mixed_class_function(rng, H, (1, 3, 4))
+            psi = mixed_class_function(rng, H, (1, 5))
+            assert chi.conductor in (4, 12) and psi.conductor == 5
+            ind = induce(H, chi)
+            assert ind.conductor == chi.conductor
+            assert lifted(ind) == brute_force_induced_values(G, H, chi), H.elements
+            for f, g in ((chi, psi), (psi, chi), (chi, chi), (ind, psi_g)):
+                ip = inner_product(f, g)
+                assert ip.conductor == lcm(f.conductor, g.conductor)
+                assert as_fraction_cyclo(ip) == brute_force_inner(f, g), H.elements
 
 
 class TestInduce:

@@ -5,6 +5,8 @@ import os
 import shlex
 import subprocess
 import sys
+import time
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import weightdescent
-from weightdescent import cli, descent, primes
+from weightdescent import cli, descent, gaps, primes
 from weightdescent.charconj.campaigns import SUITE_NAMES
 from weightdescent.cli import build_parser, canonical_json, main
 
@@ -228,6 +230,52 @@ class TestThreshold:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --digits" in err and "prec" not in err
+
+
+# --a just above C = B: the exponent C/(a-C) is the integer 1130289, the
+# integer 1130289000000 and 1130289000000/7.  An exact power of the first
+# two has millions of digits, and exp of the last two overflows any
+# decimal context, so none of them may reach either.
+A_NEAR_C = ("1130290/1000000", "1130289000001/1000000000000", "1130289000007/1000000000000")
+
+
+class TestThresholdNearC:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_large_integer_exponent_is_enclosed(self, fmt):
+        done = _fresh_process("-m", "weightdescent", "threshold", "--a", A_NEAR_C[0],
+                              "--format", fmt)
+        assert (done.returncode, done.stderr) == (1, "")
+        if fmt == "json":
+            assert json.loads(done.stdout)["below_x0"] is False
+        else:
+            assert done.stdout.endswith("below x0 = 100000: false\n")
+
+    def test_the_large_integer_power_lies_in_its_enclosure(self):
+        r = gaps.chebyshev_threshold(a=Fraction(A_NEAR_C[0]))
+        assert r.exponent.lower == r.exponent.upper == 1130289
+        # an independent 60-digit power; 1.13029 is exact in it
+        oracle = Context(prec=60).power(Decimal("1.13029"), 1130289)
+        assert r.threshold.lower < oracle < r.threshold.upper
+        assert r.threshold.lower >= gaps.X0 and r.below_x0 is False
+
+    @pytest.mark.parametrize("a", A_NEAR_C[1:])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_power_past_the_decimal_range_is_one_error_line(self, a, fmt):
+        done = _fresh_process("-m", "weightdescent", "threshold", "--a", a, "--format", fmt)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith(f"error: a = {a} lies too close to C = 1130289/1000000")
+        assert done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("a", A_NEAR_C)
+    def test_each_ends_in_under_a_second(self, capsys, a):
+        start = time.perf_counter()
+        assert main(["threshold", "--a", a]) in (1, 2)
+        assert time.perf_counter() - start < 1.0
+
+    def test_the_typo_variant_builds_no_power(self, capsys):
+        code, out = run_cli(capsys, "threshold", "--a", A_NEAR_C[1], "--typo-variant")
+        assert code == 1
+        assert "a*C/(a-C) in [1277553223522.130289, 1277553223522.130289]" in out
 
 
 class TestStarAndMBound:

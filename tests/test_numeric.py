@@ -61,6 +61,13 @@ class TestPowEnclosure:
         e = pow_enclosure(2, RealEnclosure(Decimal(10), Decimal(10)), 20)
         assert e.lower == e.upper == Decimal(1024)
 
+    def test_an_integer_power_past_about_digits_digits_goes_through_exp(self):
+        # exact while n * bit length <= 4 * digits: 2^10 has 20 bits at 5 digits
+        exact = pow_enclosure(2, RealEnclosure(Decimal(10), Decimal(10)), 5)
+        assert exact.lower == exact.upper == Decimal(1024)
+        wide = pow_enclosure(2, RealEnclosure(Decimal(11), Decimal(11)), 5)
+        assert Fraction(wide.lower) < 2048 < Fraction(wide.upper)
+
     def test_zeroth_power(self):
         e = pow_enclosure(Fraction(143, 125), RealEnclosure(Decimal(0), Decimal(0)), 20)
         assert e.lower == e.upper == Decimal(1)
