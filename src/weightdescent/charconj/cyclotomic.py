@@ -197,12 +197,14 @@ class Cyclo:
         return _canonical(big_n, _reduce(big_n, vec), self.den)
 
     def _align(self, other: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
+        if self.conductor == other.conductor:
+            return self, other
         n = lcm(self.conductor, other.conductor)
         return self.to_conductor(n), other.to_conductor(n)
 
     def __add__(self, other) -> "Cyclo":
         other = self._coerce(other)
-        a, b = (self, other) if self.conductor == other.conductor else self._align(other)
+        a, b = self._align(other)
         den = lcm(a.den, b.den)
         fa, fb = den // a.den, den // b.den
         return _canonical(a.conductor, [x * fa + y * fb for x, y in zip(a.num, b.num)], den)
@@ -214,7 +216,7 @@ class Cyclo:
             p = other.numerator
             return _canonical(self.conductor, [c * p for c in self.num],
                               self.den * other.denominator)
-        a, b = (self, other) if self.conductor == other.conductor else self._align(other)
+        a, b = self._align(other)
         n = a.conductor
         out = [0] * (2 * len(a.num) - 1)
         _add_product(out, a.num, b.num, 1)
@@ -226,7 +228,7 @@ class Cyclo:
         if not isinstance(other, (Cyclo, int, Fraction)):
             return NotImplemented
         other = self._coerce(other)
-        a, b = (self, other) if self.conductor == other.conductor else self._align(other)
+        a, b = self._align(other)
         return a.den == b.den and a.num == b.num
 
     def is_rational(self) -> bool:

@@ -1,9 +1,7 @@
 """Finite groups as explicit multiplication tables.
 
 Elements are indices 0..order-1 with 0 the identity.  Group laws are
-verified exhaustively once per table, when a `FiniteGroup` is built: once
-per builtin name in a process, as `builtin_group` keeps what it built, and
-on every load of a group definition; a
+verified exhaustively once per table, when a `FiniteGroup` is built; a
 `Subgroup` is a subset of its parent's table, in the parent's indices,
 and checks nothing, as its producers only make subgroups.  Conjugacy
 classes, subgroups and double cosets are all computed by brute force; the
@@ -11,8 +9,6 @@ order cap keeps that cheap.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 MAX_ORDER = 48
 
@@ -219,23 +215,8 @@ def quaternion() -> FiniteGroup:
 
 
 def builtin_group(name: str) -> FiniteGroup:
-    """Constructors by name, in any case: C<n>, D<n>, S3, S4, Q8.
-
-    Each normalised name (upper case, n without leading zeros) is built
-    once per process, and the same immutable group is returned after that.
-    The order cap bounds the names that build, C1..C48, D2..D24, S3, S4 and
-    Q8, so the cache holds at most 74 groups; a refused name is not kept."""
+    """Constructors by name, in any case: C<n>, D<n>, S3, S4, Q8."""
     key = name.strip().upper()
-    if key[:1] in ("C", "D") and key[1:].isdigit():
-        key = f"{key[0]}{int(key[1:])}"
-    try:
-        return _builtin(key)
-    except KeyError:
-        raise ValueError(f"unknown group name: {name}") from None
-
-
-@cache
-def _builtin(key: str) -> FiniteGroup:
     if key == "Q8":
         return quaternion()
     if key in ("S3", "S4"):
@@ -244,7 +225,7 @@ def _builtin(key: str) -> FiniteGroup:
         return cyclic(int(key[1:]))
     if key.startswith("D") and key[1:].isdigit():
         return dihedral(int(key[1:]))
-    raise KeyError(key)
+    raise ValueError(f"unknown group name: {name}")
 
 
 def _is_int(x) -> bool:

@@ -24,6 +24,7 @@ from .descent import choose_t
 from .numeric import (
     CHEBYSHEV_A,
     CHEBYSHEV_B,
+    DECIMAL_EMAX,
     EXP_ARG_MAX,
     M_BOUND_RATIO,
     RATIO_BOUND,
@@ -145,9 +146,9 @@ def chebyshev_threshold(
 
     The exponent C/(a-C) is an exact rational, so only the final power needs
     enclosure arithmetic.  Before the power is built, an exact test refuses
-    an a whose power may leave the decimal range: as ln a <= a - 1, the
-    power is in range when C/(a-C) * (a-1) <= EXP_ARG_MAX, and for a <= 1
-    it is at most 1.
+    an a whose power may leave the decimal range: as ln a <= (a-1)/sqrt(a)
+    for a >= 1, the power is in range when (C/(a-C))^2 (a-1)^2 / a <=
+    EXP_ARG_MAX^2, and for a <= 1 it is at most 1.
     """
     B, a = Fraction(B), Fraction(a)
     if B <= 0 or a <= 0:
@@ -156,10 +157,10 @@ def chebyshev_threshold(
     if a <= C:
         raise ValueError(f"degenerate: a <= C (a = {a}, C = {C})")
     exponent_value = C / (a - C)
-    if not typo_variant and exponent_value * (a - 1) > EXP_ARG_MAX:
+    if not typo_variant and a > 1 and (exponent_value * (a - 1)) ** 2 > a * EXP_ARG_MAX ** 2:
         raise ValueError(
             f"a = {a} lies too close to C = {C}: the exponent C/(a-C) = "
-            f"{exponent_value} may put a^(C/(a-C)) past 10^{EXP_ARG_MAX // 2}, "
+            f"{exponent_value} may put a^(C/(a-C)) past 10^{DECIMAL_EMAX}, "
             "beyond any decimal enclosure"
         )
     exponent = RealEnclosure.from_rational(exponent_value, digits)

@@ -24,9 +24,13 @@ CHEBYSHEV_A = Fraction(1)
 CHEBYSHEV_B = Fraction(1130289, 1000000)  # 1.130289
 
 DEFAULT_DIGITS = 50
-# exp(t) < 10^Emax for t <= 2 Emax, as ln 10 > 2: the enclosure contexts hold
-# exp of every argument up to this bound, at any precision
-EXP_ARG_MAX = 2 * Context().Emax
+# exp(t) < 10^(Emax - 0.04) for t <= EXP_ARG_MAX, as 2302585/10^6 < ln 10: the
+# enclosure contexts hold exp of every argument up to this bound, widened by
+# one unit in the last place, at any precision
+DECIMAL_EMAX = Context().Emax
+EXP_ARG_MAX = Fraction(DECIMAL_EMAX * 2302585, 10**6)
+# an exact integer power of at most this many bits costs microseconds
+EXACT_POWER_BITS = 1 << 16
 
 
 def _ctx(digits: int, rounding: str) -> Context:
@@ -115,13 +119,13 @@ def pow_enclosure(base, exponent: RealEnclosure, digits: int = DEFAULT_DIGITS) -
     """Enclosure of base**exponent for a positive rational base.
 
     A degenerate integer exponent n is evaluated exactly in rational
-    arithmetic while the power has at most ~`digits` digits (n times the
-    bit length of base's numerator or denominator at most 4 * digits), so
-    it costs no more than the enclosure itself; otherwise the power goes
-    through exp(exponent * ln(base)) with outward rounding at every step,
-    so larger `digits` yields a nested, tighter enclosure.  The caller keeps
-    exponent * ln(base) at most EXP_ARG_MAX; past it exp raises
-    decimal.Overflow.
+    arithmetic while the power has at most EXACT_POWER_BITS bits (n times
+    the bit length of base's numerator or denominator), so it stays cheap;
+    otherwise the power goes through exp(exponent * ln(base)) with outward
+    rounding at every step, so larger `digits` yields a nested, tighter
+    enclosure.  When the enclosure of exponent * ln(base) reaches past
+    EXP_ARG_MAX, the power cannot be enclosed at `digits` and a ValueError
+    is raised before exp is called.
     """
     base = Fraction(base)
     if base <= 0:
@@ -131,7 +135,14 @@ def pow_enclosure(base, exponent: RealEnclosure, digits: int = DEFAULT_DIGITS) -
     lo, hi = exponent.lower, exponent.upper
     if lo == hi and lo == lo.to_integral_value():
         n = int(lo)
-        if abs(n) * max(base.numerator.bit_length(), base.denominator.bit_length()) <= 4 * digits:
+        if abs(n) * max(base.numerator.bit_length(), base.denominator.bit_length()) <= EXACT_POWER_BITS:
             return RealEnclosure.from_rational(base ** n, digits)
     ln_base = RealEnclosure.from_rational(base, digits).ln(digits)
-    return exponent.mul(ln_base, digits).exp(digits)
+    arg = exponent.mul(ln_base, digits)
+    if Fraction(arg.upper) > EXP_ARG_MAX:
+        raise ValueError(
+            f"{base}^x for x in {exponent} cannot be enclosed at {digits} digits: the "
+            f"enclosure of x * ln({base}) reaches {arg.upper}, past ln(10^{DECIMAL_EMAX}); "
+            "more digits narrow it"
+        )
+    return arg.exp(digits)

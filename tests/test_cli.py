@@ -5,7 +5,6 @@ import os
 import shlex
 import subprocess
 import sys
-import time
 from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -266,11 +265,41 @@ class TestThresholdNearC:
         assert done.stderr.startswith(f"error: a = {a} lies too close to C = 1130289/1000000")
         assert done.stderr.count("\n") == 1
 
-    @pytest.mark.parametrize("a", A_NEAR_C)
-    def test_each_ends_in_under_a_second(self, capsys, a):
-        start = time.perf_counter()
-        assert main(["threshold", "--a", a]) in (1, 2)
-        assert time.perf_counter() - start < 1.0
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_power_inside_the_decimal_range_is_enclosed(self, fmt):
+        # C/(a-C) ~ 1.739 * 10^7 and a^(C/(a-C)) ~ 10^924915, near the top of the range
+        done = _fresh_process("-m", "weightdescent", "threshold", "--a", "1130289065/1000000000",
+                              "--format", fmt)
+        assert (done.returncode, done.stderr) == (1, "")
+        bounds = ("8.73724545880248386937323642222E+924915",
+                  "8.73724545880248386937367328452E+924915")
+        if fmt == "json":
+            assert json.loads(done.stdout)["threshold"] == dict(zip(("lower", "upper"), bounds))
+        else:
+            assert f"a^(C/(a-C)) in [{bounds[0]}, {bounds[1]}]" in done.stdout
+            assert done.stdout.endswith("below x0 = 100000: false\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_power_too_wide_at_digits_is_one_error_line(self, fmt):
+        done = _fresh_process("-m", "weightdescent", "threshold", "--a", "1130289065/1000000000",
+                              "--digits", "2", "--format", fmt)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "cannot be enclosed at 2 digits" in done.stderr
+
+    def test_a_small_integer_power_stays_exact(self, capsys):
+        # a = 11C/10: the exponent is exactly 10, a power of 240 bits
+        code, out = run_cli(capsys, "threshold", "--a", "12433179/10000000")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "exponent C/(a-C) in [10, 10]",
+            "a^(C/(a-C)) in [8.82717755142956554989423434480, "
+            "8.82717755142956554989423434481]  (width 1E-29)",
+            "below x0 = 100000: true",
+        ]
+        code, out = run_cli(capsys, "threshold", "--a", "12433179/10000000", "--format", "json")
+        assert json.loads(out)["threshold"] == {"lower": "8.82717755142956554989423434480",
+                                                "upper": "8.82717755142956554989423434481"}
 
     def test_the_typo_variant_builds_no_power(self, capsys):
         code, out = run_cli(capsys, "threshold", "--a", A_NEAR_C[1], "--typo-variant")

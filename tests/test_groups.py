@@ -1,11 +1,8 @@
-import functools
 import random
 import tracemalloc
 
 import pytest
 
-from weightdescent import cli
-from weightdescent.charconj import groups
 from weightdescent.charconj.campaigns import SUITE_NAMES, suite_groups
 from weightdescent.charconj.groups import (
     FiniteGroup,
@@ -68,59 +65,6 @@ class TestBuiltins:
         for g in (cyclic(7), dihedral(3), symmetric(4), quaternion()):
             assert all(g.table[0][x] == x == g.table[x][0] for x in range(g.order))
             assert g.classes[0] == (0,)
-
-
-@pytest.fixture
-def builds(monkeypatch):
-    """A fresh builtin-group cache for the test, and the name of every
-    `FiniteGroup` built while it runs, in order."""
-    built = []
-    init = FiniteGroup.__init__
-
-    def spy(self, table, name="G"):
-        init(self, table, name)
-        built.append(name)
-
-    monkeypatch.setattr(FiniteGroup, "__init__", spy)
-    monkeypatch.setattr(groups, "_builtin", functools.cache(groups._builtin.__wrapped__))
-    return built
-
-
-class TestBuiltinCache:
-    def test_one_name_in_any_spelling_is_one_group(self, builds):
-        assert builtin_group("s3") is builtin_group(" S3 ")
-        assert builtin_group("c05") is builtin_group("C5") is builtin_group("c5\n")
-        assert builds == ["S3", "C5"]
-
-    def test_each_name_is_built_once_per_process(self, builds):
-        for _ in range(3):
-            suite_groups()
-            for name in SUITE_NAMES:
-                builtin_group(name.lower())
-        assert builds == list(SUITE_NAMES)
-
-    def test_a_group_file_is_built_and_checked_on_every_load(self, builds, tmp_path):
-        path = tmp_path / "c2.json"
-        path.write_text('{"order": 2, "table": [0, 1, 1, 0], "name": "C2"}', encoding="utf-8")
-        first, second = cli._load_cli_group(str(path)), cli._load_cli_group(str(path))
-        assert first is not second and builds == ["C2", "C2"]
-        path.write_text('{"order": 2, "table": [0, 1, 1, 1], "name": "C2"}', encoding="utf-8")
-        with pytest.raises(GroupError, match="element 1 has no two-sided inverse"):
-            cli._load_cli_group(str(path))
-        assert builds == ["C2", "C2"]
-
-    @pytest.mark.parametrize("name,error", [
-        ("E8", "unknown group name: E8"),
-        ("C49", "order 49 exceeds the cap 48"),
-        ("d25", "order 50 exceeds the cap 48"),
-    ])
-    def test_a_refused_name_is_refused_every_time_and_builds_nothing(self, builds, capsys,
-                                                                     name, error):
-        for _ in range(2):
-            assert cli.main(["char", "demo", "--group", name]) == 2
-            assert capsys.readouterr() == ("", f"error: {error}\n")
-        assert builds == []
-        assert groups._builtin.cache_info().currsize == 0
 
 
 class TestValidation:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from weightdescent.numeric import (
     CHEBYSHEV_B,
+    EXACT_POWER_BITS,
     RATIO_BOUND,
     SHIFTED_RATIO_BOUND,
     RealEnclosure,
@@ -61,12 +62,20 @@ class TestPowEnclosure:
         e = pow_enclosure(2, RealEnclosure(Decimal(10), Decimal(10)), 20)
         assert e.lower == e.upper == Decimal(1024)
 
-    def test_an_integer_power_past_about_digits_digits_goes_through_exp(self):
-        # exact while n * bit length <= 4 * digits: 2^10 has 20 bits at 5 digits
-        exact = pow_enclosure(2, RealEnclosure(Decimal(10), Decimal(10)), 5)
-        assert exact.lower == exact.upper == Decimal(1024)
-        wide = pow_enclosure(2, RealEnclosure(Decimal(11), Decimal(11)), 5)
-        assert Fraction(wide.lower) < 2048 < Fraction(wide.upper)
+    def test_an_integer_power_past_exact_power_bits_goes_through_exp(self):
+        # exact while n * bit length <= EXACT_POWER_BITS; 2 has bit length 2
+        n = EXACT_POWER_BITS // 2
+        exact = pow_enclosure(2, RealEnclosure(Decimal(n), Decimal(n)), 20)
+        assert exact == RealEnclosure.from_rational(Fraction(2) ** n, 20)
+        wide = pow_enclosure(2, RealEnclosure(Decimal(n + 1), Decimal(n + 1)), 20)
+        assert wide != RealEnclosure.from_rational(Fraction(2) ** (n + 1), 20)
+        assert Fraction(wide.lower) < 2 ** (n + 1) < Fraction(wide.upper)
+
+    def test_a_power_past_the_decimal_range_is_refused_before_exp(self):
+        # 10^8 * ln(1.13) ~ 1.2 * 10^7, past ln(10^Emax) ~ 2.3 * 10^6
+        x = RealEnclosure(Decimal(10**8), Decimal(10**8 + 1))
+        with pytest.raises(ValueError, match="cannot be enclosed at 30 digits"):
+            pow_enclosure(Fraction(113, 100), x, 30)
 
     def test_zeroth_power(self):
         e = pow_enclosure(Fraction(143, 125), RealEnclosure(Decimal(0), Decimal(0)), 20)
