@@ -96,9 +96,12 @@ class RealEnclosure:
         return RealEnclosure(lo, hi)
 
     def exp(self, digits: int = DEFAULT_DIGITS) -> "RealEnclosure":
+        # exp > 0, so a lower end padded past zero (from an underflow to 0,
+        # or to -0 when the padding cancels the value) is raised to 0
         c = Context(prec=digits)
+        lower = _pad_down(c.exp(self.lower), digits)
         return RealEnclosure(
-            _pad_down(c.exp(self.lower), digits),
+            Decimal(0) if lower.is_signed() else lower,
             _pad_up(c.exp(self.upper), digits),
         )
 

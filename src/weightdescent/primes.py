@@ -6,11 +6,13 @@ time, so it holds one window plus the base primes up to the square root of
 the window's end.  One loop, `_mark_segment`, marks composites, keeping a
 flag for each odd integer of its window only and giving 2 on its own.  The
 process keeps one array, `_PRIMES`, of every prime up to a covered bound,
-8 bytes a prime; it grows only past that bound, and only through the
-stream, so no integer is sieved twice to fill it.  Every stream takes its
-base primes from it, and `sieve` grows it to its limit and copies the
-primes up to that limit into a `PrimeTable`, for the scans that index
-consecutive pairs.  The stream is the one source of prime ranges;
+8 bytes a prime, and beside it one string, `_GAPS`, of the gaps between
+consecutive primes of the array, one character a gap; both grow together,
+only past that bound, and only through the stream, so no integer is sieved
+twice to fill them.  Every stream takes its base primes from the array,
+and `sieve` grows both to its limit and copies the primes up to that limit
+and their gaps into a `PrimeTable`, for the scans that index consecutive
+pairs.  The stream is the one source of prime ranges;
 `is_prime`, a strong probable-prime test proven deterministic below
 psi13 ~ 3.3 * 10^24, is the one test of a single number, and `next_prime`
 searches with it, so a lookup costs a few modular powers for each candidate
@@ -25,6 +27,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, compress, count, pairwise
 from math import gcd, isqrt
+from operator import sub
 
 SEGMENT_SIZE = 1 << 16
 
@@ -47,10 +50,12 @@ class CannotCertifyError(Exception):
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes <= limit, strictly increasing."""
+    """All primes <= limit, strictly increasing, and their gaps: character i
+    of gaps is chr(primes[i+1] - primes[i])."""
 
     limit: int
     primes: tuple[int, ...]
+    gaps: str
 
     @property
     def count(self) -> int:
@@ -82,23 +87,36 @@ def _mark_segment(base: Sequence[int], lo: int, hi: int) -> Iterator[int]:
 
 
 # Every prime <= _covered, ascending: the base primes of every stream and
-# the source of every table.  It only grows, by _grow.
+# the source of every table; and the gaps between them, character i being
+# chr(_PRIMES[i+1] - _PRIMES[i]).  They only grow, together, by _grow.
 _PRIMES = array("q")
+_GAPS = ""
 _covered = 1
+# join lists the strings it joins, so _grow joins the new gaps _GAP_RUN at a
+# time, over views of the array: a growth holds a 32 KB list and the new
+# gaps twice, not a list of them all (8 bytes a gap) and copies of the array
+_GAP_RUN = 1 << 12
 
 
 def _grow(n: int) -> None:
-    """Extend _PRIMES to every prime <= n, sieving only past _covered.
+    """Extend _PRIMES to every prime <= n, sieving only past _covered, and
+    _GAPS with the gaps that the new primes close.
 
     Each stretch ends below (_covered + 1)^2, so the array already holds the
     base primes of every window in it and the stream never grows the array
     from inside a growth: from 1 the stretches end at 3, 15, 255, 65535 and
     then at n itself, for any n below 2^32.
     """
-    global _covered
+    global _GAPS, _covered
     while _covered < n:
         top = min(n, (_covered + 1) ** 2 - 1)
+        old = max(len(_PRIMES), 1)
         _PRIMES.extend(iter_primes(_covered + 1, top))
+        with memoryview(_PRIMES) as view:
+            _GAPS += "".join(
+                "".join(map(chr, map(sub, view[i : i + _GAP_RUN], view[i - 1 : i - 1 + _GAP_RUN])))
+                for i in range(old, len(view), _GAP_RUN)
+            )
         _covered = top
 
 
@@ -118,17 +136,19 @@ def iter_primes(lo: int = 2, hi: int | None = None) -> Iterator[int]:
 
 
 def sieve(limit: int) -> PrimeTable:
-    """Table of all primes <= limit: _PRIMES, grown to limit if it falls
-    short, cut at limit.
+    """Table of all primes <= limit and their gaps: _PRIMES and _GAPS, grown
+    to limit if they fall short, cut at limit.
 
-    The table holds every prime it lists (~limit / ln(limit) ints); the array
-    behind it takes 8 bytes a prime, and the sieve that grows it works one
-    segment of at most SEGMENT_SIZE integers at a time.
+    The table holds every prime it lists (~limit / ln(limit) ints) and a
+    string of their gaps; the array behind it takes 8 bytes a prime and the
+    gap string one more, and the sieve that grows them works one segment of
+    at most SEGMENT_SIZE integers at a time.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     _grow(limit)
-    return PrimeTable(limit, tuple(_PRIMES[: bisect_right(_PRIMES, limit)]))
+    n = bisect_right(_PRIMES, limit)
+    return PrimeTable(limit, tuple(_PRIMES[:n]), _GAPS[: max(n - 1, 0)])
 
 
 def is_prime(n: int) -> bool:

@@ -21,5 +21,12 @@ def trial_primes_100k():
 
 
 @pytest.fixture(scope="session")
+def trial_primes_200k():
+    from oracles import trial_division_primes
+
+    return trial_division_primes(200000)
+
+
+@pytest.fixture(scope="session")
 def table_2k():
     return sieve(2000)

@@ -39,6 +39,11 @@ def trial_division_primes(limit: int) -> list[int]:
     return [n for n in range(2, limit + 1) if trial_division_is_prime(n)]
 
 
+def gap_string(seq) -> str:
+    """The gaps of an increasing sequence, one character chr(q - p) a gap."""
+    return "".join(chr(q - p) for p, q in zip(seq, seq[1:]))
+
+
 def trial_division_next_prime(n: int) -> int:
     q = n + 1
     while not trial_division_is_prime(q):

@@ -301,6 +301,19 @@ class TestThresholdNearC:
         assert json.loads(out)["threshold"] == {"lower": "8.82717755142956554989423434480",
                                                 "upper": "8.82717755142956554989423434481"}
 
+    @pytest.mark.parametrize("argv, lower, upper", [
+        (["--b", "1/2", "--a", "5000001/10000000"], "0", "1.0000000000000000000000000000000E-30"),
+        (["--a", "1130290/1000000", "--digits", "1"], "0", "1.0E+868589"),
+    ])
+    def test_an_underflowing_power_has_a_lower_end_of_zero(self, capsys, argv, lower, upper):
+        # exp underflows past the decimal range, or its padding cancels it;
+        # the lower end stops at 0, not at -1E-30 or -0E-86859
+        code, out = run_cli(capsys, "threshold", *argv)
+        assert f"a^(C/(a-C)) in [{lower}, {upper}]" in out
+        json_code, out = run_cli(capsys, "threshold", *argv, "--format", "json")
+        assert json_code == code == (0 if "--b" in argv else 3)
+        assert json.loads(out)["threshold"] == {"lower": lower, "upper": upper}
+
     def test_the_typo_variant_builds_no_power(self, capsys):
         code, out = run_cli(capsys, "threshold", "--a", A_NEAR_C[1], "--typo-variant")
         assert code == 1

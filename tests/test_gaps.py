@@ -19,14 +19,22 @@ from weightdescent.gaps import (
     verify_shifted_ratio,
 )
 from weightdescent.numeric import M_BOUND_RATIO, RATIO_BOUND, SHIFTED_RATIO_BOUND
-from weightdescent.primes import iter_primes, next_prime
+from weightdescent.primes import PrimeTable, iter_primes, next_prime, sieve
 
 from oracles import (
+    gap_string,
     m_bound_oracle,
     max_ratio_pair_scan,
     reference_scan,
     trial_division_next_prime,
 )
+
+TABLE_LIMIT = 2 * 10**5
+
+
+def table_of(seq) -> PrimeTable:
+    """A table of an increasing sequence, with its gap string."""
+    return PrimeTable(seq[-1] if seq else 1, tuple(seq), gap_string(seq))
 
 
 @st.composite
@@ -70,15 +78,75 @@ class TestRatioScans:
     @example(scan=([(2, 3), (3, 4), (4, 6)], Fraction(3, 2), 0))
     @example(scan=([(3, 4), (4, 5), (5, 7)], Fraction(3, 2), 1))
     @example(scan=([], Fraction(143, 125), 0))
+    @example(scan=([(2, 3), (3, 5), (5, 305), (305, 307), (307, 1307)], Fraction(143, 125), 0))
     @settings(max_examples=400, deadline=None)
     def test_the_record_scan_agrees_with_the_per_pair_scan(self, scan):
         # violations, the first pair of maximum ratio and the count, against
-        # the per-pair loop; a pair on the bound violates it, and of equal
-        # ratios the first is the max
+        # the per-pair loop, over a table of the pairs' sequence; a pair on
+        # the bound violates it, and of equal ratios the first is the max
         pairs, bound, shift = scan
-        report = gaps._scan(pairs, 0, 0, bound, shift)
+        table = table_of([p for p, _ in pairs[:1]] + [q for _, q in pairs])
+        report = gaps._scan(table, 0, table.limit, bound, shift)
         got = (report.violations, report.max_ratio_pair, report.pairs_checked)
         assert got == reference_scan(pairs, bound, shift)
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @given(
+        low=st.integers(-3, TABLE_LIMIT),
+        width=st.one_of(st.integers(-3, 60), st.integers(0, TABLE_LIMIT)),
+        bound=st.sampled_from((RATIO_BOUND, SHIFTED_RATIO_BOUND, Fraction(1), Fraction(1, 2),
+                               Fraction(3, 2), Fraction(1001, 1000))),
+    )
+    @example(low=20, width=4, bound=RATIO_BOUND)  # (23, 29) lies past the end
+    @example(low=20, width=9, bound=RATIO_BOUND)  # (23, 29) is the last pair
+    @example(low=29, width=2, bound=RATIO_BOUND)  # (23, 29) lies before the start
+    @example(low=-3, width=2, bound=RATIO_BOUND)
+    @example(low=0, width=TABLE_LIMIT, bound=Fraction(3, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_a_scan_of_the_table_agrees_with_trial_division(
+        self, shifted, low, width, bound, trial_primes_200k
+    ):
+        # any range of sieve(2 * 10^5), ranges below 2 and without a pair
+        # included, against the per-pair loop over the trial-division primes
+        high = min(low + width, TABLE_LIMIT)
+        shift = int(shifted)
+        verify = verify_shifted_ratio if shifted else verify_ratio
+        report = verify(sieve(TABLE_LIMIT), low, high, bound)
+        pairs = [(p, q) for p, q in pairwise(trial_primes_200k) if low < q <= high]
+        got = (report.violations, report.max_ratio_pair, report.pairs_checked)
+        assert got == reference_scan(pairs, bound, shift)
+
+    def test_the_search_pattern_matches_the_wider_gaps_only(self):
+        # every width up to 259, the regex metacharacters among them, and
+        # the last two code points of the two-byte and the whole range
+        for g in [*range(260), 0xFFFF, 0x10FFFE]:
+            near = range(max(g - 300, 0), min(g + 300, 0x10FFFF) + 1)
+            pattern = gaps._wider_than(g)
+            assert [c for c in near if pattern.fullmatch(chr(c))] == [c for c in near if c > g], g
+
+    @pytest.mark.parametrize("low, high", [(37, X0), (2, TABLE_LIMIT), (1000, 1500), (31400, 31500)])
+    def test_the_scan_compares_ratios_at_the_records_only(
+        self, monkeypatch, low, high, trial_primes_200k
+    ):
+        # the scan searches once for a gap wider than 0 and then once past
+        # each record for one wider than it, and compares a ratio after each
+        # search that finds one: the searched widths are 0 and the record
+        # gaps of the range in order, and the comparisons are as many as the
+        # records
+        widths = []
+
+        def spy(g):
+            widths.append(g)
+            return real(g)
+
+        real = gaps._wider_than
+        monkeypatch.setattr(gaps, "_wider_than", spy)
+        verify_ratio(sieve(TABLE_LIMIT), low, high)
+        records = [0]
+        for p, q in pairwise(trial_primes_200k):
+            if low < q <= high and q - p > records[-1]:
+                records.append(q - p)
+        assert widths == records
 
     def test_full_range_passes(self, table_100k):
         report = verify_ratio(table_100k, 37, X0)
@@ -353,7 +421,8 @@ class TestMBound:
         # which they do break, reach the chain's violation branch
         num, den = ratio.numerator, ratio.denominator
         end = next_prime(k_max)
-        scan = gaps._scan(list(pairwise(iter_primes(37, end))), 37, end, ratio, shift=1)
+        stream = list(iter_primes(37, end))
+        scan = gaps._scan(table_of(stream), 37, end, ratio, shift=1)
         expected = tuple(
             (k, p)
             for q, p in scan.violations

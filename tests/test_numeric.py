@@ -1,8 +1,9 @@
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightdescent.numeric import (
@@ -51,6 +52,21 @@ class TestRealEnclosure:
         e = RealEnclosure.from_rational(Fraction(7, 2), 25)
         back = e.ln(25).exp(25)
         assert Fraction(back.lower) <= Fraction(7, 2) <= Fraction(back.upper)
+
+    @given(
+        x=st.one_of(rationals, st.integers(-10**7, -2 * 10**6).map(Fraction)),
+        digits=st.integers(1, 40),
+    )
+    @example(x=Fraction(-200000), digits=1)  # exp padded down to -0
+    @example(x=Fraction(-3465736), digits=30)  # exp underflows to 0
+    @example(x=Fraction(-2302585), digits=3)  # a subnormal upper end
+    @settings(max_examples=80, deadline=None)
+    def test_exp_has_a_nonnegative_lower_end_and_encloses_the_value(self, x, digits):
+        e = RealEnclosure.from_rational(x, digits).exp(digits)
+        assert e.lower >= 0 and not e.lower.is_signed()
+        with mpmath.workdps(digits + 30):
+            value = mpmath.exp(mpmath.mpf(x.numerator) / x.denominator)
+            assert mpmath.mpf(str(e.lower)) <= value <= mpmath.mpf(str(e.upper))
 
     def test_ln_requires_positive(self):
         with pytest.raises(ValueError):

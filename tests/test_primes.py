@@ -19,6 +19,7 @@ from weightdescent.primes import (
 )
 
 from oracles import (
+    gap_string,
     strong_probable_prime,
     trial_division_is_prime,
     trial_division_next_prime,
@@ -27,8 +28,10 @@ from oracles import (
 
 
 def empty_the_array(monkeypatch):
-    """Give the test an empty prime array, as at the start of a process."""
+    """Give the test an empty prime array and gap string, as at the start of
+    a process."""
     monkeypatch.setattr(primes, "_PRIMES", array("q"))
+    monkeypatch.setattr(primes, "_GAPS", "")
     monkeypatch.setattr(primes, "_covered", 1)
 
 
@@ -47,6 +50,8 @@ def test_sieve_edges():
     assert sieve(0).primes == ()
     assert sieve(1).primes == ()
     assert sieve(2).primes == (2,)
+    assert sieve(0).gaps == sieve(1).gaps == sieve(2).gaps == ""
+    assert sieve(3).gaps == "\x01"
     with pytest.raises(ValueError):
         sieve(-1)
 
@@ -111,13 +116,15 @@ def test_next_prime_extends_past_table():
 def test_stream_equals_the_table_and_trial_division(monkeypatch, n):
     expected = trial_division_primes(n)
     assert list(sieve(n).primes) == expected
+    assert sieve(n).gaps == gap_string(expected)
     assert list(islice(iter_primes(), len(expected))) == expected
     for segment_size in (1, 2, 7, 16, 300, SEGMENT_SIZE):
         # an empty array, so that the table is sieved in windows of this
         # size and not cut from an array grown before
         empty_the_array(monkeypatch)
         monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
-        assert sieve(n).primes == tuple(expected)
+        table = sieve(n)
+        assert (table.primes, table.gaps) == (tuple(expected), gap_string(expected))
         assert list(iter_primes(2, n)) == expected
         for lo in (0, 3, n // 3, n):
             assert list(iter_primes(lo, n)) == [p for p in expected if p >= lo]
@@ -178,10 +185,39 @@ def test_an_audit_grows_the_array_to_its_square_root(fresh_primes):
     assert list(primes._PRIMES) == trial_division_primes(primes._covered)
 
 
+def test_the_gap_string_stays_aligned_with_the_array(fresh_primes):
+    # grown stretch by stretch, from inside a stream and by a table: after
+    # each step, character i of the gap string is the gap after prime i
+    for n in (3, 15, 255, 65535, 10**5 + 3, 2 * 10**5):
+        primes._grow(n)
+        assert primes._covered == n
+        assert primes._GAPS == gap_string(primes._PRIMES), n
+    assert list(primes._PRIMES) == trial_division_primes(2 * 10**5)
+
+
+def test_an_audit_stream_keeps_the_gap_string_aligned(fresh_primes):
+    descent.audit(10**4)
+    assert primes._covered > 1
+    assert primes._GAPS == gap_string(primes._PRIMES)
+    assert list(primes._PRIMES) == trial_division_primes(primes._covered)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 30, 1000, 10**4, 10**5])
+def test_a_table_holds_the_gaps_of_its_primes(limit, trial_primes_100k):
+    # cut from an array grown past the limit, so the string is cut too
+    expected = [p for p in trial_primes_100k if p <= limit]
+    sieve(2 * 10**5)
+    table = sieve(limit)
+    assert table.primes == tuple(expected)
+    assert table.gaps == gap_string(expected)
+
+
 def test_a_large_base_holds_eight_bytes_a_prime(fresh_primes):
     # the 295,947 primes below 2^22 take ~2.4 MB in the array as 8-byte
-    # integers and ~12 MB as a tuple of int objects; grown in windows, the
-    # flags add one window, where one segment [2, 2^22] peaks at ~8 MB
+    # integers and ~12 MB as a tuple of int objects, and their gap string one
+    # byte a prime more; grown in windows, the flags add one window, where
+    # one segment [2, 2^22] peaks at ~8 MB, and the gaps are joined a run at
+    # a time, where one join of them all lists 8 bytes a gap
     tracemalloc.start()
     try:
         primes._grow(1 << 22)
@@ -190,6 +226,7 @@ def test_a_large_base_holds_eight_bytes_a_prime(fresh_primes):
         tracemalloc.stop()
     base = primes._PRIMES
     assert (len(base), base[0], base[-1]) == (295947, 2, 4194301)
+    assert len(primes._GAPS) == len(base) - 1
     assert kept < 3 * 2**20
     assert peak < 3 * 2**20
 
