@@ -45,17 +45,16 @@ class ClassFunction:
         """A class function from values that already hold the constructor's
         invariant: one `Cyclo` per class of `group`, all at one conductor.
         Nothing is checked, because every caller's values hold it:
-        - `__add__` and `__mul__` combine two class functions of the same
-          group class by class, and each sum or product of a value at n1 and
-          one at n2 lies at lcm(n1, n2);
-        - `scale` and `galois` map each value to one at its own conductor;
+        - `__mul__` multiplies two class functions of the same group class
+          by class, and each product of a value at n1 and one at n2 lies at
+          lcm(n1, n2);
+        - `galois` maps each value to one at its own conductor;
         - `restrict` takes each K-class's value from chi, so every value
           is at chi's conductor;
-        - `induce` builds one value per G-class, each a `weighted_sum` at
-          chi's conductor;
-        - `zero` repeats one rational 0, and `linear_character_of_cyclic`
-          gives each class of a cyclic group of order n a power of zeta_n,
-          at n."""
+        - `_induced_sum` builds one value per class, each a `weighted_sum`
+          at the conductor it is given;
+        - `linear_character_of_cyclic` gives each class of a cyclic group
+          of order n a power of zeta_n, at n."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "group", group)
         object.__setattr__(obj, "values", tuple(values))
@@ -68,10 +67,6 @@ class ClassFunction:
     def conductor(self) -> int:
         return self.values[0].conductor
 
-    @classmethod
-    def zero(cls, group: FiniteGroup | Subgroup) -> "ClassFunction":
-        return cls._of(group, [Cyclo.from_rational(0)] * len(group.classes))
-
     def value(self, g: int) -> Cyclo:
         return self.values[self.group.class_index[g]]
 
@@ -79,16 +74,9 @@ class ClassFunction:
         if self.group is not other.group:
             raise CharacterError("class functions live on different groups")
 
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        self._same_group(other)
-        return ClassFunction._of(self.group, [a + b for a, b in zip(self.values, other.values)])
-
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         self._same_group(other)
         return ClassFunction._of(self.group, [a * b for a, b in zip(self.values, other.values)])
-
-    def scale(self, c) -> "ClassFunction":
-        return ClassFunction._of(self.group, [v * Fraction(c) for v in self.values])
 
     def galois(self, j: int) -> "ClassFunction":
         return ClassFunction._of(self.group, [v.galois(j) for v in self.values])
@@ -121,28 +109,40 @@ def linear_character_of_cyclic(group: FiniteGroup | Subgroup, a: int = 1) -> Cla
     return ClassFunction._of(group, values)
 
 
-def induce(H: Subgroup, chi: ClassFunction) -> ClassFunction:
-    """Induced class function on G = H.parent: (Ind chi)(g) = (1/|H|) sum
-    over x in G with x^-1 g x in H of chi(x^-1 g x); computed classwise.
+def _induced_sum(G: FiniteGroup | Subgroup, parts, conductor: int) -> ClassFunction:
+    """The class function on G that is the sum of w * Ind_H^G f over the
+    list of parts (H, values, w): H a subgroup of G, `values` f's value on each
+    H-class, at `conductor`, and w an integer.
 
     For g in a G-class c, x -> x^-1 g x takes each member of c |G|/|c|
-    times, so (Ind chi)(g) = |G|/(|H| |c|) times the sum of chi over c's
-    members in H.  That sum counts how many fall in each H-class and is
-    one `weighted_sum` at chi's conductor."""
-    G = H.parent
+    times, so (Ind f)(g) = |G|/(|H| |c|) times the sum of f over c's
+    members in H, which counts how many fall in each H-class.  With L the
+    lcm of the orders |H|, the whole sum at c is |G|/(L |c|) times a sum
+    with integer weights w * L/|H| * count: one `weighted_sum` per class."""
+    big_l = lcm(*(H.order for H, _, _ in parts))
+    terms = [[] for _ in G.classes]
+    for H, values, w in parts:
+        w *= big_l // H.order
+        for cls_terms, cls_elems in zip(terms, G.classes):
+            counts = {}
+            for g in cls_elems:
+                c = H.class_index.get(g)
+                if c is not None:
+                    counts[c] = counts.get(c, 0) + 1
+            cls_terms.extend((w * k, values[c]) for c, k in counts.items())
+    return ClassFunction._of(G, [
+        weighted_sum(conductor, cls_terms, Fraction(G.order, big_l * len(cls_elems)))
+        for cls_terms, cls_elems in zip(terms, G.classes)
+    ])
+
+
+def induce(H: Subgroup, chi: ClassFunction) -> ClassFunction:
+    """Induced class function on G = H.parent: (Ind chi)(g) = (1/|H|) sum
+    over x in G with x^-1 g x in H of chi(x^-1 g x); computed classwise by
+    `_induced_sum`, one `weighted_sum` per class at chi's conductor."""
     if chi.group is not H:
         raise CharacterError("character is not defined on the subgroup")
-    n = chi.conductor
-    values = []
-    for cls_elems in G.classes:
-        counts = {}
-        for g in cls_elems:
-            c = H.class_index.get(g)
-            if c is not None:
-                counts[c] = counts.get(c, 0) + 1
-        terms = [(k, chi.values[c]) for c, k in counts.items()]
-        values.append(weighted_sum(n, terms, Fraction(G.order, H.order * len(cls_elems))))
-    return ClassFunction._of(G, values)
+    return _induced_sum(H.parent, [(H, chi.values, 1)], chi.conductor)
 
 
 def restrict(K: Subgroup, chi: ClassFunction) -> ClassFunction:
@@ -173,14 +173,13 @@ def mackey_check(H: Subgroup, K: Subgroup, chi: ClassFunction) -> bool:
     Ind_{K meet gHg^-1}^K (x -> chi(g^-1 x g)), exactly, with G = H.parent."""
     G = H.parent
     lhs = restrict(K, induce(H, chi))
-    rhs = ClassFunction.zero(K)
+    parts = []
     for g in double_cosets(K, H):
         conj_h = {G.conjugate(g, x) for x in H.elements}
         L = Subgroup(K, [x for x in K.elements if x in conj_h])
         # chi^g(x) = chi(g^-1 x g) at one x per class of L = K meet gHg^-1
-        chig = ClassFunction(L, [chi.value(G.conjugate(G.inverses[g], c[0])) for c in L.classes])
-        rhs = rhs + induce(L, chig)
-    return lhs == rhs
+        parts.append((L, [chi.value(G.conjugate(G.inverses[g], c[0])) for c in L.classes], 1))
+    return lhs == _induced_sum(K, parts, chi.conductor)
 
 
 @dataclass(frozen=True)
@@ -217,12 +216,14 @@ class BrauerSpec:
 def brauer_combination(spec: BrauerSpec, j: int = 1) -> ClassFunction:
     """The virtual class function sum of n_i * Ind((chi_i * twist_i)^gamma),
     where gamma sends each root of unity to its j-th power: each summand is
-    conjugated on its subgroup before it is induced."""
-    total = ClassFunction.zero(spec.group)
+    conjugated on its subgroup, and the induced sum is taken by
+    `_induced_sum` at the spec conductor, one `weighted_sum` per class."""
+    n = spec.conductor()
+    parts = []
     for s in spec.summands:
         twisted = (s.character * s.twist).galois(j)
-        total = total + induce(s.subgroup, twisted).scale(s.coefficient)
-    return total
+        parts.append((s.subgroup, [v.to_conductor(n) for v in twisted.values], s.coefficient))
+    return _induced_sum(spec.group, parts, n)
 
 
 @dataclass(frozen=True)

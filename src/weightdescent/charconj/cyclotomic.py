@@ -151,6 +151,14 @@ def weighted_sum_of_products(conductor: int, terms, scale) -> "Cyclo":
                       den * scale.denominator)
 
 
+@lru_cache(maxsize=None)
+def _zeta_powers(n: int) -> tuple["Cyclo", ...]:
+    """zeta_n^k for 0 <= k < n, built once per conductor and shared, as
+    values are immutable.  The package asks only for conductors that are
+    orders of cyclic subgroups, so at most `groups.MAX_ORDER` of them."""
+    return tuple(Cyclo(n, [0] * k + [1]) for k in range(n))
+
+
 class Cyclo:
     """An element of Q(zeta_n) in canonical coordinates."""
 
@@ -170,9 +178,7 @@ class Cyclo:
 
     @classmethod
     def zeta(cls, n: int, k: int = 1) -> "Cyclo":
-        vec = [0] * n
-        vec[k % n] = 1
-        return cls(n, vec)
+        return _zeta_powers(n)[k % n]
 
     @classmethod
     def from_rational(cls, value) -> "Cyclo":

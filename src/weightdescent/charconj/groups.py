@@ -1,11 +1,12 @@
 """Finite groups as explicit multiplication tables.
 
 Elements are indices 0..order-1 with 0 the identity.  Group laws are
-verified exhaustively once per table, when a `FiniteGroup` is built; a
-`Subgroup` is a subset of its parent's table, in the parent's indices,
-and checks nothing, as its producers only make subgroups.  Conjugacy
-classes, subgroups and double cosets are all computed by brute force; the
-order cap keeps that cheap.
+verified once per table, when a `FiniteGroup` is built: associativity by
+Light's test on a generating set, which is complete, and inverses by
+scanning each row.  A `Subgroup` is a subset of its parent's table, in the
+parent's indices, and checks nothing, as its producers only make
+subgroups.  Conjugacy classes, subgroups and double cosets are all
+computed by brute force; the order cap keeps that cheap.
 """
 
 from __future__ import annotations
@@ -38,12 +39,61 @@ def _conjugacy_classes(table, inverses, elements):
     return tuple(classes), class_index
 
 
+def _right_closure(table, generators) -> set[int]:
+    """The elements reached from 0 by right multiplication by the
+    generators: 0 and every left-bracketed word ((g1 g2) g3)... in them."""
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        row = table[frontier.pop()]
+        for g in generators:
+            if row[g] not in reached:
+                reached.add(row[g])
+                frontier.append(row[g])
+    return reached
+
+
+def _check_associative(table) -> None:
+    """Light's test, as the `FiniteGroup` docstring sets out: find a
+    generating set A greedily, then check (x a) y = x (a y) for every x, y
+    and each a in A.  The triple named on failure, (x, a, y), fails."""
+    generators = []
+    reached = {0}
+    for g in range(len(table)):
+        if g not in reached:
+            generators.append(g)
+            reached = _right_closure(table, generators)
+    for a in generators:
+        row_a = table[a]
+        for x, row_x in enumerate(table):
+            row_xa = table[row_x[a]]
+            if row_xa != tuple(map(row_x.__getitem__, row_a)):
+                y = next(y for y in range(len(table)) if row_xa[y] != row_x[row_a[y]])
+                raise GroupError(f"associativity fails at triple ({x}, {a}, {y})")
+
+
 def _freeze(obj, **attrs) -> None:
     for name, value in attrs.items():
         object.__setattr__(obj, name, value)
 
 
 class FiniteGroup:
+    """A group given by its multiplication table, with 0 the identity.
+
+    The table is checked to be square, to have 0 as a two-sided identity,
+    to be associative and to give every element an inverse.  Associativity
+    is checked by Light's test (Clifford & Preston, *The Algebraic Theory of
+    Semigroups* I, section 1.2), on n^2 |A| products for a generating set A
+    rather than all n^3 triples.  Each element in index order that the
+    left-bracketed words ((a1 a2) a3)... in the generators so far do not
+    reach becomes a generator, so in the end those words reach every
+    element.  Then (x a) y = x (a y) is checked for each a in A and every
+    x, y.  That is complete: the set T of the a for which it holds for all
+    x, y contains 0, and is closed under the table's product, because for a
+    and b in T
+        (x (ab)) y = ((xa) b) y = (xa)(by) = x (a (by)) = x ((ab) y).
+    So T contains every left-bracketed word in A, which is every element."""
+
     __slots__ = ("order", "table", "inverses", "elements", "classes", "class_index", "name")
 
     def __init__(self, table, name: str = "G"):
@@ -58,15 +108,7 @@ class FiniteGroup:
         for g in range(n):
             if table[0][g] != g or table[g][0] != g:
                 raise GroupError(f"element 0 is not a two-sided identity at {g}")
-        for a in range(n):
-            row_a = table[a]
-            for b in range(n):
-                ab = row_a[b]
-                row_ab = table[ab]
-                row_b = table[b]
-                for c in range(n):
-                    if row_ab[c] != row_a[row_b[c]]:
-                        raise GroupError(f"associativity fails at triple ({a}, {b}, {c})")
+        _check_associative(table)
         # after the checks above: in a finite associative table a right inverse is two-sided
         inverses = []
         for a, row in enumerate(table):
@@ -122,16 +164,7 @@ def generated_subgroup(parent: FiniteGroup | Subgroup, generators) -> Subgroup:
     """Closure of the generators (always includes the identity): every right
     product of generators from the identity, which is closed under inverses
     too, as in a finite group g^-1 = g^(ord g - 1)."""
-    gens = list(generators)
-    elems = {0}
-    frontier = [0]
-    while frontier:
-        row = parent.table[frontier.pop()]
-        for g in gens:
-            if row[g] not in elems:
-                elems.add(row[g])
-                frontier.append(row[g])
-    return Subgroup(parent, elems)
+    return Subgroup(parent, _right_closure(parent.table, list(generators)))
 
 
 def double_cosets(k: Subgroup, h: Subgroup) -> list[int]:

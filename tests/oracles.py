@@ -4,10 +4,11 @@ Everything here is deliberately naive (trial division, element-by-element
 sums, direct fraction comparisons), and none shares code with the package.
 The two character oracles sum element by element in the test tree's
 `Fraction`-based cyclotomic kernel; `as_fraction_cyclo` carries a package
-value over to it, coordinate by coordinate.  `relabelled_classes` is the one
-exception: it builds a subgroup as a package `FiniteGroup` of its own, so the
-full group-law checks run on it, to compare with the classes a `Subgroup`
-computes in its parent's indices.
+value over to it, coordinate by coordinate.  `associative_by_triples` tries
+every triple of a table, which the package's group-law check no longer does.
+`relabelled_classes` is the one exception: it builds a subgroup as a package
+`FiniteGroup` of its own, so the full group-law checks run on it, to compare
+with the classes a `Subgroup` computes in its parent's indices.
 """
 
 from __future__ import annotations
@@ -143,6 +144,18 @@ def lifted(class_function) -> list[Cyclo]:
     return [as_fraction_cyclo(v) for v in class_function.values]
 
 
+def associative_by_triples(table) -> tuple[int, int, int] | None:
+    """The first triple (a, b, c), in lexicographic order, with
+    (a b) c != a (b c) in the table, or None: all n^3 triples in turn."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    return None
+
+
 def closure_oracle(G, gens) -> list[int]:
     """The subgroup of G generated by gens, ascending: starting from the
     identity and gens, add every product of two members, taken in both
@@ -181,7 +194,10 @@ def relabelled_classes(parent, elements) -> tuple[tuple[int, ...], ...]:
 
 def brute_force_induced_values(G, H, chi) -> list[Cyclo]:
     """(Ind chi)(g) = (1/|H|) sum over x in G with x^-1 g x in H of
-    chi(x^-1 g x), evaluated at every class representative."""
+    chi(x^-1 g x), evaluated at every class representative.  `chi` is a
+    package class function on H, or a function from the elements of H to
+    reference-kernel values."""
+    at = chi if callable(chi) else (lambda h: as_fraction_cyclo(chi.value(h)))
     out = []
     for cls_elems in G.classes:
         g = cls_elems[0]
@@ -189,7 +205,7 @@ def brute_force_induced_values(G, H, chi) -> list[Cyclo]:
         for x in range(G.order):
             conj = G.table[G.table[G.inverses[x]][g]][x]
             if conj in H.class_index:
-                total = total + as_fraction_cyclo(chi.value(conj))
+                total = total + at(conj)
         out.append(total * Fraction(1, H.order))
     return out
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import weightdescent
 from weightdescent import cli, descent, gaps, primes
 from weightdescent.charconj.campaigns import SUITE_NAMES
+from weightdescent.charconj.groups import dihedral
 from weightdescent.cli import build_parser, canonical_json, main
 
 from oracles import recipe_oracle
@@ -394,6 +395,20 @@ class TestChar:
         code = main(["char", "demo", "--group", str(path)])
         assert code == 2
         assert capsys.readouterr() == ("", "error: element 1 has no two-sided inverse\n")
+
+    def test_demo_group_file_at_the_cap_with_one_entry_swapped_is_usage_error(self, capsys, tmp_path):
+        table = [list(row) for row in dihedral(24).table]  # order 48
+        path = tmp_path / "d24.json"
+        path.write_text(json.dumps({"order": 48, "table": table, "name": "D24"}), encoding="utf-8")
+        code, out = run_cli(capsys, "char", "demo", "--group", str(path))
+        assert code == 0 and out.startswith("group D24, seed 0")
+        table[5][7], table[5][30] = table[5][30], table[5][7]
+        path.write_text(json.dumps({"order": 48, "table": table}), encoding="utf-8")
+        code = main(["char", "demo", "--group", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: associativity fails at triple (")
+        assert captured.err.count("\n") == 1
 
     def test_demo_builtin_over_the_order_cap_is_usage_error(self, capsys):
         code = main(["char", "demo", "--group", "C1000"])

@@ -1,7 +1,10 @@
 import random
+import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weightdescent.charconj.campaigns import SUITE_NAMES, suite_groups
 from weightdescent.charconj.groups import (
@@ -18,7 +21,7 @@ from weightdescent.charconj.groups import (
     symmetric,
 )
 
-from oracles import closure_oracle, element_order, relabelled_classes
+from oracles import associative_by_triples, closure_oracle, element_order, relabelled_classes
 
 
 def three_cycle(g):
@@ -108,6 +111,71 @@ class TestValidation:
             for x in range(g.order):
                 assert g.table[x][g.inverses[x]] == 0
                 assert g.table[g.inverses[x]][x] == 0
+
+
+def light_agrees_with_the_triples(table) -> bool:
+    """Build a group on `table`: it must raise the associativity error
+    exactly when some triple fails, naming a triple that fails.  Returns
+    whether one fails."""
+    want = associative_by_triples(table)
+    try:
+        FiniteGroup(table)
+        message = ""
+    except GroupError as exc:
+        message = str(exc)
+    named = re.fullmatch(r"associativity fails at triple \((\d+), (\d+), (\d+)\)", message)
+    assert (named is not None) == (want is not None), (table, message)
+    if named:
+        a, b, c = map(int, named.groups())
+        assert table[table[a][b]][c] != table[a][table[b][c]], (table, message)
+    return want is not None
+
+
+def perturbed(table, changes):
+    """A copy of `table` with each (a, b, value) in `changes` written in."""
+    rows = [list(row) for row in table]
+    for a, b, value in changes:
+        rows[a][b] = value
+    return rows
+
+
+class TestLightsTest:
+    @pytest.mark.parametrize("name", ["C6", "S3", "D4", "Q8"])
+    def test_every_one_entry_perturbation_agrees_with_the_triples(self, name):
+        # every entry off the identity row and column, set to every other value
+        table = builtin_group(name).table
+        n = len(table)
+        verdicts = [
+            light_agrees_with_the_triples(perturbed(table, [(a, b, v)]))
+            for a in range(1, n) for b in range(1, n) for v in range(n) if v != table[a][b]
+        ]
+        assert len(verdicts) == (n - 1) ** 3
+        assert all(verdicts)  # no one-entry change of these tables stays associative
+
+    def test_every_two_entry_perturbation_of_s3_agrees_with_the_triples(self):
+        # some of these fail only at triples whose middle element is not 1,
+        # the first generator Light's test takes, so every generator counts
+        table = builtin_group("S3").table
+        entries = [(a, b, v) for a in range(1, 6) for b in range(1, 6) for v in range(6)
+                   if v != table[a][b]]
+        hidden = 0
+        for i, first in enumerate(entries):
+            for second in entries[i + 1:]:
+                if first[:2] != second[:2]:
+                    rows = perturbed(table, [first, second])
+                    if light_agrees_with_the_triples(rows) and all(
+                        rows[rows[x][1]][y] == rows[x][rows[1][y]] for x in range(6) for y in range(6)
+                    ):
+                        hidden += 1
+        assert hidden == 40
+
+    @given(name=st.sampled_from(["S4", "C12"]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_perturbations_agree_with_the_triples(self, name, data):
+        table = builtin_group(name).table
+        n = len(table)
+        entry = st.tuples(st.integers(1, n - 1), st.integers(1, n - 1), st.integers(0, n - 1))
+        light_agrees_with_the_triples(perturbed(table, data.draw(st.lists(entry, min_size=1, max_size=3))))
 
 
 class TestLoadGroup:
