@@ -42,7 +42,7 @@ def random_cyclo(rng: random.Random) -> Cyclo:
 
 
 def random_class_function(rng: random.Random, group: FiniteGroup | Subgroup) -> ClassFunction:
-    return ClassFunction(group, [random_cyclo(rng) for _ in group.classes])
+    return ClassFunction.aligned(group, [random_cyclo(rng) for _ in group.classes])
 
 
 def random_subgroup(rng: random.Random, group: FiniteGroup) -> Subgroup:

@@ -21,47 +21,43 @@ class CharacterError(ValueError):
     pass
 
 
+@dataclass(frozen=True, slots=True)
 class ClassFunction:
     """A function on a group or subgroup, constant on conjugacy classes, with
     values in a common cyclotomic field: one `Cyclo` per class, all at one
-    conductor, the lcm of the given values' conductors."""
+    conductor.
 
-    __slots__ = ("group", "values")
+    `aligned` builds one from outside values.  The record's own constructor
+    checks nothing, because each producer's values already hold the
+    invariant:
+    - `__mul__` multiplies two class functions of the same group class
+      by class, and each product of a value at n1 and one at n2 lies at
+      lcm(n1, n2);
+    - `galois` maps each value to one at its own conductor;
+    - `restrict` takes each K-class's value from chi, so every value
+      is at chi's conductor;
+    - `_induced_sum` builds one value per class, each a `weighted_sum`
+      at the conductor it is given;
+    - `linear_character_of_cyclic` gives each class of a cyclic group
+      of order n a power of zeta_n, at n.
+    Groups define no `__eq__`, so equal class functions share one group
+    object."""
 
-    def __init__(self, group: FiniteGroup | Subgroup, values):
+    group: FiniteGroup | Subgroup
+    values: tuple[Cyclo, ...]
+
+    @classmethod
+    def aligned(cls, group: FiniteGroup | Subgroup, values) -> "ClassFunction":
+        """The class function with these values, one per class of `group`,
+        each coerced to a `Cyclo` and embedded at the lcm of their
+        conductors."""
         values = [Cyclo._coerce(v) for v in values]
         if len(values) != len(group.classes):
             raise CharacterError(
                 f"expected {len(group.classes)} class values, got {len(values)}"
             )
-        n = 1
-        for v in values:
-            n = lcm(n, v.conductor)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", tuple(v.to_conductor(n) for v in values))
-
-    @classmethod
-    def _of(cls, group: FiniteGroup | Subgroup, values) -> "ClassFunction":
-        """A class function from values that already hold the constructor's
-        invariant: one `Cyclo` per class of `group`, all at one conductor.
-        Nothing is checked, because every caller's values hold it:
-        - `__mul__` multiplies two class functions of the same group class
-          by class, and each product of a value at n1 and one at n2 lies at
-          lcm(n1, n2);
-        - `galois` maps each value to one at its own conductor;
-        - `restrict` takes each K-class's value from chi, so every value
-          is at chi's conductor;
-        - `_induced_sum` builds one value per class, each a `weighted_sum`
-          at the conductor it is given;
-        - `linear_character_of_cyclic` gives each class of a cyclic group
-          of order n a power of zeta_n, at n."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "group", group)
-        object.__setattr__(obj, "values", tuple(values))
-        return obj
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassFunction is immutable")
+        n = lcm(*(v.conductor for v in values))
+        return cls(group, tuple(v.to_conductor(n) for v in values))
 
     @property
     def conductor(self) -> int:
@@ -76,18 +72,10 @@ class ClassFunction:
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         self._same_group(other)
-        return ClassFunction._of(self.group, [a * b for a, b in zip(self.values, other.values)])
+        return ClassFunction(self.group, tuple(a * b for a, b in zip(self.values, other.values)))
 
     def galois(self, j: int) -> "ClassFunction":
-        return ClassFunction._of(self.group, [v.galois(j) for v in self.values])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClassFunction):
-            return NotImplemented
-        return self.group is other.group and self.values == other.values
-
-    def __repr__(self):
-        return f"ClassFunction({self.group.name}, {[str(v) for v in self.values]})"
+        return ClassFunction(self.group, tuple(v.galois(j) for v in self.values))
 
 
 def linear_character_of_cyclic(group: FiniteGroup | Subgroup, a: int = 1) -> ClassFunction:
@@ -106,7 +94,7 @@ def linear_character_of_cyclic(group: FiniteGroup | Subgroup, a: int = 1) -> Cla
     values = [None] * n
     for i, x in enumerate(powers):
         values[group.class_index[x]] = Cyclo.zeta(n, a * i % n)
-    return ClassFunction._of(group, values)
+    return ClassFunction(group, tuple(values))
 
 
 def _induced_sum(G: FiniteGroup | Subgroup, parts, conductor: int) -> ClassFunction:
@@ -130,10 +118,10 @@ def _induced_sum(G: FiniteGroup | Subgroup, parts, conductor: int) -> ClassFunct
                 if c is not None:
                     counts[c] = counts.get(c, 0) + 1
             cls_terms.extend((w * k, values[c]) for c, k in counts.items())
-    return ClassFunction._of(G, [
+    return ClassFunction(G, tuple(
         weighted_sum(conductor, cls_terms, Fraction(G.order, big_l * len(cls_elems)))
         for cls_terms, cls_elems in zip(terms, G.classes)
-    ])
+    ))
 
 
 def induce(H: Subgroup, chi: ClassFunction) -> ClassFunction:
@@ -150,7 +138,7 @@ def restrict(K: Subgroup, chi: ClassFunction) -> ClassFunction:
     containing G-class, G = K.parent."""
     if chi.group is not K.parent:
         raise CharacterError("class function is not defined on the ambient group")
-    return ClassFunction._of(K, [chi.value(c[0]) for c in K.classes])
+    return ClassFunction(K, tuple(chi.value(c[0]) for c in K.classes))
 
 
 def inner_product(chi: ClassFunction, psi: ClassFunction) -> Cyclo:

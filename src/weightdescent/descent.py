@@ -87,9 +87,10 @@ def _recipes(lo: int, hi: int, p: int, settle: Settle, level: bytearray | None =
     each step to settle; p is the smallest prime above lo.
 
     Every even k between consecutive primes q < p has p as its next prime, so
-    the weights are taken a gap at a time from one stream of primes.  Primes
-    whose m admits no twist exponent are skipped.  DescentError is raised by
-    the two checks that can fail, choose_t's contract and k_hi, k_lo < k.
+    the weights are taken a gap at a time from one lazy stream of the primes
+    in (p, 2 hi].  Primes whose m admits no twist exponent are skipped.
+    DescentError is raised by the two checks that can fail, choose_t's
+    contract and k_hi, k_lo < k.
     The other invariants hold by construction, one lemma each (n = p-1):
     d = gcd(n, k-2), m*d = n, dt = d*t, k_hi and k_lo hold by assignment.
     k_hi, k_lo are even weights in [6, k), so settle reads them unchecked:
@@ -118,7 +119,9 @@ def _recipes(lo: int, hi: int, p: int, settle: Settle, level: bytearray | None =
       walk, so the children's bytes cannot change by the time k' is reached,
       and settle would read the same two bytes at k'.
     """
-    primes = iter_primes(p + 1)
+    # The prime after a top is asked for only when that top is below hi, and
+    # by Bertrand's postulate it lies below 2 * top, so below 2 * hi.
+    primes = iter_primes(p + 1, 2 * hi)
     top, k = p, lo
     while True:
         settled: dict[int, int] = {}  # d -> depth byte of a clean class of this gap

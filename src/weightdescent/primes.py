@@ -1,7 +1,7 @@
 """Prime generation, consecutive-prime iteration and single-prime tests.
 
-One segmented stream, `iter_primes`, produces the primes of a range in
-increasing order.  It sieves one window of SEGMENT_SIZE integers at a
+One segmented stream, `iter_primes`, produces the primes of a closed range
+in increasing order.  It sieves one window of SEGMENT_SIZE integers at a
 time, so it holds one window plus the base primes up to the square root of
 the window's end.  One loop, `_mark_segment`, marks composites, keeping a
 flag for each odd integer of its window only and giving 2 on its own.  The
@@ -10,13 +10,14 @@ process keeps one array, `_PRIMES`, of every prime up to a covered bound,
 consecutive primes of the array, one character a gap; both grow together,
 only past that bound, and only through the stream, so no integer is sieved
 twice to fill them.  Every stream takes its base primes from the array,
-and `sieve` grows both to its limit and copies the primes up to that limit
-and their gaps into a `PrimeTable`, for the scans that index consecutive
-pairs.  The stream is the one source of prime ranges;
-`is_prime`, a strong probable-prime test proven deterministic below
-psi13 ~ 3.3 * 10^24, is the one test of a single number, and `next_prime`
-searches with it, so a lookup costs a few modular powers for each candidate
-that survives trial division, whatever the size of n.
+and `sieve` grows both to its limit and cuts a `PrimeTable` from them, an
+array slice of the primes up to that limit and a string slice of their
+gaps, for the scans that index consecutive pairs.  The stream is the one
+source of prime ranges; `is_prime`, a strong probable-prime test proven
+deterministic below psi13 ~ 3.3 * 10^24, is the one test of a single
+number, and `next_prime` searches with it, so a lookup costs a few modular
+powers for each candidate that survives trial division, whatever the size
+of n.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class PrimeTable:
     of gaps is chr(primes[i+1] - primes[i])."""
 
     limit: int
-    primes: tuple[int, ...]
+    primes: array  # array('q'), 8 bytes a prime
     gaps: str
 
     @property
@@ -120,16 +121,16 @@ def _grow(n: int) -> None:
         _covered = top
 
 
-def iter_primes(lo: int = 2, hi: int | None = None) -> Iterator[int]:
-    """Every prime p with lo <= p <= hi in increasing order; with hi None, every
-    prime from lo on, without end.
+def iter_primes(lo: int, hi: int) -> Iterator[int]:
+    """Every prime p with lo <= p <= hi in increasing order, lazily: a window
+    is sieved only when the one before it is used up.
 
     Every window is SEGMENT_SIZE wide and takes its base primes from
     _PRIMES, first grown to the square root of the window's end.
     """
     lo = max(lo, 2)
-    while hi is None or lo <= hi:
-        top = lo + SEGMENT_SIZE - 1 if hi is None else min(lo + SEGMENT_SIZE - 1, hi)
+    while lo <= hi:
+        top = min(lo + SEGMENT_SIZE - 1, hi)
         _grow(isqrt(top))
         yield from _mark_segment(_PRIMES, lo, top)
         lo = top + 1
@@ -139,16 +140,16 @@ def sieve(limit: int) -> PrimeTable:
     """Table of all primes <= limit and their gaps: _PRIMES and _GAPS, grown
     to limit if they fall short, cut at limit.
 
-    The table holds every prime it lists (~limit / ln(limit) ints) and a
-    string of their gaps; the array behind it takes 8 bytes a prime and the
-    gap string one more, and the sieve that grows them works one segment of
-    at most SEGMENT_SIZE integers at a time.
+    The table holds a copy of the array's first ~limit / ln(limit) primes,
+    8 bytes a prime, and of their gaps, one byte a gap, each cut in one
+    slice; the sieve that grows the array works one segment of at most
+    SEGMENT_SIZE integers at a time.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     _grow(limit)
     n = bisect_right(_PRIMES, limit)
-    return PrimeTable(limit, tuple(_PRIMES[:n]), _GAPS[: max(n - 1, 0)])
+    return PrimeTable(limit, _PRIMES[:n], _GAPS[: max(n - 1, 0)])
 
 
 def is_prime(n: int) -> bool:

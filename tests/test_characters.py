@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -68,8 +69,8 @@ def c2_in_s3(s3):
 class TestClassFunctionBasics:
     def test_trivial_and_regular(self):
         g = cyclic(3)
-        assert ClassFunction(g, [1] * len(g.classes)).values == (Cyclo.from_rational(1),) * 3
-        reg = ClassFunction(g, [3, 0, 0])
+        assert ClassFunction.aligned(g, [1] * len(g.classes)).values == (Cyclo.from_rational(1),) * 3
+        reg = ClassFunction.aligned(g, [3, 0, 0])
         assert reg.value(0) == 3 and reg.value(1) == 0
 
     def test_linear_character_is_multiplicative(self):
@@ -87,11 +88,69 @@ class TestClassFunctionBasics:
                             assert multiplicative_all_pairs(chi.galois(j)), (G.name, H.elements, a, j)
                             checked += 1
         assert checked > 500
-        assert not multiplicative_all_pairs(ClassFunction(cyclic(3), [3, 0, 0]))
+        assert not multiplicative_all_pairs(ClassFunction.aligned(cyclic(3), [3, 0, 0]))
 
     def test_linear_character_requires_cyclic(self):
         with pytest.raises(CharacterError, match="cyclic"):
             linear_character_of_cyclic(symmetric(3), 1)
+
+
+class TestClassFunctionRecord:
+    """`ClassFunction.aligned` takes outside values; the record's own
+    constructor takes a producer's tuple as it is."""
+
+    def test_aligned_coerces_ints_and_fractions(self):
+        g = cyclic(3)
+        chi = ClassFunction.aligned(g, [2, Fraction(-1, 3), 0])
+        assert chi.values == tuple(map(Cyclo.from_rational, (2, Fraction(-1, 3), 0)))
+        assert all(type(v) is Cyclo for v in chi.values)
+        assert chi.conductor == 1
+
+    def test_aligned_embeds_mixed_conductors_at_their_lcm(self):
+        g = cyclic(3)
+        chi = ClassFunction.aligned(g, [Cyclo.zeta(4), Cyclo.zeta(6), 1])
+        assert [v.conductor for v in chi.values] == [12, 12, 12]
+        assert chi.values == (Cyclo.zeta(4), Cyclo.zeta(6), Cyclo.from_rational(1))
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_aligned_refuses_a_wrong_count(self, count):
+        with pytest.raises(CharacterError, match=f"expected 3 class values, got {count}"):
+            ClassFunction.aligned(cyclic(3), [1] * count)
+
+    def test_the_record_keeps_its_tuple_as_given(self):
+        g = cyclic(3)
+        values = (Cyclo.zeta(3), Cyclo.zeta(3, 2), Cyclo.from_rational(1))
+        chi = ClassFunction(g, values)
+        assert chi.values is values
+        assert chi.values[2].conductor == 1
+
+    def test_fields_cannot_be_set(self):
+        chi = ClassFunction.aligned(cyclic(3), [1, 1, 1])
+        for name, value in (("values", ()), ("group", cyclic(2))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(chi, name, value)
+        assert issubclass(dataclasses.FrozenInstanceError, AttributeError)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(chi)
+
+    def test_equality_needs_the_same_group_object(self):
+        g, twin = cyclic(3), cyclic(3)
+        chi = ClassFunction.aligned(g, [1, Cyclo.zeta(3), 0])
+        assert chi == ClassFunction.aligned(g, [1, Cyclo.zeta(3), 0])
+        assert chi != ClassFunction.aligned(twin, [1, Cyclo.zeta(3), 0])
+        assert chi != ClassFunction.aligned(g, [1, Cyclo.zeta(3, 2), 0])
+
+    def test_every_producer_gives_a_tuple_at_one_conductor(self):
+        # the generated __eq__ compares values as tuples, so a producer that
+        # handed over a list would make equal class functions unequal
+        s3 = symmetric(3)
+        c3 = c3_in_s3(s3)
+        chi = linear_character_of_cyclic(c3, 1)
+        spec = BrauerSpec(s3, (BrauerSummand(2, c3, chi, chi),))
+        for f in (chi, chi * chi, chi.galois(2), induce(c3, chi),
+                  restrict(c3, induce(c3, chi)), brauer_combination(spec, 2)):
+            assert type(f.values) is tuple
+            assert len({v.conductor for v in f.values}) == 1
 
 
 def every_subgroup(group):
@@ -117,7 +176,7 @@ def mixed_class_function(rng, group, conductors):
                                 for _ in range(n)]))
     if len(values) > 1:
         values[1] = 0
-    return ClassFunction(group, values)
+    return ClassFunction.aligned(group, values)
 
 
 class TestAccumulationOracle:
@@ -149,7 +208,7 @@ class TestInduce:
     def test_full_subgroup_is_identity(self):
         s3 = symmetric(3)
         h = Subgroup(s3, range(s3.order))
-        chi = ClassFunction(h, [1, 2, 3])
+        chi = ClassFunction.aligned(h, [1, 2, 3])
         ind = induce(h, chi)
         assert [str(v) for v in ind.values] == [str(v) for v in chi.values]
 
@@ -167,8 +226,8 @@ class TestInduce:
     def test_regular_from_trivial(self):
         c2 = cyclic(2)
         one = Subgroup(c2, [0])
-        ind = induce(one, ClassFunction(one, [1]))
-        assert ind == ClassFunction(c2, [2, 0])
+        ind = induce(one, ClassFunction.aligned(one, [1]))
+        assert ind == ClassFunction.aligned(c2, [2, 0])
 
     def test_degree_law(self):
         rng = random.Random(3)
@@ -193,7 +252,7 @@ class TestRestrict:
     def test_full_subgroup_identity(self):
         s3 = symmetric(3)
         h = Subgroup(s3, range(s3.order))
-        chi = ClassFunction(s3, [1, Cyclo.zeta(3), 0])
+        chi = ClassFunction.aligned(s3, [1, Cyclo.zeta(3), 0])
         res = restrict(h, chi)
         assert [str(v) for v in res.values] == [str(v) for v in chi.values]
 
@@ -208,18 +267,18 @@ class TestRestrict:
     def test_trivial_restricts_to_trivial(self):
         s3 = symmetric(3)
         c2 = c2_in_s3(s3)
-        assert restrict(c2, ClassFunction(s3, [1, 1, 1])) == ClassFunction(c2, [1, 1])
+        assert restrict(c2, ClassFunction.aligned(s3, [1, 1, 1])) == ClassFunction.aligned(c2, [1, 1])
 
 
 class TestInnerProduct:
     def test_trivial_self_product(self):
         for g in (cyclic(5), symmetric(3), quaternion()):
-            trivial = ClassFunction(g, [1] * len(g.classes))
+            trivial = ClassFunction.aligned(g, [1] * len(g.classes))
             assert inner_product(trivial, trivial) == 1
 
     def test_regular_self_product(self):
         c3 = cyclic(3)
-        reg = ClassFunction(c3, [3, 0, 0])
+        reg = ClassFunction.aligned(c3, [3, 0, 0])
         assert inner_product(reg, reg) == 3
 
     def test_induced_zeta3_is_irreducible(self):
@@ -237,7 +296,7 @@ class TestInnerProduct:
 
     def test_group_mismatch(self):
         with pytest.raises(CharacterError):
-            inner_product(ClassFunction(cyclic(3), [1, 1, 1]), ClassFunction(cyclic(3), [1, 1, 1]))
+            inner_product(ClassFunction.aligned(cyclic(3), [1, 1, 1]), ClassFunction.aligned(cyclic(3), [1, 1, 1]))
 
     def test_frobenius_reciprocity_random(self):
         rng = random.Random(17)
@@ -259,8 +318,8 @@ class TestInnerProduct:
             chi = random_class_function(rng, s3)
             psi = random_class_function(rng, s3)
             n = lcm(chi.conductor, psi.conductor)
-            chi_n = ClassFunction(s3, [v.to_conductor(n) for v in chi.values])
-            psi_n = ClassFunction(s3, [v.to_conductor(n) for v in psi.values])
+            chi_n = ClassFunction.aligned(s3, [v.to_conductor(n) for v in chi.values])
+            psi_n = ClassFunction.aligned(s3, [v.to_conductor(n) for v in psi.values])
             j = next((j for j in range(2, n) if gcd(j, n) == 1), 1)
             lhs = inner_product(chi_n.galois(j), psi_n.galois(j))
             rhs = inner_product(chi_n, psi_n).galois(j)
@@ -285,7 +344,7 @@ class TestMackey:
     def test_full_subgroup_single_coset(self):
         s3 = symmetric(3)
         h = Subgroup(s3, range(s3.order))
-        chi = ClassFunction(h, [1, Cyclo.zeta(4), -2])
+        chi = ClassFunction.aligned(h, [1, Cyclo.zeta(4), -2])
         assert mackey_check(h, h, chi) is True
 
     def test_s4_d4_c4(self):
@@ -342,8 +401,8 @@ class TestBrauer:
     def test_single_full_summand_is_identity(self):
         s3 = symmetric(3)
         h = Subgroup(s3, range(s3.order))
-        chi = ClassFunction(h, [2, 0, -1])
-        spec = BrauerSpec(s3, (BrauerSummand(1, h, chi, ClassFunction(h, [1, 1, 1])),))
+        chi = ClassFunction.aligned(h, [2, 0, -1])
+        spec = BrauerSpec(s3, (BrauerSummand(1, h, chi, ClassFunction.aligned(h, [1, 1, 1])),))
         rho = brauer_combination(spec)
         assert [str(v) for v in rho.values] == [str(v) for v in chi.values]
 
@@ -361,8 +420,8 @@ class TestBrauer:
         spec = BrauerSpec(
             s3,
             (
-                BrauerSummand(1, c3, chi3, ClassFunction(c3, [1, 1, 1])),
-                BrauerSummand(1, c2, ClassFunction(c2, [1, 1]), sign2),
+                BrauerSummand(1, c3, chi3, ClassFunction.aligned(c3, [1, 1, 1])),
+                BrauerSummand(1, c2, ClassFunction.aligned(c2, [1, 1]), sign2),
             ),
         )
         rho = brauer_combination(spec)
@@ -414,7 +473,7 @@ class TestConjugationInvariance:
         c5 = cyclic(5)
         h = Subgroup(c5, range(c5.order))
         chi = linear_character_of_cyclic(h, 1)
-        spec = BrauerSpec(c5, (BrauerSummand(1, h, chi, ClassFunction(h, [1] * 5)),))
+        spec = BrauerSpec(c5, (BrauerSummand(1, h, chi, ClassFunction.aligned(h, [1] * 5)),))
         report = verify_conjugation_invariance(spec, 2)
         assert report.passed
         assert report.rational and report.equal_exactly
@@ -433,7 +492,7 @@ class TestConjugationInvariance:
         c5 = cyclic(5)
         h = Subgroup(c5, range(c5.order))
         chi = linear_character_of_cyclic(h, 1)
-        spec = BrauerSpec(c5, (BrauerSummand(1, h, chi, ClassFunction(h, [1] * 5)),))
+        spec = BrauerSpec(c5, (BrauerSummand(1, h, chi, ClassFunction.aligned(h, [1] * 5)),))
         with pytest.raises(CharacterError, match="coprime"):
             verify_conjugation_invariance(spec, 5)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weightdescent import descent
+from weightdescent import descent, primes
 from weightdescent.cli import canonical_json
 from weightdescent.descent import (
     BASE_WEIGHTS,
@@ -156,6 +156,22 @@ class TestRecipeOracle:
         descent._recipes(lo, hi, next_prime(lo), swept.append)
         assert [s[0] for s in swept] == list(range(lo, hi + 1, 2))
         assert [s[1:] for s in swept] == [recipe_oracle(k) for k in range(lo, hi + 1, 2)]
+
+    @pytest.mark.parametrize("segment_size", [1, 2, 7])
+    @pytest.mark.parametrize("lo,hi", [(16, 17), (16, 18), (16, 23), (16, 24), (38, 41), (38, 42),
+                                       (1000, 1009), (1000, 1010), (31396, 31398),
+                                       (31398, 31469), (31398, 31470)])
+    def test_the_closed_stream_reaches_the_last_gap(self, monkeypatch, lo, hi, segment_size):
+        # hi prime, so the last gap's top is hi itself, or one above a prime,
+        # so the kernel asks the stream, bounded at 2 * hi, for the prime
+        # after a top just below hi; over tiny windows, so that the last one
+        # asked for ends at or near that prime
+        monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
+        swept = []
+        descent._recipes(lo, hi, next_prime(lo), swept.append)
+        weights = range(lo, hi + 1, 2)
+        assert [s[0] for s in swept] == list(weights)
+        assert [s[1:] for s in swept] == [recipe_oracle(k) for k in weights]
 
 
 class TestClassLemma:

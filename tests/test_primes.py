@@ -42,14 +42,14 @@ def fresh_primes(monkeypatch):
 
 def test_sieve_30():
     table = sieve(30)
-    assert table.primes == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    assert tuple(table.primes) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
     assert table.count == 10
 
 
 def test_sieve_edges():
-    assert sieve(0).primes == ()
-    assert sieve(1).primes == ()
-    assert sieve(2).primes == (2,)
+    assert tuple(sieve(0).primes) == ()
+    assert tuple(sieve(1).primes) == ()
+    assert tuple(sieve(2).primes) == (2,)
     assert sieve(0).gaps == sieve(1).gaps == sieve(2).gaps == ""
     assert sieve(3).gaps == "\x01"
     with pytest.raises(ValueError):
@@ -117,17 +117,34 @@ def test_stream_equals_the_table_and_trial_division(monkeypatch, n):
     expected = trial_division_primes(n)
     assert list(sieve(n).primes) == expected
     assert sieve(n).gaps == gap_string(expected)
-    assert list(islice(iter_primes(), len(expected))) == expected
+    assert list(islice(iter_primes(2, 2 * n), len(expected))) == expected
     for segment_size in (1, 2, 7, 16, 300, SEGMENT_SIZE):
         # an empty array, so that the table is sieved in windows of this
         # size and not cut from an array grown before
         empty_the_array(monkeypatch)
         monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
         table = sieve(n)
-        assert (table.primes, table.gaps) == (tuple(expected), gap_string(expected))
+        assert (tuple(table.primes), table.gaps) == (tuple(expected), gap_string(expected))
         assert list(iter_primes(2, n)) == expected
         for lo in (0, 3, n // 3, n):
             assert list(iter_primes(lo, n)) == [p for p in expected if p >= lo]
+
+
+def test_an_empty_range_streams_nothing():
+    for lo, hi in [(10, 9), (3, 2), (100, 1), (0, -5), (0, 1), (-3, 1), (24, 28)]:
+        assert list(iter_primes(lo, hi)) == []
+
+
+@pytest.mark.parametrize("segment_size", [1, 2, 3, 7])
+def test_the_stream_is_exact_across_window_edges(monkeypatch, segment_size):
+    # windows start at lo, so over every lo and hi the ends fall on every
+    # offset of a window, on primes and on composites alike
+    expected = trial_division_primes(90)
+    empty_the_array(monkeypatch)
+    monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
+    for lo in range(0, 50):
+        for hi in range(lo - 2, 91):
+            assert list(iter_primes(lo, hi)) == [p for p in expected if lo <= p <= hi], (lo, hi)
 
 
 @pytest.mark.parametrize("lo", [1009**2 - 1000, 1031**2 - 1000, 65521**2 - 1000, 10**10 - 1000])
@@ -160,7 +177,7 @@ def test_every_integer_is_sieved_at_most_once_per_process(monkeypatch, fresh_pri
     grown = []
     real = primes.iter_primes
 
-    def recording(lo=2, hi=None):
+    def recording(lo, hi):
         grown.append((lo, hi))
         return real(lo, hi)
 
@@ -208,7 +225,7 @@ def test_a_table_holds_the_gaps_of_its_primes(limit, trial_primes_100k):
     expected = [p for p in trial_primes_100k if p <= limit]
     sieve(2 * 10**5)
     table = sieve(limit)
-    assert table.primes == tuple(expected)
+    assert tuple(table.primes) == tuple(expected)
     assert table.gaps == gap_string(expected)
 
 
@@ -229,6 +246,40 @@ def test_a_large_base_holds_eight_bytes_a_prime(fresh_primes):
     assert len(primes._GAPS) == len(base) - 1
     assert kept < 3 * 2**20
     assert peak < 3 * 2**20
+
+
+def test_a_table_holds_its_primes_as_8_byte_integers():
+    table = sieve(1000)
+    assert isinstance(table.primes, array)
+    assert (table.primes.typecode, table.primes.itemsize) == ("q", 8)
+    assert table.count == len(table.primes) == 168
+
+
+def test_a_table_is_a_copy_that_a_later_growth_leaves_alone(fresh_primes):
+    n = 10**4
+    table = sieve(n)
+    before = (list(table.primes), table.gaps)
+    primes._grow(2 * n)
+    assert table.primes is not primes._PRIMES
+    assert (list(table.primes), table.gaps) == before
+    assert before[0] == trial_division_primes(n)
+    assert len(primes._PRIMES) > table.count
+
+
+def test_a_warm_table_takes_about_nine_bytes_a_prime():
+    # the 78,498 primes below 10^6 as a tuple of ints took ~36 bytes a prime
+    # (an 8-byte slot and a 28-byte int); sliced from the array they take 8,
+    # and their gap string one more
+    sieve(10**6)
+    tracemalloc.start()
+    try:
+        table = sieve(10**6)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.count == 78498
+    assert kept < 12 * table.count
+    assert peak < 12 * table.count
 
 
 # maximal prime gaps: 72 after 31397 and 114 after 492113
@@ -306,7 +357,8 @@ def test_is_prime_proves_composites_beyond_psi13():
 @example(n=2152302898747 - 1)  # psi_5
 @settings(max_examples=200, deadline=None)
 def test_next_prime_is_the_first_prime_of_the_stream(n):
-    assert next_prime(n) == next(iter_primes(n + 1))
+    # by Bertrand's postulate a prime lies in (n, 2n]
+    assert next_prime(n) == next(iter_primes(n + 1, 2 * n))
 
 
 def test_consecutive_pairs_examples(table_100k):
