@@ -22,10 +22,13 @@ import functools
 import json
 import random
 import sys
+from collections.abc import Callable
 from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
+from operator import attrgetter
 
 from . import descent, gaps
 from .charconj.campaigns import (
@@ -43,35 +46,97 @@ from .primes import CannotCertifyError, sieve
 TEXT_VIOLATIONS = 20
 
 
-def report_data(report):
-    """JSON data of a report, or of any value inside one.
-
-    None, str and int are leaves, a Fraction renders as "n/d", a Decimal as
-    its digit string, dict keys as strings and tuples as lists.  Any other
-    value must be a dataclass: it renders field by field under its field
-    names, plus "verdict" when it derives `passed` as a property.  A float,
-    which no report holds, raises TypeError rather than print inexactly.
-    """
-    # leaves first: they are most of the calls
-    if report is None or isinstance(report, (str, int)):
-        return report
-    if isinstance(report, (list, tuple)):
-        return [report_data(v) for v in report]
-    if isinstance(report, dict):
-        return {str(k): report_data(v) for k, v in report.items()}
-    if isinstance(report, Fraction):
-        return f"{report.numerator}/{report.denominator}"
-    if isinstance(report, Decimal):
-        return str(report)
-    data = {f.name: report_data(getattr(report, f.name)) for f in fields(report)}
-    if isinstance(getattr(type(report), "passed", None), property):
-        data["verdict"] = "pass" if report.passed else "fail"
-    return data
-
-
 def canonical_json(report) -> str:
-    """Canonical serialization: loads/dumps round-trips byte-identically."""
-    return json.dumps(report_data(report), indent=2, sort_keys=True)
+    """A report as JSON with sorted keys and a two-space indent; loads and
+    canonical_json round-trip byte-identically.
+
+    None, bools, str and int are leaves, a Fraction renders as "n/d", a
+    Decimal as its digit string, dict keys as strings, sorted as strings, and
+    tuples as lists.  Any other value must be a dataclass: it renders field by
+    field under its field names, plus "verdict" when it derives `passed` as a
+    property.  A float, which no report holds, raises TypeError rather than
+    print inexactly.  The bytes are those of json.dumps(..., indent=2,
+    sort_keys=True), written in one pass: each piece is appended to one list,
+    joined once.
+    """
+    out: list[str] = []
+    _writer(type(report))(report, "\n", out)
+    return "".join(out)
+
+
+# A writer appends the JSON of a value to out; nl is a newline and the
+# indentation of the line the value starts on.
+Writer = Callable[[object, str, list[str]], None]
+
+
+def _write_list(items, nl: str, out: list[str]) -> None:
+    if not items:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    sep = "[" + inner
+    for item in items:
+        out.append(sep)
+        _writer(type(item))(item, inner, out)
+        sep = "," + inner
+    out.append(nl + "]")
+
+
+def _write_members(members, nl: str, out: list[str]) -> None:
+    """An object from (quoted key, value) pairs in key order."""
+    if not members:
+        out.append("{}")
+        return
+    inner = nl + "  "
+    sep = "{" + inner
+    for key, item in members:
+        out.append(f"{sep}{key}: ")
+        _writer(type(item))(item, inner, out)
+        sep = "," + inner
+    out.append(nl + "}")
+
+
+def _write_dict(value: dict, nl: str, out: list[str]) -> None:
+    # keys collide and sort as the strings they render as
+    items = sorted({str(k): v for k, v in value.items()}.items())
+    _write_members([(_quote(k), v) for k, v in items], nl, out)
+
+
+def _dataclass_writer(cls: type) -> Writer:
+    """The writer of a dataclass: its sorted field names and their getters,
+    with "verdict" among them when cls derives `passed` as a property.
+    fields raises TypeError for any other class."""
+    getters = {f.name: attrgetter(f.name) for f in fields(cls)}
+    if isinstance(getattr(cls, "passed", None), property):
+        getters["verdict"] = lambda report: "pass" if report.passed else "fail"
+    keyed = [(_quote(name), getters[name]) for name in sorted(getters)]
+
+    def write(value, nl: str, out: list[str]) -> None:
+        _write_members([(key, get(value)) for key, get in keyed], nl, out)
+
+    return write
+
+
+@functools.cache
+def _writer(cls: type) -> Writer:
+    """The writer of values of type cls, chosen once per type."""
+    if cls is type(None):
+        return lambda value, nl, out: out.append("null")
+    if issubclass(cls, bool):
+        return lambda value, nl, out: out.append("true" if value else "false")
+    if issubclass(cls, str):
+        return lambda value, nl, out: out.append(_quote(value))
+    if issubclass(cls, int):
+        return lambda value, nl, out: out.append(int.__repr__(value))
+    if issubclass(cls, (list, tuple)):
+        return _write_list
+    if issubclass(cls, dict):
+        return _write_dict
+    if issubclass(cls, Fraction):
+        return lambda value, nl, out: out.append(f'"{value.numerator}/{value.denominator}"')
+    if issubclass(cls, Decimal):
+        return lambda value, nl, out: out.append(_quote(str(value)))
+    return _dataclass_writer(cls)
 
 
 def _load_cli_group(name_or_path: str):

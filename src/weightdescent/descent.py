@@ -20,7 +20,7 @@ prime, takes its next prime from primes.is_prime, tried above k.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from math import gcd
 
@@ -156,17 +156,27 @@ def _recipes(lo: int, hi: int, p: int, settle: Settle, level: bytearray | None =
         top = next(primes)
 
 
+def _kernel_step(k: int, table: PrimeTable | None = None) -> tuple[int, ...]:
+    """The kernel's step (k, p, skips, d, m, t, dt, k_hi, k_lo) at weight k."""
+    _check_weight(k)
+    steps: list[tuple[int, ...]] = []
+    _recipes(k, k, next_prime(k, table), steps.append)
+    [step] = steps
+    return step
+
+
+def _as_step(step: tuple[int, ...], matches_paper: bool | None = None) -> ReductionStep:
+    k, p, skips, d, m, t, dt, k_hi, k_lo = step
+    return ReductionStep(k, p, d, m, t, dt, k_hi, k_lo, skips, matches_paper)
+
+
 def reduction_step(k: int, table: PrimeTable | None = None) -> ReductionStep:
     """Fully populated, validated reduction step at weight k.
 
     The first prime above k comes from the table when it holds it, otherwise
     from primes.next_prime's single-prime tests just above k.
     """
-    _check_weight(k)
-    steps: list[tuple[int, ...]] = []
-    _recipes(k, k, next_prime(k, table), steps.append)
-    [(_, p, skips, d, m, t, dt, k_hi, k_lo)] = steps
-    return ReductionStep(k=k, p=p, d=d, m=m, t=t, dt=dt, k_hi=k_hi, k_lo=k_lo, prime_skips=skips)
+    return _as_step(_kernel_step(k, table))
 
 
 def _reducible_runs(max_k: int) -> Iterator[tuple[int, int]]:
@@ -201,13 +211,13 @@ def reference_table() -> list[ReductionStep]:
     values (matches_paper False marks a divergence)."""
     rows = []
     for k, published in _PUBLISHED_ROWS.items():
-        step = reduction_step(k)
-        fields = (step.p, step.d, step.m, step.t, step.dt, step.k_hi, step.k_lo)
+        step = _kernel_step(k)
+        _, p, _, d, m, t, dt, k_hi, k_lo = step
         matches = all(
             expected is None or expected == actual
-            for expected, actual in zip(published, fields)
+            for expected, actual in zip(published, (p, d, m, t, dt, k_hi, k_lo))
         )
-        rows.append(replace(step, matches_paper=matches))
+        rows.append(_as_step(step, matches))
     return rows
 
 
@@ -404,26 +414,29 @@ def chain(k: int, policy: str = "hi-branch") -> tuple[list[ReductionStep], list[
     if k in BASE_WEIGHTS:
         return [], [k]
     _check_weight(k)
-    step_of = cache(reduction_step)
+    # kernel tuples, (k, p, skips, d, m, t, dt, k_hi, k_lo): the depths of
+    # longest read every weight below k, and only the path's steps are built
+    step_of = cache(_kernel_step)
 
     @cache
     def depth(w: int) -> int:
         if w in BASE_WEIGHTS:
             return 0
-        s = step_of(w)
-        return 1 + max(depth(s.k_hi), depth(s.k_lo))
+        hi, lo = step_of(w)[-2:]
+        return 1 + max(depth(hi), depth(lo))
 
     path = []
     walked = [k]
     node = k
     while node not in BASE_WEIGHTS:
         s = step_of(node)
-        path.append(s)
+        path.append(_as_step(s))
+        hi, lo = s[-2:]
         if policy == "hi-branch":
-            node = s.k_hi
+            node = hi
         elif policy == "lo-branch":
-            node = s.k_lo
+            node = lo
         else:
-            node = s.k_hi if depth(s.k_hi) >= depth(s.k_lo) else s.k_lo
+            node = hi if depth(hi) >= depth(lo) else lo
         walked.append(node)
     return path, walked

@@ -194,7 +194,7 @@ def next_prime(n: int, table: PrimeTable | None = None) -> int:
     """Smallest prime strictly greater than n.
 
     Uses the table when the answer is inside it, otherwise the first n' > n
-    with is_prime(n').
+    with is_prime(n'), trying odd n' only past 2.
     """
     if n < 1:
         raise ValueError("next_prime requires n >= 1")
@@ -202,7 +202,9 @@ def next_prime(n: int, table: PrimeTable | None = None) -> int:
         i = bisect_right(table.primes, n)
         if i < len(table.primes):
             return table.primes[i]
-    return next(q for q in count(n + 1) if is_prime(q))
+    if n < 2:
+        return 2
+    return next(q for q in count((n + 1) | 1, 2) if is_prime(q))
 
 
 def consecutive_pairs(table: PrimeTable, low: int, high: int) -> list[tuple[int, int]]:

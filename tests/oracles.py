@@ -9,10 +9,16 @@ every triple of a table, which the package's group-law check no longer does.
 `relabelled_classes` is the one exception: it builds a subgroup as a package
 `FiniteGroup` of its own, so the full group-law checks run on it, to compare
 with the classes a `Subgroup` computes in its parent's indices.
+`report_data` with `json_oracle` is the two-pass rendering the CLI's
+one-pass `canonical_json` replaced: a tree of plain data, then
+`json.dumps`.
 """
 
 from __future__ import annotations
 
+import json
+from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -228,3 +234,32 @@ def multiplicative_all_pairs(f) -> bool:
     if at[0] != 1:
         return False
     return all(at[G.table[a][b]] == at[a] * at[b] for a in G.elements for b in G.elements)
+
+
+def report_data(report):
+    """JSON data of a report, or of any value inside one.
+
+    None, str and int are leaves, a Fraction renders as "n/d", a Decimal as
+    its digit string, dict keys as strings and tuples as lists.  Any other
+    value must be a dataclass: it renders field by field under its field
+    names, plus "verdict" when it derives `passed` as a property.
+    """
+    if report is None or isinstance(report, (str, int)):
+        return report
+    if isinstance(report, (list, tuple)):
+        return [report_data(v) for v in report]
+    if isinstance(report, dict):
+        return {str(k): report_data(v) for k, v in report.items()}
+    if isinstance(report, Fraction):
+        return f"{report.numerator}/{report.denominator}"
+    if isinstance(report, Decimal):
+        return str(report)
+    data = {f.name: report_data(getattr(report, f.name)) for f in fields(report)}
+    if isinstance(getattr(type(report), "passed", None), property):
+        data["verdict"] = "pass" if report.passed else "fail"
+    return data
+
+
+def json_oracle(report) -> str:
+    """A report's canonical JSON by the standard library's encoder."""
+    return json.dumps(report_data(report), indent=2, sort_keys=True)

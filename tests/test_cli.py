@@ -5,12 +5,13 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import weightdescent
@@ -19,10 +20,11 @@ from weightdescent.charconj.campaigns import SUITE_NAMES
 from weightdescent.charconj.groups import dihedral
 from weightdescent.cli import build_parser, canonical_json, main
 
-from oracles import recipe_oracle
+from oracles import json_oracle, recipe_oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 json_scalars = (st.none() | st.booleans() | st.integers(-3, 50)
                 | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4))
@@ -677,6 +679,88 @@ class TestJsonRoundTrip:
         main(argv)
         out = capsys.readouterr().out.rstrip("\n")
         assert canonical_json(json.loads(out)) == out
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json.txt")))
+    def test_every_golden_reserializes_byte_identically(self, name):
+        text = (GOLDEN / name).read_text(encoding="utf-8").rstrip("\n")
+        assert canonical_json(json.loads(text)) == text
+
+
+@dataclass(frozen=True)
+class Plain:
+    name: object
+    values: object
+
+
+@dataclass(frozen=True)
+class Judged:
+    ok: bool
+    detail: object
+
+    @property
+    def passed(self) -> bool:
+        return self.ok
+
+
+@dataclass(frozen=True)
+class Empty:
+    pass
+
+
+report_leaves = (st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.text(max_size=6)
+                 | st.fractions() | st.decimals())
+report_values = st.recursive(
+    report_leaves,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.integers(-20, 20) | st.text(max_size=3), inner, max_size=4)
+        | st.builds(Plain, inner, inner) | st.builds(Judged, st.booleans(), inner)
+        | st.just(Empty())
+    ),
+    max_leaves=25,
+)
+
+
+class TestCanonicalJson:
+    """The one-pass writer gives the bytes of the two-pass rendering it
+    replaced, `report_data` then `json.dumps(indent=2, sort_keys=True)`,
+    kept in `tests/oracles.py`."""
+
+    @given(value=report_values)
+    @example(value={10: 1, 2: [], "1": (), 1: {}})
+    @example(value=Judged(False, Plain(Decimal("-0E-86859"), [Fraction(-3, 7), None, True])))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_oracle_on_nested_values(self, value):
+        assert canonical_json(value) == json_oracle(value)
+
+    @pytest.mark.parametrize("value", [
+        [], (), {}, Empty(), [[], (), {}, Empty()], {"a": {}, "b": [()]},
+        Fraction(-3, 7), Fraction(5), Decimal("-0E-86859"), Decimal("1.50"), Decimal("-Infinity"),
+        None, True, False, 0, -(10**40),
+        "é ☃ \U0001F600 \ud800 \n \" \\ \x7f", {"é": "ü", "\U0001F600": None},
+        {10: 1, 2: 1}, {True: 1, None: 2, Fraction(1, 2): 3},
+    ])
+    def test_equals_the_oracle_on_edge_values(self, value):
+        assert canonical_json(value) == json_oracle(value)
+
+    def test_integer_keys_sort_as_strings(self):
+        assert canonical_json({10: 1, 2: Judged(True, ())}) == (
+            '{\n  "10": 1,\n  "2": {\n    "detail": [],\n    "ok": true,\n'
+            '    "verdict": "pass"\n  }\n}'
+        )
+
+    def test_every_report_of_a_queries_batch(self, monkeypatch):
+        # the benchmark's 288-request queries stream, one request of each
+        # kind 32 times, every report rendered both ways
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from workloads import batch
+
+        requests = batch("queries", 0, 0)
+        assert len(requests) == 288
+        for argv in requests:
+            args = build_parser().parse_args(argv)
+            report, _, _ = args.handler(args)
+            assert canonical_json(report) == json_oracle(report), argv
 
 
 # the report fields that count what a run checked; a run that exits 0 must

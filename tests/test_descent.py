@@ -328,10 +328,13 @@ class TestChain:
 
     @pytest.mark.parametrize("policy", ["hi-branch", "lo-branch", "longest"])
     def test_reduces_each_weight_once(self, monkeypatch, policy):
+        # chain runs the kernel once per weight, through _kernel_step
         reduced = []
-        real = descent.reduction_step
-        monkeypatch.setattr(descent, "reduction_step", lambda k: reduced.append(k) or real(k))
-        _, walked = chain(999998, policy)
+        real = descent._kernel_step
+        monkeypatch.setattr(descent, "_kernel_step", lambda k: reduced.append(k) or real(k))
+        path, walked = chain(999998, policy)
+        monkeypatch.undo()
+        assert path == [reduction_step(k) for k in walked[:-1]]
         if policy != "longest":
             assert reduced == walked[:-1]
             return
@@ -341,7 +344,7 @@ class TestChain:
             w = todo.pop()
             if w not in BASE_WEIGHTS and w not in below:
                 below.add(w)
-                step = real(w)
+                step = reduction_step(w)
                 todo += [step.k_hi, step.k_lo]
         assert sorted(reduced) == sorted(below)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import weightdescent
-from weightdescent.cli import report_data
+from weightdescent.cli import canonical_json
 
 PACKAGE = Path(weightdescent.__file__).parent
 INTEGER_MATH = {"gcd", "lcm", "isqrt"}
@@ -52,4 +52,6 @@ def test_a_float_in_a_report_is_not_rendered():
         ratio: float
 
     with pytest.raises(TypeError):
-        report_data(Report(1.5))
+        canonical_json(Report(1.5))
+    with pytest.raises(TypeError):
+        canonical_json({2: [Report(0), 1.5]})

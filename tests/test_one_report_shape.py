@@ -1,7 +1,8 @@
-"""Every report renders to JSON through `cli.report_data` alone.
+"""Every report renders to JSON through `cli.canonical_json` alone.
 
-A report is a dataclass whose field names are its JSON keys, so no class in
-the runtime needs a serializer of its own.  This reads each module with
+A report is a dataclass whose field names are its JSON keys, and the writer
+works out those keys once per class, so no class in the runtime needs a
+serializer of its own.  This reads each module with
 `ast` and fails while any class defines `to_dict`, so that a second
 rendering of the same report cannot come back.
 """

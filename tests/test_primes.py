@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from array import array
+from bisect import bisect_right
 from itertools import islice
 from math import isqrt
 
@@ -338,6 +339,23 @@ def test_every_psi_below_psi13_is_rejected_and_psi13_is_refused():
     assert 1287836182261 * 2575672364521 == PSI_13
     with pytest.raises(primes.CannotCertifyError, match="cannot certify 3317044064679887385961981"):
         primes.is_prime(PSI_13)
+
+
+def test_next_prime_equals_trial_division_to_1e5():
+    # next_prime tries only odd candidates past 2; every n in [1, 10^5],
+    # against the first trial-division prime above n (100003 is prime)
+    ps = trial_division_primes(100003)
+    assert ps[-1] == trial_division_next_prime(10**5)
+    ns = range(1, 10**5 + 1)
+    assert [next_prime(n) for n in ns] == [ps[bisect_right(ps, n)] for n in ns]
+
+
+@pytest.mark.parametrize("n", [PSI_13 - 2, PSI_13 - 1, 2**89 - 3, 2**89 - 2])
+def test_next_prime_refuses_to_certify_past_psi13(n):
+    # the first candidate passing all 13 tests is psi13 (composite) or the
+    # Mersenne prime 2^89 - 1, neither provable; odd candidates still reach it
+    with pytest.raises(primes.CannotCertifyError, match=f"cannot certify {(n + 1) | 1}"):
+        next_prime(n)
 
 
 def test_is_prime_proves_composites_beyond_psi13():
