@@ -743,12 +743,6 @@ class TestCanonicalJson:
     def test_equals_the_oracle_on_edge_values(self, value):
         assert canonical_json(value) == json_oracle(value)
 
-    def test_integer_keys_sort_as_strings(self):
-        assert canonical_json({10: 1, 2: Judged(True, ())}) == (
-            '{\n  "10": 1,\n  "2": {\n    "detail": [],\n    "ok": true,\n'
-            '    "verdict": "pass"\n  }\n}'
-        )
-
     def test_every_report_of_a_queries_batch(self, monkeypatch):
         # the benchmark's 288-request queries stream, one request of each
         # kind 32 times, every report rendered both ways
