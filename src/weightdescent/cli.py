@@ -351,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> parser, for main's direct route
 
     p = sub.add_parser("table", parents=[common], help="the 12 reference rows, flagged")
     p.set_defaults(handler=_cmd_table)
@@ -409,9 +410,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), without the top-level pass when the
+    first word names a subcommand: that pass would only set `command` and
+    hand the rest to the subcommand's parser, then refuse its leftovers."""
+    parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None) -> int:
     """Execute one subcommand; returns the process exit status."""
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         report, lines, passed = args.handler(args)
     except ValueError as exc:

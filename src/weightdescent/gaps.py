@@ -224,25 +224,31 @@ class StarReport:
 
 def star_inequality_check(m_max: int = 200, d_max: int = 200) -> StarReport:
     """For every m in (6, m_max] and d in [1, d_max], with p = md+1 and
-    t = choose_t(m), check p/(dt+2) and p/(p+1-dt) > RATIO_BOUND exactly."""
+    t = choose_t(m), check p/(dt+2) and p/(p+1-dt) > RATIO_BOUND = num/den
+    exactly, a row of the grid at a time.
+
+    Both quotients have the form p/(ud+2), with u = t on the hi side and
+    u = m-t on the lo side, and a cell fails when den*p <= num*(ud+2), that
+    is when d*s <= c with s = den*m - num*u and c = 2num - den.  If s > 0
+    the side fails exactly for d <= c // s.  If s <= 0, then num/den >= m/u
+    > 1, as 1 < t < m-1, so c > 0 and it fails for every d.  Either way
+    each side of a row fails on a prefix of [1, d_max], found in O(1); the
+    failures are listed in (m, d) order, hi before lo.
+    """
     if m_max <= 6:
         raise ValueError("m_max must exceed 6")
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     num, den = RATIO_BOUND.numerator, RATIO_BOUND.denominator
+    c = 2 * num - den
     failures = []
-    checked = 0
     for m in range(7, m_max + 1):
         t = choose_t(m)  # every m >= 7 is admissible
-        for d in range(1, d_max + 1):
-            p = m * d + 1
-            hi = d * t + 2
-            lo = p + 1 - d * t
-            checked += 1
-            if den * p <= num * hi:
-                failures.append((m, d, "hi"))
-            if den * p <= num * lo:
-                failures.append((m, d, "lo"))
+        row = []
+        for u, side in ((t, "hi"), (m - t, "lo")):
+            s = den * m - num * u
+            row += [(m, d, side) for d in range(1, (d_max if s <= 0 else min(d_max, c // s)) + 1)]
+        failures += sorted(row)  # "hi" < "lo"
     heads = []
     all_match = True
     for m, t_printed in _PRINTED_HEADS:
@@ -262,7 +268,7 @@ def star_inequality_check(m_max: int = 200, d_max: int = 200) -> StarReport:
         failures=tuple(failures),
         family_heads=tuple(heads),
         heads_match=all_match,
-        checked=checked,
+        checked=(m_max - 6) * d_max,
     )
 
 

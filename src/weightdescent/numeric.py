@@ -106,13 +106,16 @@ class RealEnclosure:
         )
 
     def ln(self, digits: int = DEFAULT_DIGITS) -> "RealEnclosure":
+        """[ln lower, ln upper], padded outward.  A point (lower == upper,
+        as from_rational gives for any base exact at `digits`) takes one
+        Context.ln: ln is correctly rounded, so equal operands give the same
+        result, and a second call would only repeat the first."""
         if self.lower <= 0:
             raise ValueError("ln requires a strictly positive enclosure")
         c = Context(prec=digits)
-        return RealEnclosure(
-            _pad_down(c.ln(self.lower), digits),
-            _pad_up(c.ln(self.upper), digits),
-        )
+        lower = c.ln(self.lower)
+        upper = lower if self.upper == self.lower else c.ln(self.upper)
+        return RealEnclosure(_pad_down(lower, digits), _pad_up(upper, digits))
 
     def __str__(self) -> str:
         return f"[{self.lower}, {self.upper}]"

@@ -9,9 +9,10 @@ every triple of a table, which the package's group-law check no longer does.
 `relabelled_classes` is the one exception: it builds a subgroup as a package
 `FiniteGroup` of its own, so the full group-law checks run on it, to compare
 with the classes a `Subgroup` computes in its parent's indices.
-`report_data` with `json_oracle` is the two-pass rendering the CLI's
-one-pass `canonical_json` replaced: a tree of plain data, then
-`json.dumps`.
+`star_grid_oracle` is the cell-by-cell quotient grid that `star`'s
+closed-form rows replaced.  `report_data` with `json_oracle` is the
+two-pass rendering the CLI's one-pass `canonical_json` replaced: a tree of
+plain data, then `json.dumps`.
 """
 
 from __future__ import annotations
@@ -137,6 +138,30 @@ def reference_scan(
         if best is None or a * best[1] > best[0] * b:
             best = (a, b, p, q)
     return tuple(violations), (best[2], best[3]) if best else None, count
+
+
+def star_grid_oracle(
+    m_max: int, d_max: int, bound: Fraction
+) -> tuple[tuple[tuple[int, int, str], ...], int]:
+    """The per-cell quotient grid: for every m in (6, m_max] and d in
+    [1, d_max], with p = md+1 and t the least integer above m/2 prime to
+    m, each of p/(dt+2) ("hi") and p/(p+1-dt) ("lo") at most bound is a
+    failure (m, d, side), compared as Fractions.  Returns (failures in (m,
+    d) order with hi before lo, cells checked)."""
+    failures = []
+    checked = 0
+    for m in range(7, m_max + 1):
+        t = m // 2 + 1
+        while gcd(t, m) != 1:
+            t += 1
+        for d in range(1, d_max + 1):
+            p = m * d + 1
+            checked += 1
+            if Fraction(p, d * t + 2) <= bound:
+                failures.append((m, d, "hi"))
+            if Fraction(p, p + 1 - d * t) <= bound:
+                failures.append((m, d, "lo"))
+    return tuple(failures), checked
 
 
 def as_fraction_cyclo(value) -> Cyclo:

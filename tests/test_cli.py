@@ -652,6 +652,72 @@ class TestSharedParser:
         assert after_second == after_first
 
 
+_FIRST_WORDS = tuple(build_parser().subcommands) + (
+    "nope", "GAPS", "gap", "char-demo", "-h", "--help", "--he", "--", "--format", "-x", "")
+_OPTIONS = ("--low", "--lo", "--l", "--high", "--hi", "--bound", "--b", "--policy", "--pol",
+            "--format", "--form", "--f", "--strict", "--str", "--max-k", "--max", "--m-max",
+            "--m", "--d-max", "--a", "--digits", "--dig", "--typo-variant", "--typo", "--group",
+            "--seed", "--draws", "--trials", "--tr", "--help", "--bogus")
+_VALUES = ("16", "100", "0", "-3", "x", "1/3", "1/0", "json", "text", "xml", "demo", "verify",
+           "S3", "longest", "hi-branch", "", "a b")
+_words = (st.sampled_from(_OPTIONS + _VALUES + ("-h", "-x", "--"))
+          | st.builds("{}={}".format, st.sampled_from(_OPTIONS), st.sampled_from(_VALUES)))
+_parser_argv = st.just([]) | st.builds(lambda first, rest: [first, *rest],
+                                       st.sampled_from(_FIRST_WORDS), st.lists(_words, max_size=8))
+
+
+def _parsed(parse, argv):
+    """(the namespace's fields or the exit status, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestDirectDispatch:
+    """`main` parses through `cli._parse`, which hands the words after a
+    subcommand's name straight to that subcommand's parser; the top-level
+    parse it skips stays the oracle."""
+
+    @given(argv=_parser_argv)
+    @example(argv=["reduce", "16", "extra", "--bogus"])
+    @example(argv=["gaps", "--lo", "40", "--hi=300", "--low", "50"])
+    @example(argv=["chain", "100", "--pol", "longest", "--", "--format"])
+    @example(argv=["reduce", "--", "16"])
+    @example(argv=["threshold", "--digits", "0"])
+    @example(argv=["table", "-h"])
+    @example(argv=["char"])
+    @settings(max_examples=400, deadline=None)
+    def test_parses_as_the_top_level_parser(self, argv):
+        assert _parsed(cli._parse, argv) == _parsed(build_parser().parse_args, argv)
+
+    ONE_OF_EACH = (["table"], ["reduce", "16"], ["chain", "36", "--policy", "longest"],
+                   ["audit", "--max-k", "100"], ["gaps", "--high", "100"],
+                   ["gaps-shifted", "--high", "100"], ["threshold", "--digits", "10"],
+                   ["star", "--m-max", "10", "--d-max", "3"], ["mbound", "--max-k", "100"],
+                   ["char", "demo", "--group", "C3"])
+
+    def test_a_subcommand_argv_never_runs_the_top_level_parse(self, capsys, monkeypatch):
+        parser = build_parser()
+        assert sorted(argv[0] for argv in self.ONE_OF_EACH) == sorted(parser.subcommands)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return type(parser).parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", spy)
+        for argv in self.ONE_OF_EACH:
+            assert main([*argv, "--format", "json"]) == 0, argv
+        assert calls == []
+        with pytest.raises(SystemExit):
+            main(["--format", "json", "table"])
+        assert len(calls) == 1
+
+
 class TestJsonRoundTrip:
     def test_dict_keys_render_as_strings_in_string_order(self):
         report = descent.TerminationReport(True, 3, (20, 10, 8), (32, 1000), {2: 1, 10: 1}, 5, 4)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from weightdescent import gaps
 from weightdescent.cli import canonical_json, main
+from weightdescent.descent import choose_t
 from weightdescent.gaps import (
     X0,
     chebyshev_threshold,
@@ -26,6 +27,7 @@ from oracles import (
     m_bound_oracle,
     max_ratio_pair_scan,
     reference_scan,
+    star_grid_oracle,
     trial_division_next_prime,
 )
 
@@ -255,6 +257,21 @@ class TestChebyshevThreshold:
         assert set(d["threshold"]) == {"lower", "upper"}
 
 
+@st.composite
+def star_grids(draw):
+    """(m_max, d_max, bound).  With bound num/den a row's side fails where
+    d*s <= c, s = den*m - num*u (u = t or m-t) and c = 2num - den; the
+    bounds make s positive, zero (a bound m/u on a drawn row) or negative,
+    and c negative (a bound below 1/2), zero or positive."""
+    m_max, d_max = draw(st.integers(7, 40)), draw(st.integers(1, 40))
+    m = draw(st.integers(7, m_max))
+    t = choose_t(m)
+    bound = draw(st.sampled_from((RATIO_BOUND, Fraction(3, 2), Fraction(2), Fraction(1, 2),
+                                  Fraction(1, 3), Fraction(m, t), Fraction(m, m - t)))
+                 | st.fractions(Fraction(1, 4), Fraction(3), max_denominator=30))
+    return m_max, d_max, bound
+
+
 class TestStarInequality:
     def test_default_grid_passes(self):
         report = star_inequality_check(200, 200)
@@ -284,8 +301,6 @@ class TestStarInequality:
         assert Fraction(10 * 1 + 1, 7 * 1 + 2) == Fraction(11, 9) > RATIO_BOUND
 
     def test_hi_ratio_monotone_in_d_so_minimum_on_boundary(self):
-        from weightdescent.descent import choose_t
-
         for m in (7, 8, 10, 9, 14, 16):
             t = choose_t(m)
             prev = None
@@ -300,6 +315,23 @@ class TestStarInequality:
             star_inequality_check(6, 10)
         with pytest.raises(ValueError):
             star_inequality_check(10, 0)
+
+    @given(grid=star_grids())
+    @example(grid=(7, 5, Fraction(7, 5)))   # m = 7 hi: s = 7 > 0, fails at d = 1 only
+    @example(grid=(7, 5, Fraction(7, 4)))   # m = 7 hi: s = 0 and c = 10, every d fails
+    @example(grid=(10, 3, Fraction(3, 2)))  # m = 10 hi: s = -1, every d fails
+    @example(grid=(9, 4, Fraction(1, 2)))   # c = 0: s > 0 everywhere, nothing fails
+    @example(grid=(9, 4, Fraction(1, 3)))   # c = -1 < 0
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_the_per_cell_oracle(self, grid):
+        """Each row's closed-form failure intervals list the cells that the
+        per-cell grid fails, in its order, hi before lo."""
+        m_max, d_max, bound = grid
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gaps, "RATIO_BOUND", bound)
+            report = star_inequality_check(m_max, d_max)
+        assert (report.failures, report.checked) == star_grid_oracle(m_max, d_max, bound)
+        assert report.bound == bound
 
 
 @st.composite

@@ -1,4 +1,4 @@
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import mpmath
@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weightdescent import numeric
+from weightdescent.cli import main
 from weightdescent.numeric import (
     CHEBYSHEV_B,
     EXACT_POWER_BITS,
@@ -18,6 +20,20 @@ from weightdescent.numeric import (
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=999
 )
+
+
+def two_ln(self: RealEnclosure, digits: int = numeric.DEFAULT_DIGITS) -> RealEnclosure:
+    """RealEnclosure.ln as one Context.ln call per end, padded as it pads:
+    the reference for its one call on a point."""
+    c = Context(prec=digits)
+    return RealEnclosure(numeric._pad_down(c.ln(self.lower), digits),
+                         numeric._pad_up(c.ln(self.upper), digits))
+
+
+def digit_tuples(e: RealEnclosure) -> tuple:
+    """Both ends as sign, digits and exponent: equal only when they print
+    the same."""
+    return e.lower.as_tuple(), e.upper.as_tuple()
 
 
 def test_constants_are_the_exact_decimals():
@@ -67,6 +83,37 @@ class TestRealEnclosure:
         with mpmath.workdps(digits + 30):
             value = mpmath.exp(mpmath.mpf(x.numerator) / x.denominator)
             assert mpmath.mpf(str(e.lower)) <= value <= mpmath.mpf(str(e.upper))
+
+    @given(x=st.fractions(Fraction(1, 10**4), Fraction(10**6), max_denominator=10**4),
+           digits=st.integers(1, 200))
+    @example(x=RATIO_BOUND, digits=200)  # a point
+    @example(x=Fraction(1), digits=30)  # ln 1 = 0
+    @example(x=Fraction(1, 3), digits=30)  # not a point
+    @settings(max_examples=100, deadline=None)
+    def test_ln_gives_the_ends_of_two_separate_ln_calls(self, x, digits):
+        e = RealEnclosure.from_rational(x, digits)
+        assert digit_tuples(e.ln(digits)) == digit_tuples(two_ln(e, digits))
+
+    @pytest.mark.parametrize("lower, upper", [
+        ("1.144", "1.14400"), ("1", "1.000"), ("1E+5", "100000"), ("0.5", "0.50"),
+    ])
+    def test_ln_of_a_point_written_two_ways_gives_two_calls_ends(self, lower, upper):
+        e = RealEnclosure(Decimal(lower), Decimal(upper))
+        assert digit_tuples(e.ln(40)) == digit_tuples(two_ln(e, 40))
+
+    def test_a_point_takes_one_ln_call_and_an_interval_two(self, monkeypatch):
+        calls = []
+
+        class Counting(Context):
+            def ln(self, x):
+                calls.append(x)
+                return super().ln(x)
+
+        monkeypatch.setattr(numeric, "Context", Counting)
+        RealEnclosure.from_rational(RATIO_BOUND, 200).ln(200)
+        assert calls == [Decimal("1.144")]
+        RealEnclosure.from_rational(Fraction(1, 3), 200).ln(200)
+        assert len(calls) == 3
 
     def test_ln_requires_positive(self):
         with pytest.raises(ValueError):
@@ -121,3 +168,18 @@ class TestPowEnclosure:
             pow_enclosure(0, RealEnclosure(Decimal(2), Decimal(2)), 10)
         with pytest.raises(ValueError):
             pow_enclosure(Fraction(-3, 2), RealEnclosure(Decimal(2), Decimal(2)), 10)
+
+
+# --a 1/3 alone lies below C and is refused; with --b 1/5 the exponent is
+# 3/2, so the power takes ln of the enclosure of 1/3, which is no point
+@pytest.mark.parametrize("extra", [[], ["--typo-variant"], ["--a", "1/3", "--b", "1/5"],
+                                   ["--a", "4/3"]])
+def test_threshold_json_equals_a_two_ln_reference(capsys, monkeypatch, extra):
+    def runs():
+        for digits in range(1, 201):
+            code = main(["threshold", "--digits", str(digits), *extra, "--format", "json"])
+            yield code, capsys.readouterr()
+
+    ours = list(runs())
+    monkeypatch.setattr(RealEnclosure, "ln", two_ln)
+    assert list(runs()) == ours
