@@ -9,7 +9,8 @@ file, and 3 when the verdict is inconclusive (a `threshold` enclosure
 straddling x0, reported as "inconclusive" and `below_x0: null`), a
 reduction step breaks its invariants, a prime cannot be certified beyond
 psi13 ~ 3.3 * 10^24 or the run exhausts memory (a DescentError,
-CannotCertifyError or MemoryError, reported on one `error:` line).
+CannotCertifyError or MemoryError, reported on one `error:` line), and 141,
+with nothing on stderr, when the reader of stdout closed it early.
 Defaults reproduce the canonical parameters: gap range (37, 100000],
 bounds 143/125 (gaps) and 23/20 (gaps-shifted), B = 1130289/1000000,
 a = 143/125 with A = 1 fixed, and audit max_k = 10^6.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from collections.abc import Callable
@@ -349,79 +351,131 @@ def build_parser() -> argparse.ArgumentParser:
         "character-conjugation audits.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
+    fmt = common.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommands = sub.choices  # name -> parser, for main's direct route
+    parser.subcommands = sub.choices  # name -> parser
+    own: dict[str, list[argparse.Action]] = {}  # name -> the actions add_argument returned
 
     p = sub.add_parser("table", parents=[common], help="the 12 reference rows, flagged")
     p.set_defaults(handler=_cmd_table)
-    p.add_argument("--strict", action="store_true",
-                   help="fail (exit 1) when a row diverges from the published values")
+    own["table"] = [p.add_argument(
+        "--strict", action="store_true",
+        help="fail (exit 1) when a row diverges from the published values")]
 
     p = sub.add_parser("reduce", parents=[common], help="one reduction step")
     p.set_defaults(handler=_cmd_reduce)
-    p.add_argument("k", type=int)
+    own["reduce"] = [p.add_argument("k", type=int)]
 
     p = sub.add_parser("chain", parents=[common], help="a descent path to the base set")
     p.set_defaults(handler=_cmd_chain)
-    p.add_argument("k", type=int)
-    p.add_argument("--policy", choices=descent.CHAIN_POLICIES, default="hi-branch")
+    own["chain"] = [p.add_argument("k", type=int),
+                    p.add_argument("--policy", choices=descent.CHAIN_POLICIES, default="hi-branch")]
 
     p = sub.add_parser("audit", parents=[common], help="full descent audit")
     p.set_defaults(handler=_cmd_audit)
-    p.add_argument("--max-k", type=int, default=1_000_000)
+    own["audit"] = [p.add_argument("--max-k", type=int, default=1_000_000)]
 
     for name, help_text, bound in (("gaps", "consecutive-prime ratio scan", RATIO_BOUND),
                                    ("gaps-shifted", "(p-1)-shifted ratio scan",
                                     SHIFTED_RATIO_BOUND)):
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.set_defaults(handler=_cmd_gaps)
-        p.add_argument("--low", type=int, default=37)
-        p.add_argument("--high", type=int, default=gaps.X0)
-        p.add_argument("--bound", type=_fraction, default=bound,
-                       help="rational bound (default %(default)s)")
+        own[name] = [p.add_argument("--low", type=int, default=37),
+                     p.add_argument("--high", type=int, default=gaps.X0),
+                     p.add_argument("--bound", type=_fraction, default=bound,
+                                    help="rational bound (default %(default)s)")]
 
     p = sub.add_parser("threshold", parents=[common], help="Chebyshev threshold enclosure")
     p.set_defaults(handler=_cmd_threshold)
-    p.add_argument("--a", type=_fraction, default=RATIO_BOUND)
-    p.add_argument("--b", type=_fraction, default=CHEBYSHEV_B)
-    p.add_argument("--digits", type=_positive_int, default=30)
-    p.add_argument("--typo-variant", action="store_true",
-                   help="evaluate a*C/(a-C) instead of a^(C/(a-C))")
+    own["threshold"] = [p.add_argument("--a", type=_fraction, default=RATIO_BOUND),
+                        p.add_argument("--b", type=_fraction, default=CHEBYSHEV_B),
+                        p.add_argument("--digits", type=_positive_int, default=30),
+                        p.add_argument("--typo-variant", action="store_true",
+                                       help="evaluate a*C/(a-C) instead of a^(C/(a-C))")]
 
     p = sub.add_parser("star", parents=[common], help="twist-family quotient grid")
     p.set_defaults(handler=_cmd_star)
-    p.add_argument("--m-max", type=int, default=200)
-    p.add_argument("--d-max", type=int, default=200)
+    own["star"] = [p.add_argument("--m-max", type=int, default=200),
+                   p.add_argument("--d-max", type=int, default=200)]
 
     p = sub.add_parser("mbound", parents=[common], help="m > 6 bound scan")
     p.set_defaults(handler=_cmd_mbound)
-    p.add_argument("--max-k", type=int, default=1_000_000)
+    own["mbound"] = [p.add_argument("--max-k", type=int, default=1_000_000)]
 
     p = sub.add_parser("char", parents=[common], help="character-suite demo or verification")
     p.set_defaults(handler=_cmd_char)
-    p.add_argument("mode", choices=("demo", "verify"))
-    p.add_argument("--group", default="S3",
-                   help="builtin name (C<n>, D<n>, S3, S4, Q8); verify also takes 'all', "
-                   "demo also a path to a .json table")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--draws", type=_positive_int, default=50)
-    p.add_argument("--trials", type=_positive_int, default=100)
+    own["char"] = [p.add_argument("mode", choices=("demo", "verify")),
+                   p.add_argument("--group", default="S3",
+                                  help="builtin name (C<n>, D<n>, S3, S4, Q8); verify also takes "
+                                  "'all', demo also a path to a .json table"),
+                   p.add_argument("--seed", type=int, default=0),
+                   p.add_argument("--draws", type=_positive_int, default=50),
+                   p.add_argument("--trials", type=_positive_int, default=100)]
+
+    parser.readers = {name: _Reader(name, p.get_default("handler"), [fmt, *own[name]])
+                      for name, p in sub.choices.items()}
     return parser
 
 
+class _Reader:
+    """A subcommand's plain argvs, read from its own argument actions: each
+    a single-valued store or a store_true flag.
+
+    read(words) takes the words after the subcommand's name and returns the
+    namespace argparse would, or None for any argv it does not decide
+    exactly: a word or an option value starting with "-" that is not one of
+    the actions' exact option strings (so every abbreviation, "--x=y" form,
+    "--", "-h" and negative number), a value that fails its type or choices,
+    and a missing or extra positional.  A value goes through type and then
+    choices, as argparse checks it, and the last occurrence of an option wins.
+    """
+
+    def __init__(self, name: str, handler: Callable, actions: list[argparse.Action]):
+        self.defaults = {"command": name, "handler": handler,
+                         **{action.dest: action.default for action in actions}}
+        self.options = {option: action for action in actions for option in action.option_strings}
+        self.positionals = [action for action in actions if not action.option_strings]
+
+    def read(self, words: list[str]) -> argparse.Namespace | None:
+        values = dict(self.defaults)
+        positionals = iter(self.positionals)
+        words = iter(words)
+        for word in words:
+            if word.startswith("-"):
+                action = self.options.get(word)
+                if action is None:
+                    return None
+                if action.nargs == 0:
+                    values[action.dest] = action.const
+                    continue
+                word = next(words, None)
+                if word is None or word.startswith("-"):
+                    return None
+            else:
+                action = next(positionals, None)
+                if action is None:
+                    return None
+            try:
+                value = word if action.type is None else action.type(word)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        if next(positionals, None) is not None:
+            return None
+        return argparse.Namespace(**values)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), without the top-level pass when the
-    first word names a subcommand: that pass would only set `command` and
-    hand the rest to the subcommand's parser, then refuse its leftovers."""
+    """build_parser().parse_args(argv), read by the subcommand's _Reader
+    when the first word names a subcommand and the reader decides the rest;
+    argparse parses every other argv, so it alone writes help and usage
+    errors."""
     parser = build_parser()
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+    reader = parser.readers.get(argv[0]) if argv else None
+    args = reader.read(argv[1:]) if reader else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
@@ -435,11 +489,19 @@ def main(argv=None) -> int:
     except (descent.DescentError, CannotCertifyError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    if args.format == "json":
-        print(canonical_json(report))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.format == "json":
+            print(canonical_json(report))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush at
+        # exit cannot fail again, and exit as a process killed by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     if passed is None:
         return 3
     return 0 if passed else 1

@@ -313,7 +313,8 @@ def m_bound_check(k_max: int) -> MBoundReport:
     r = 37
     while r < end:
         cap = min(end, (num * (r - 1) - 1) // den + 1)
-        top = next((n for n in range(cap, r, -1) if is_prime(n)), r)
+        # odd candidates only: each exceeds r >= 37, so none is the even prime
+        top = next((n for n in range(cap - 1 + cap % 2, r, -2) if is_prime(n)), r)
         if top == r:
             top = next_prime(r)
             violations.append((r, top))

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -586,11 +587,14 @@ def test_out_of_memory_is_one_error_line_and_exit_3(capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def _fresh_process(*args: str) -> subprocess.CompletedProcess:
+def _fresh_env() -> dict[str, str]:
     src = str(Path(weightdescent.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          timeout=60)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _fresh_process(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=_fresh_env(), timeout=60)
 
 
 def _assert_runs_as_a_module(module):
@@ -605,6 +609,19 @@ def test_package_runs_as_a_module():
 
 def test_cli_module_runs_as_a_module():
     _assert_runs_as_a_module("weightdescent.cli")
+
+
+@pytest.mark.parametrize("argv", [["table", "--format", "json"], ["audit", "--max-k", "1000"]])
+def test_a_closed_stdout_exits_141_without_a_traceback(argv):
+    # not 1, which would read as a violation
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "weightdescent", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=_fresh_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 class TestSharedParser:
@@ -678,9 +695,9 @@ def _parsed(parse, argv):
 
 
 class TestDirectDispatch:
-    """`main` parses through `cli._parse`, which hands the words after a
-    subcommand's name straight to that subcommand's parser; the top-level
-    parse it skips stays the oracle."""
+    """`main` parses through `cli._parse`, which reads a plain subcommand argv
+    from that subcommand's own argument actions and hands every other argv
+    to argparse; the top-level parse stays the oracle."""
 
     @given(argv=_parser_argv)
     @example(argv=["reduce", "16", "extra", "--bogus"])
@@ -689,10 +706,47 @@ class TestDirectDispatch:
     @example(argv=["reduce", "--", "16"])
     @example(argv=["threshold", "--digits", "0"])
     @example(argv=["table", "-h"])
+    @example(argv=["table", "--strict", "-h"])
     @example(argv=["char"])
+    # values starting with "-", which argparse reads as negative numbers
+    @example(argv=["threshold", "--a", "-1/3"])
+    @example(argv=["gaps", "--low", "-5"])
+    @example(argv=["reduce", "-4"])
+    # repeated options: the last one wins
+    @example(argv=["audit", "--max-k", "10", "--max-k", "20"])
+    @example(argv=["table", "--strict", "--strict"])
+    # a choices and a type failure
+    @example(argv=["chain", "36", "--policy", "sideways"])
+    @example(argv=["reduce", "x"])
+    # a missing and an extra positional
+    @example(argv=["chain", "--policy", "longest"])
+    @example(argv=["reduce", "16", "17"])
+    # every subcommand with no options, so every default
+    @example(argv=["table"])
+    @example(argv=["reduce", "16"])
+    @example(argv=["chain", "36"])
+    @example(argv=["audit"])
+    @example(argv=["gaps"])
+    @example(argv=["gaps-shifted"])
+    @example(argv=["threshold"])
+    @example(argv=["star"])
+    @example(argv=["mbound"])
+    @example(argv=["char", "demo"])
     @settings(max_examples=400, deadline=None)
     def test_parses_as_the_top_level_parser(self, argv):
         assert _parsed(cli._parse, argv) == _parsed(build_parser().parse_args, argv)
+
+    def test_every_argument_of_a_subcommand_is_read_as_a_store_or_a_flag(self):
+        parser = build_parser()
+        assert parser.readers.keys() == parser.subcommands.keys()
+        for name, sub in parser.subcommands.items():
+            reader = parser.readers[name]
+            read = [*reader.options.values(), *reader.positionals]
+            arguments = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+            assert {id(a) for a in read} == {id(a) for a in arguments}, name
+            for action in arguments:
+                assert type(action) in (argparse._StoreAction, argparse._StoreTrueAction), name
+                assert action.nargs is None or action.const is True, name
 
     ONE_OF_EACH = (["table"], ["reduce", "16"], ["chain", "36", "--policy", "longest"],
                    ["audit", "--max-k", "100"], ["gaps", "--high", "100"],
@@ -701,21 +755,24 @@ class TestDirectDispatch:
                    ["char", "demo", "--group", "C3"])
 
     def test_a_subcommand_argv_never_runs_the_top_level_parse(self, capsys, monkeypatch):
-        parser = build_parser()
-        assert sorted(argv[0] for argv in self.ONE_OF_EACH) == sorted(parser.subcommands)
+        # nor a subcommand's parse, unless the reader declines the argv
+        assert sorted(argv[0] for argv in self.ONE_OF_EACH) == sorted(build_parser().subcommands)
         calls = []
+        parse = argparse.ArgumentParser.parse_known_args
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return type(parser).parse_known_args(parser, *args, **kwargs)
+        def spy(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse(self, *args, **kwargs)
 
-        monkeypatch.setattr(parser, "parse_known_args", spy)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
         for argv in self.ONE_OF_EACH:
             assert main([*argv, "--format", "json"]) == 0, argv
         assert calls == []
+        assert main(["chain", "36", "--pol", "longest"]) == 0
+        assert calls == ["weightdescent", "weightdescent chain"]
         with pytest.raises(SystemExit):
             main(["--format", "json", "table"])
-        assert len(calls) == 1
+        assert calls == ["weightdescent", "weightdescent chain", "weightdescent"]
 
 
 class TestJsonRoundTrip:

@@ -211,6 +211,12 @@ class TestReferenceTable:
         assert (row.k_hi, row.k_lo) == (18, 16)
         assert row.matches_paper
 
+    def test_each_row_is_the_reduction_step_at_its_weight(self):
+        # the rows come from one kernel pass per run of weights, the steps
+        # from one kernel call per weight
+        for row in reference_table():
+            assert replace(row, matches_paper=None) == reduction_step(row.k)
+
 
 class TestGraph:
     def test_small_graph_edges(self, table_2k):

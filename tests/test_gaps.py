@@ -402,6 +402,12 @@ class TestMBound:
         assert ratio_fails == [4, 6, 8, 10, 12, 14, 20, 24, 32]
         assert len(small_m) == 7 and set(small_m) <= set(ratio_fails)
 
+    def test_the_chain_tests_odd_candidates_only(self, monkeypatch):
+        is_prime, tested = gaps.is_prime, []
+        monkeypatch.setattr(gaps, "is_prime", lambda n: tested.append(n) or is_prime(n))
+        assert m_bound_check(100_000).passed
+        assert tested and all(n % 2 == 1 and n > 37 for n in tested)
+
     def test_a_failing_weight_is_reported(self, monkeypatch, capsys):
         # (38, 100000] holds no failure, so the primes the chain tests are
         # faked: 46/36 > 6/5, and in the gap (37, 47) the clause fails at 38
