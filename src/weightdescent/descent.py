@@ -7,11 +7,13 @@ kernel runs this recipe for every caller, over a range of weights a prime
 gap at a time.  It checks in integers the two facts of a step that can fail,
 an admissible twist exponent and both candidates below k; the other
 invariants hold by construction (see _recipes).  As both candidates are
-below k, a weight is settled once both children are: one ascending sweep
-checks each step and settles its depth in one function, settle, fed by the
-kernel in the audit and by a stored graph's steps.  Within a prime gap a
-step depends on k only through d, so the kernel runs the recipe once per
-(gap, d) class and copies a clean class's depth byte to its later weights.
+below k, a weight is settled once both children are, so the audit is one
+ascending sweep: given a depth byte per weight, the kernel itself settles
+each weight, checks its k > 36 inequalities and lists its skips and
+failures, with no call per step.  A stored graph's steps get a depth pass
+of their own, with no inequality checks.  Within a prime gap a step depends
+on k only through d, so the kernel runs the recipe once per (gap, d) class
+and copies a clean class's depth byte to its later weights.
 No step object is formed except along the longest chain, the audit holds no
 table of primes, and a step given no table, like the kernel's skip past a
 prime, takes its next prime from primes.is_prime, tried above k.
@@ -77,14 +79,12 @@ class ReductionStep:
     matches_paper: bool | None = None
 
 
-# settle(step) with step = (k, p, skips, d, m, t, dt, k_hi, k_lo): a nonzero
-# return is k's depth byte, shared with the later weights of k's class
-Settle = Callable[[tuple[int, ...]], int | None]
-
-
-def _recipes(lo: int, hi: int, p: int, settle: Settle, level: bytearray | None = None) -> None:
-    """Run the checked recipe at every even k in [lo, hi], ascending, and hand
-    each step to settle; p is the smallest prime above lo.
+def _recipes(lo: int, hi: int, p: int, out: list[tuple], level: bytearray | None = None) -> None:
+    """Run the checked recipe at every even k in [lo, hi], ascending; p is
+    the smallest prime above lo.  With no level, append each step (k, p,
+    skips, d, m, t, dt, k_hi, k_lo) to out.  With a level, settle each weight
+    in it and append to out only what the audit reports, in ascending k:
+    (k, "skip", skips), (k, "m", m), (k, "hi", p, k_hi) and (k, "lo", p, k_lo).
 
     Every even k between consecutive primes q < p has p as its next prime, so
     the weights are taken a gap at a time from one lazy stream of the primes
@@ -93,19 +93,23 @@ def _recipes(lo: int, hi: int, p: int, settle: Settle, level: bytearray | None =
     contract and k_hi, k_lo < k.
     The other invariants hold by construction, one lemma each (n = p-1):
     d = gcd(n, k-2), m*d = n, dt = d*t, k_hi and k_lo hold by assignment.
-    k_hi, k_lo are even weights in [6, k), so settle reads them unchecked:
+    k_hi, k_lo are even weights in [6, k), so their bytes are read unchecked:
     p odd and k even make d even, 1 < t < m-1 gives 2d <= dt <= n-2d.
     The twist moves the exponent: the twist check gives 0 < dt < n and k < p
     gives 0 < k-2 < n, so dt = ±(k-2) mod n means k_hi = k or k_lo = k.
 
-    The weights of a gap that share d form a class.  settle returns a nonzero
-    byte only for a step with no skip that settles k and fails no check; the
-    class is then clean, each later weight k' of it gets level[k' // 2] =
-    that byte, and neither the recipe nor settle runs at k'.  Any other
-    class is run and settled at each of its weights, so settle sees every
-    weight that skips or fails, in ascending k; a settle that returns None,
-    as list.append does, sees every weight and needs no level.  Three facts
-    make the copy exact:
+    Settling k: level[w // 2] is 0 while weight w is unsettled and 1 + its
+    chain depth once settled (a byte: a depth above 254 raises instead of
+    wrapping).  k is settled, with 1 + the larger child byte, once both
+    children are.  Each k > 36 is checked for m > 6 and both exact ratios
+    p/k_hi and p/k_lo above RATIO_BOUND; a failure or a skip goes to out.
+
+    The weights of a gap that share d form a class.  A step is clean when it
+    skips no prime, settles k and fails no check; its class's later weights
+    k' then get level[k' // 2] = k's byte, with no recipe run.  Any other
+    class is run and settled at each of its weights, so out sees every
+    weight that skips or fails, in ascending k.  With no level no class is
+    clean, and every weight is run.  Three facts make the copy exact:
     - In a gap with top prime p, the step depends on k only through d: m =
       n/d, t = choose_t(m), dt, k_hi = dt+2 and k_lo = p+1-dt, so m > 6 and
       both ratios p/k_hi, p/k_lo too.  A clean step took p itself, so every
@@ -113,32 +117,36 @@ def _recipes(lo: int, hi: int, p: int, settle: Settle, level: bytearray | None =
       fixed in a gap as well, since 37 is prime.
     - The checks at the class's smallest k cover every larger k: the twist
       check reads t and m alone, and k_hi, k_lo < k_first < k'.
-    - The depth settle reads at the class's first weight is final: both
-      children lie below k_first, settle writes only level[k // 2] and the
-      kernel only level[k' // 2], both at the current weight of an ascending
-      walk, so the children's bytes cannot change by the time k' is reached,
-      and settle would read the same two bytes at k'.
+    - The byte read at the class's first weight is final: both children lie
+      below k_first, and the kernel writes only level[k // 2] at the current
+      weight of an ascending walk, so the children's bytes cannot change by
+      the time k' is reached, and the same two bytes would be read at k'.
     """
+    num, den = RATIO_BOUND.as_integer_ratio()
     # The prime after a top is asked for only when that top is below hi, and
     # by Bertrand's postulate it lies below 2 * top, so below 2 * hi.
     primes = iter_primes(p + 1, 2 * hi)
     top, k = p, lo
     while True:
         settled: dict[int, int] = {}  # d -> depth byte of a clean class of this gap
+        n = top - 1
         for k in range(k, min(top, hi + 1), 2):
-            p, skips = top, 0
+            p, q, skips = top, n, 0
             # Ends: once p - 1 > 6(k - 2), m >= (p - 1)/(k - 2) > 6, and every
             # m >= 7 is admissible in choose_t.
             while True:
-                d = gcd(p - 1, k - 2)
-                if not skips and d in settled:
-                    level[k // 2] = settled[d]
-                    break
-                m = (p - 1) // d
+                d = gcd(q, k - 2)
+                if not skips:
+                    byte = settled.get(d)
+                    if byte:
+                        level[k // 2] = byte
+                        break
+                m = q // d
                 t = choose_t(m)
                 if t is None:
                     skips += 1
                     p = next_prime(p)
+                    q = p - 1
                     continue
                 dt = d * t
                 k_hi, k_lo = dt + 2, p + 1 - dt
@@ -146,7 +154,26 @@ def _recipes(lo: int, hi: int, p: int, settle: Settle, level: bytearray | None =
                     raise DescentError(f"invalid twist exponent t = {t} at k = {k}")
                 if k_hi >= k or k_lo >= k:
                     raise DescentError(f"non-decreasing step at k = {k}")
-                byte = settle((k, p, skips, d, m, t, dt, k_hi, k_lo))
+                if level is None:
+                    out.append((k, p, skips, d, m, t, dt, k_hi, k_lo))
+                    break
+                byte = 0
+                l_hi, l_lo = level[k_hi // 2], level[k_lo // 2]
+                if l_hi and l_lo:
+                    byte = level[k // 2] = 1 + (l_hi if l_hi >= l_lo else l_lo)
+                if skips:
+                    out.append((k, "skip", skips))
+                    byte = 0
+                if k > 36:
+                    if m <= 6:
+                        out.append((k, "m", m))
+                        byte = 0
+                    if den * p <= num * k_hi:
+                        out.append((k, "hi", p, k_hi))
+                        byte = 0
+                    if den * p <= num * k_lo:
+                        out.append((k, "lo", p, k_lo))
+                        byte = 0
                 if byte:
                     settled[d] = byte
                 break
@@ -160,7 +187,7 @@ def _kernel_step(k: int, table: PrimeTable | None = None) -> tuple[int, ...]:
     """The kernel's step (k, p, skips, d, m, t, dt, k_hi, k_lo) at weight k."""
     _check_weight(k)
     steps: list[tuple[int, ...]] = []
-    _recipes(k, k, next_prime(k, table), steps.append)
+    _recipes(k, k, next_prime(k, table), steps)
     [step] = steps
     return step
 
@@ -212,7 +239,7 @@ def reference_table() -> list[ReductionStep]:
     one run of weights at a time, [10, 10] and [16, 36]."""
     steps: list[tuple[int, ...]] = []
     for lo, hi in _reducible_runs(max(_PUBLISHED_ROWS)):
-        _recipes(lo, hi, next_prime(lo), steps.append)
+        _recipes(lo, hi, next_prime(lo), steps)
     rows = []
     for published, step in zip(_PUBLISHED_ROWS.values(), steps, strict=True):
         _, p, _, d, m, t, dt, k_hi, k_lo = step
@@ -280,60 +307,26 @@ class AuditReport:
     passed: bool
 
 
-def _sweep(
-    max_k: int, edges: int, feed: Callable[[Settle, bytearray], None],
-    step_at: Callable[[int], ReductionStep],
-) -> AuditReport:
-    """The audit of the `edges` steps at weights <= max_k, in one ascending
-    pass.  feed(settle, level) hands the steps to settle in ascending k; the
-    kernel copies a clean class's byte to its later weights instead (see
-    _recipes).
-
-    settle checks m > 6 and both exact ratios p/k_hi and p/k_lo above
-    RATIO_BOUND at each k > 36.  level[w // 2] is 0 while weight w is
-    unsettled and 1 + its chain depth once settled (a byte: a depth above 254
-    raises instead of wrapping).  Base weights start settled; a step settles
-    k once both children are settled (read unchecked: see _recipes and
-    verify_termination), and termination needs every weight <= max_k
-    settled.  settle returns k's byte when it settled k and the step adds
-    nothing to the report (no skip, no failure), else 0.  The longest chain
-    is then walked down through step_at.
-    """
-    num, den = RATIO_BOUND.numerator, RATIO_BOUND.denominator
-    ratio_failures, m_bound_failures = [], []
+def _base_level(max_k: int) -> bytearray:
+    """Depth bytes of the weights <= max_k, only the base weights settled."""
     level = bytearray(max_k // 2 + 1)
     for w in BASE_WEIGHTS:
         level[w // 2] = 1
-    skipped: dict[int, int] = {}
-    skippers = []
+    return level
 
-    def settle(step: tuple[int, ...]) -> int:
-        k, p, skips, _, m, _, _, hi, lo = step
-        byte = 0
-        l_hi, l_lo = level[hi // 2], level[lo // 2]
-        if l_hi and l_lo:
-            byte = level[k // 2] = 1 + (l_hi if l_hi >= l_lo else l_lo)
-        if skips:
-            skippers.append(k)
-            skipped[skips] = skipped.get(skips, 0) + 1
-            byte = 0
-        if k > 36:
-            if m <= 6:
-                m_bound_failures.append(k)
-                byte = 0
-            if den * p <= num * hi:
-                ratio_failures.append((k, "hi", p, hi))
-                byte = 0
-            if den * p <= num * lo:
-                ratio_failures.append((k, "lo", p, lo))
-                byte = 0
-        return byte
 
-    feed(settle, level)
-    unskipped = edges - len(skippers)
-    histogram = ({0: unskipped} if unskipped else {}) | skipped
-
-    # walk down from the first deepest node to a base weight (level 1)
+def _termination(
+    level: bytearray, skipped: list[tuple[int, int]], edges: int,
+    step_at: Callable[[int], ReductionStep],
+) -> TerminationReport:
+    """The termination report of a finished depth pass over `edges` steps:
+    level as _recipes settles it, skipped the (k, skips) of every step that
+    skipped a prime, in ascending k.  Termination needs every weight settled;
+    the longest chain is walked down from the first deepest weight through
+    step_at."""
+    histogram = {0: edges - len(skipped)} if edges > len(skipped) else {}
+    for _, skips in skipped:
+        histogram[skips] = histogram.get(skips, 0) + 1
     top = max(level)
     path: list[int] = []
     if top > 1:
@@ -344,44 +337,33 @@ def _sweep(
             hi, lo = step.k_hi, step.k_lo
             node = hi if level[hi // 2] >= level[lo // 2] else lo
             path.append(node)
-    term = TerminationReport(
+    return TerminationReport(
         terminates=level.find(0, 1) == -1,
         longest_chain_length=top - 1,
         longest_chain_path=tuple(path),
-        weights_with_skips=tuple(skippers),
+        weights_with_skips=tuple(k for k, _ in skipped),
         skip_histogram=histogram,
-        node_count=max_k // 2,
+        node_count=len(level) - 1,
         edge_count=edges,
-    )
-    skip_failures = tuple(k for k in skippers if k > 36)
-    unexpected = tuple(k for k in skippers if k != 32)
-    # every skip failure (k > 36) is also unexpected (k != 32)
-    passed = term.terminates and not (ratio_failures or m_bound_failures or unexpected)
-    return AuditReport(
-        max_k=max_k,
-        termination=term,
-        ratio_failures=tuple(ratio_failures),
-        m_bound_failures=tuple(m_bound_failures),
-        skip_failures=skip_failures,
-        unexpected_skippers=unexpected,
-        passed=passed,
     )
 
 
 def verify_termination(graph: DescentGraph) -> TerminationReport:
-    """Walk every node down to the base set and report chain statistics: the
-    audit's sweep settling each of the graph's stored steps, in ascending k.
-    A child that is not an even weight in [2, k) is pointed at weight 0,
-    never settled, so k stays unsettled and its skips still count."""
+    """Walk every node down to the base set and report chain statistics: one
+    depth pass over the graph's stored steps in ascending k, settling each
+    as _recipes does, with no inequality checks.  A child that is not an
+    even weight in [2, k) is read as unsettled, so k stays unsettled and its
+    skips still count."""
     steps = graph.steps
-
-    def feed(settle: Settle, _: bytearray) -> None:
-        for k in sorted(steps):
-            s = steps[k]
-            hi, lo = (c if c % 2 == 0 and 2 <= c < s.k else 0 for c in (s.k_hi, s.k_lo))
-            settle((s.k, s.p, s.prime_skips, s.d, s.m, s.t, s.dt, hi, lo))
-
-    return _sweep(graph.max_k, len(steps), feed, steps.__getitem__).termination
+    level = _base_level(graph.max_k)
+    skipped = []
+    for s in map(steps.__getitem__, sorted(steps)):
+        if s.prime_skips:
+            skipped.append((s.k, s.prime_skips))
+        l_hi, l_lo = (level[c // 2] if c % 2 == 0 and 2 <= c < s.k else 0 for c in (s.k_hi, s.k_lo))
+        if l_hi and l_lo:
+            level[s.k // 2] = 1 + (l_hi if l_hi >= l_lo else l_lo)
+    return _termination(level, skipped, len(steps), steps.__getitem__)
 
 
 def audit(max_k: int) -> AuditReport:
@@ -391,19 +373,40 @@ def audit(max_k: int) -> AuditReport:
     ratios p/k_hi and p/k_lo above RATIO_BOUND; and for the whole graph:
     termination with 32 as the only weight needing a skipped prime.  The
     kernel takes each run of reducible weights a prime gap at a time from one
-    stream of primes, runs the recipe once per (gap, d) class and settles
-    each step as it comes.  No step object is formed except the longest
-    chain's, each taking its prime from single-prime tests above its weight.
-    Memory is the depth byte per weight and one window.
+    stream of primes, runs the recipe once per (gap, d) class, settles each
+    weight's depth byte in level and checks it, and lists the skips and
+    failures; the report is built from those lists.  terminates already
+    follows from the kernel's descent check and its [6, k) lemma: both
+    children of each k are even weights below k, so by induction on k every
+    weight is settled when the sweep reaches it.  Reading every byte of
+    level is kept as a cross-check.  No step object is formed
+    except the longest chain's, each taking its prime from single-prime tests
+    above its weight.  Memory is the depth byte per weight and one window.
     """
     _check_max_k(max_k)
     runs = list(_reducible_runs(max_k))
-
-    def feed(settle: Settle, level: bytearray) -> None:
-        for lo, hi in runs:
-            _recipes(lo, hi, next_prime(lo), settle, level)
-
-    return _sweep(max_k, sum((hi - lo) // 2 + 1 for lo, hi in runs), feed, reduction_step)
+    level = _base_level(max_k)
+    found: list[tuple] = []
+    for lo, hi in runs:
+        _recipes(lo, hi, next_prime(lo), found, level)
+    skipped = [(k, skips) for k, kind, skips, *_ in found if kind == "skip"]
+    edges = sum((hi - lo) // 2 + 1 for lo, hi in runs)
+    term = _termination(level, skipped, edges, reduction_step)
+    ratio_failures = tuple(f for f in found if f[1] in ("hi", "lo"))
+    m_bound_failures = tuple(k for k, kind, *_ in found if kind == "m")
+    skippers = term.weights_with_skips
+    unexpected = tuple(k for k in skippers if k != 32)
+    # every skip failure (k > 36) is also unexpected (k != 32)
+    passed = term.terminates and not (ratio_failures or m_bound_failures or unexpected)
+    return AuditReport(
+        max_k=max_k,
+        termination=term,
+        ratio_failures=ratio_failures,
+        m_bound_failures=m_bound_failures,
+        skip_failures=tuple(k for k in skippers if k > 36),
+        unexpected_skippers=unexpected,
+        passed=passed,
+    )
 
 
 def chain(k: int, policy: str = "hi-branch") -> tuple[list[ReductionStep], list[int]]:

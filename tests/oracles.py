@@ -9,8 +9,9 @@ every triple of a table, which the package's group-law check no longer does.
 `relabelled_classes` is the one exception: it builds a subgroup as a package
 `FiniteGroup` of its own, so the full group-law checks run on it, to compare
 with the classes a `Subgroup` computes in its parent's indices.
-`star_grid_oracle` is the cell-by-cell quotient grid that `star`'s
-closed-form rows replaced.  `report_data` with `json_oracle` is the
+`audit_oracle` is the descent audit with one oracle step per weight and no
+class sharing.  `star_grid_oracle` is the cell-by-cell quotient grid that
+`star`'s closed-form rows replaced.  `report_data` with `json_oracle` is the
 two-pass rendering the CLI's one-pass `canonical_json` replaced: a tree of
 plain data, then `json.dumps`.
 """
@@ -86,6 +87,69 @@ def recipe_oracle(k: int) -> tuple[int, int, int, int, int, int, int, int]:
         if 1 < t < m - 1:
             return p, skips, d, m, t, d * t, d * t + 2, p + 1 - d * t
         p, skips = trial_division_next_prime(p), skips + 1
+
+
+def audit_oracle(max_k: int, bound: Fraction = Fraction(143, 125)) -> dict:
+    """Every field of the descent audit up to max_k under a ratio bound, as
+    the package's AuditReport would read in dataclasses.asdict form.
+
+    One recipe_oracle step per weight, with no class sharing; depths are
+    memoized over those steps.  For k > 36, a skip, m <= 6 and each ratio
+    p/k_child <= bound are failures, listed in ascending k and hi before lo.
+    The longest chain starts at the first deepest weight and takes the deeper
+    child at each step, k_hi on a tie.
+    """
+    base = {2, 4, 6, 8, 12, 14}
+    steps = {k: recipe_oracle(k) for k in range(10, max_k + 1, 2) if k not in base}
+    depths: dict[int, int | None] = {w: 0 for w in base}
+
+    def depth(w: int) -> int | None:
+        if w not in depths:
+            _, _, _, _, _, _, hi, lo = steps[w]
+            below = [depth(c) if c % 2 == 0 and 2 <= c < w else None for c in (hi, lo)]
+            depths[w] = None if None in below else 1 + max(below)
+        return depths[w]
+
+    weights = range(2, max_k + 1, 2)
+    deepest = max(depth(w) or 0 for w in weights)
+    path = []
+    if deepest:
+        node = next(w for w in weights if depth(w) == deepest)
+        path.append(node)
+        while node not in base:
+            _, _, _, _, _, _, hi, lo = steps[node]
+            node = hi if depth(hi) >= depth(lo) else lo
+            path.append(node)
+    skippers = [k for k, step in steps.items() if step[1]]
+    histogram: dict[int, int] = {}
+    for step in steps.values():
+        histogram[step[1]] = histogram.get(step[1], 0) + 1
+    ratio_failures, m_bound_failures = [], []
+    for k, (p, _, _, m, _, _, hi, lo) in steps.items():
+        if k > 36:
+            if m <= 6:
+                m_bound_failures.append(k)
+            ratio_failures += [(k, side, p, w) for side, w in (("hi", hi), ("lo", lo))
+                               if Fraction(p, w) <= bound]
+    terminates = all(depth(w) is not None for w in weights)
+    unexpected = tuple(k for k in skippers if k != 32)
+    return {
+        "max_k": max_k,
+        "termination": {
+            "terminates": terminates,
+            "longest_chain_length": deepest,
+            "longest_chain_path": tuple(path),
+            "weights_with_skips": tuple(skippers),
+            "skip_histogram": histogram,
+            "node_count": max_k // 2,
+            "edge_count": len(steps),
+        },
+        "ratio_failures": tuple(ratio_failures),
+        "m_bound_failures": tuple(m_bound_failures),
+        "skip_failures": tuple(k for k in skippers if k > 36),
+        "unexpected_skippers": unexpected,
+        "passed": terminates and not (ratio_failures or m_bound_failures or unexpected),
+    }
 
 
 def m_bound_oracle(k_max: int) -> tuple[int, list[tuple[int, int]]]:

@@ -529,14 +529,19 @@ class TestNoFullTable:
 class TestDescentError:
     def test_broken_step_is_one_error_line_and_exit_3(self, capsys, monkeypatch):
         choose_t = descent.choose_t
-        # t = 1 is no twist exponent.  t = m - 2 is one for odd m >= 5, but at
-        # k = 20 (p = 23, d = 2, m = 11) it gives k_hi = 20.  Each of the
-        # kernel's two checks rejects one of these rules.
+        # t = 1 is no twist exponent, and neither is t = m - 1, though it is
+        # prime to m: only the twist check's upper bound rejects it (m = 8 at
+        # k = 16, m = 5 at the audit's first weight, 10).  t = m - 2 is one
+        # for odd m >= 5, but at k = 20 (p = 23, d = 2, m = 11) it gives
+        # k_hi = 20.  Each of the kernel's two checks rejects one of these rules.
         no_twist = lambda m: 1
+        conjugate = lambda m: m - 1
         no_descent = lambda m: m - 2 if m % 2 and m >= 5 else choose_t(m)
         for rule, argv, error in (
             (no_twist, ["reduce", "16"], "invalid twist exponent t = 1 at k = 16"),
             (no_twist, ["audit", "--max-k", "100"], "invalid twist exponent t = 1 at k = 10"),
+            (conjugate, ["reduce", "16"], "invalid twist exponent t = 7 at k = 16"),
+            (conjugate, ["audit", "--max-k", "100"], "invalid twist exponent t = 4 at k = 10"),
             (no_descent, ["reduce", "20"], "non-decreasing step at k = 20"),
             (no_descent, ["audit", "--max-k", "100"], "non-decreasing step at k = 20"),
         ):

@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from math import gcd
 
@@ -25,7 +25,7 @@ from weightdescent.descent import (
 )
 from weightdescent.primes import next_prime, sieve
 
-from oracles import recipe_oracle, trial_division_is_prime
+from oracles import audit_oracle, recipe_oracle, trial_division_is_prime
 
 
 class TestChooseT:
@@ -142,7 +142,7 @@ class TestRecipeOracle:
         assert runs == [(10, 10), (16, 20_000)]
         swept = []
         for lo, hi in runs:
-            descent._recipes(lo, hi, next_prime(lo), swept.append)
+            descent._recipes(lo, hi, next_prime(lo), swept)
         assert [s[0] for s in swept] == self.NON_BASE
         for k, *fields in swept:
             assert tuple(fields) == recipe_oracle(k), k
@@ -153,7 +153,7 @@ class TestRecipeOracle:
         # windows that start and end inside a gap, on either side of a prime,
         # at the skipping weight 32, and across the gap of 72 after 31397
         swept = []
-        descent._recipes(lo, hi, next_prime(lo), swept.append)
+        descent._recipes(lo, hi, next_prime(lo), swept)
         assert [s[0] for s in swept] == list(range(lo, hi + 1, 2))
         assert [s[1:] for s in swept] == [recipe_oracle(k) for k in range(lo, hi + 1, 2)]
 
@@ -168,7 +168,7 @@ class TestRecipeOracle:
         # asked for ends at or near that prime
         monkeypatch.setattr(primes, "SEGMENT_SIZE", segment_size)
         swept = []
-        descent._recipes(lo, hi, next_prime(lo), swept.append)
+        descent._recipes(lo, hi, next_prime(lo), swept)
         weights = range(lo, hi + 1, 2)
         assert [s[0] for s in swept] == list(weights)
         assert [s[1:] for s in swept] == [recipe_oracle(k) for k in weights]
@@ -254,7 +254,7 @@ class TestGraph:
         # 6's and 12 the base weight 12's, all settled
         bad = ReductionStep(k=10, p=11, d=2, m=5, t=3, dt=6, k_hi=8, k_lo=k_lo, prime_skips=0)
         kernel = []
-        descent._recipes(10, 10, 11, kernel.append)
+        descent._recipes(10, 10, 11, kernel)
         assert kernel == [(10, 11, 0, 2, 5, 3, 6, 8, 6)]
         graph = DescentGraph(max_k=14, steps={10: bad})
         rep = verify_termination(graph)
@@ -383,29 +383,79 @@ class TestAudit:
         assert formed == list(term.longest_chain_path[:-1])
 
     def test_checks_run_on_every_weight_above_36(self, monkeypatch):
-        # hand-built steps that each skip a prime and have m = 6, under a
-        # bound no ratio passes; their children are the real ones, so the
-        # graph still terminates.  settle shares no failing step's byte
-        recipes = []
-        for lo, hi in descent._reducible_runs(100):
-            descent._recipes(lo, hi, next_prime(lo), recipes.append)
-        steps = [(k, p, 1, d, 6, t, dt, k_hi, k_lo) for k, p, _, d, _, t, dt, k_hi, k_lo in recipes]
+        # every weight refuses the first prime it tries and then takes its
+        # real step, one skip more than the recipe's own, under a bound no
+        # ratio passes; the children are the real ones, so the graph still
+        # terminates.  A skip at every weight shows that no failing class
+        # was shared: the recipe ran at each weight
+        real_t, real_next = descent.choose_t, descent.next_prime
+        state = {"refuse": True, "retake": False}
+
+        def rule(m):
+            if state["refuse"]:
+                state.update(refuse=False, retake=True)
+                return None
+            t = real_t(m)
+            state["refuse"] = t is not None
+            return t
+
+        def retaking_next_prime(n, table=None):
+            # the prime the rule refused is tried again, once
+            if state["retake"]:
+                state["retake"] = False
+                return n
+            return real_next(n, table)
+
+        monkeypatch.setattr(descent, "choose_t", rule)
+        monkeypatch.setattr(descent, "next_prime", retaking_next_prime)
         monkeypatch.setattr(descent, "RATIO_BOUND", Fraction(10**6))
-        shared = []
-
-        def feed(settle, _):
-            shared.extend(map(settle, steps))
-
-        report = descent._sweep(100, len(steps), feed, reduction_step)
-        assert shared == [0] * len(steps)
+        report = audit(100)
+        weights = (10, *range(16, 101, 2))
         above = tuple(range(38, 101, 2))
+        assert report.termination.weights_with_skips == weights
+        assert report.termination.skip_histogram == {1: len(weights) - 1, 3: 1}
         assert report.skip_failures == above
-        assert report.m_bound_failures == above
         assert [f[:2] for f in report.ratio_failures] == [
             (k, side) for k in above for side in ("hi", "lo")
         ]
-        assert report.unexpected_skippers == (10, *(k for k in range(16, 101, 2) if k != 32))
+        assert report.unexpected_skippers == tuple(k for k in weights if k != 32)
         assert report.termination.terminates and not report.passed
+        # the real m exceeds 6 above 36; test_an_m_of_at_most_6_is_listed
+        # reaches the m-bound check
+        assert report.m_bound_failures == ()
+
+    def test_an_m_of_at_most_6_is_listed(self, monkeypatch):
+        # no step the kernel accepts at k > 36 has m <= 6 with its first
+        # usable prime.  Refusing every m > 6 at k = 50 skips 53 and 59 and
+        # takes 61: d = 12, m = 5, t = 3, children 38 and 26, both settled
+        real_t = descent.choose_t
+        monkeypatch.setattr(descent, "choose_t", lambda m: real_t(m) if m <= 6 else None)
+        level = bytearray([1]) * 26
+        found = []
+        descent._recipes(50, 50, 53, found, level)
+        assert found == [(50, "skip", 2), (50, "m", 5)]
+        assert level[25] == 2
+
+    def test_a_weight_that_skips_takes_no_shared_byte(self, monkeypatch):
+        # in the gap 47 < 53, 48 is clean with d = 2.  Refusing m = 13 makes
+        # 50 (d = 4) skip to 59, where d = gcd(58, 48) = 2 again: the byte
+        # shared at 53 must not be read at 59, and the skip is listed
+        real_t = descent.choose_t
+        monkeypatch.setattr(descent, "choose_t", lambda m: None if m == 13 else real_t(m))
+        level = bytearray([1]) * 24 + bytearray(3)
+        found = []
+        descent._recipes(48, 52, 53, found, level)
+        assert found == [(50, "skip", 1)]
+        assert level[24:] == bytearray([2, 2, 2])
+
+    def test_an_unsettled_child_leaves_the_weight_unsettled(self):
+        # weight 8 unsettled: 10 (children 8 and 6) stays unsettled too,
+        # and lists nothing, as k <= 36 is not checked
+        level = descent._base_level(14)
+        level[4] = 0
+        found = []
+        descent._recipes(10, 10, 11, found, level)
+        assert found == [] and level[5] == 0
 
     @pytest.mark.parametrize("bound,failures", [(Fraction(2), 3547), (Fraction(19, 10), 59)])
     def test_failing_weights_are_reported_one_by_one(self, monkeypatch, bound, failures):
@@ -420,6 +470,15 @@ class TestAudit:
         report = audit(5000)
         assert len(expected) == failures
         assert report.ratio_failures == tuple(expected)
+
+    @pytest.mark.parametrize("bound", [Fraction(143, 125), Fraction(2), Fraction(19, 10),
+                                       Fraction(3, 2)])
+    def test_every_field_matches_the_oracle(self, monkeypatch, bound):
+        # the oracle runs one step per weight with no class sharing, so it
+        # guards the kernel's inlined checks and its shared bytes
+        monkeypatch.setattr(descent, "RATIO_BOUND", bound)
+        for n in [*range(14, 401, 2), 5000]:
+            assert asdict(audit(n)) == audit_oracle(n, bound), n
 
     def test_audit_to_10k(self):
         report = audit(10000)

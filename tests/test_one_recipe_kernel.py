@@ -8,8 +8,11 @@ is defined again, or while more than one function in `descent.py` calls
 `choose_t` or computes `gcd(p - 1, k - 2)`, so that a second recipe cannot
 come back, or while the kernel computes that gcd more than once, as a
 restated check.  It also fails while more than one function reads
-`RATIO_BOUND`: the sweep states the `k > 36` checks once, in the `settle`
-it hands the kernel, so no second sweep can stand beside it.
+`RATIO_BOUND`: the kernel states the audit's `k > 36` checks once, inline,
+so no second sweep can stand beside it.  The removed names include the
+audit's former callback layer (`_sweep`, the `settle` it handed the kernel
+once per class, and its type alias `Settle`), so that a call per class
+cannot come back unnoticed.
 """
 
 import ast
@@ -20,7 +23,10 @@ from weightdescent import descent
 
 PACKAGE = Path(weightdescent.__file__).parent
 KERNEL = "_recipes"
-REMOVED = {"_recipe", "_broken_invariant", "_fold", "next_primes", "is_multiplicative_degree_one"}
+REMOVED = {
+    "_recipe", "_broken_invariant", "_fold", "next_primes", "is_multiplicative_degree_one",
+    "_sweep", "settle", "Settle",
+}
 
 
 def calls(func: ast.AST, name: str) -> list[ast.Call]:
@@ -40,13 +46,22 @@ def functions(tree: ast.Module) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
     return [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
 
-def test_no_removed_layer_is_defined_again():
-    defined = [
-        f"{path.name}:{func.lineno} {func.name}"
-        for path in sorted(PACKAGE.rglob("*.py"))
-        for func in functions(ast.parse(path.read_text(encoding="utf-8")))
-        if func.name in REMOVED
+def module_names(tree: ast.Module) -> list[ast.Name]:
+    """The names a module binds at its top level by assignment, such as a
+    type alias."""
+    return [
+        target for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
     ]
+
+
+def test_no_removed_layer_is_defined_again():
+    defined = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [f"{path.name}:{f.lineno} {f.name}" for f in functions(tree) if f.name in REMOVED]
+        defined += [f"{path.name}:{n.lineno} {n.id}" for n in module_names(tree) if n.id in REMOVED]
     assert defined == []
 
 
@@ -69,4 +84,4 @@ def test_one_function_reads_the_ratio_bound():
         f.name for f in functions(tree)
         if any(isinstance(n, ast.Name) and n.id == "RATIO_BOUND" for n in ast.walk(f))
     ]
-    assert readers == ["_sweep"]
+    assert readers == [KERNEL]
