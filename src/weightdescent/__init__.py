@@ -7,8 +7,8 @@ Modules:
   gaps     - ratio certificates, Chebyshev threshold, quotient grid
   charconj - cyclotomics, class functions, induction and Galois conjugation
   cli      - every audit as a subcommand
-"""
 
-from . import charconj, descent, gaps, numeric, primes
+Importing the package imports none of them; import the module you use.
+"""
 
 __version__ = "0.1.0"

@@ -11,7 +11,8 @@ into the lcm.  No floating point anywhere.
 
 `weighted_sum` and `weighted_sum_of_products` add many terms in these
 coordinates over one common denominator and canonicalise the result once,
-so a sum of k values costs one gcd pass, not k.
+so a sum of k values costs one gcd pass, not k.  A sum of two values and a
+product by an int or a Fraction are `weighted_sum` cases.
 """
 
 from __future__ import annotations
@@ -209,19 +210,14 @@ class Cyclo:
         return self.to_conductor(n), other.to_conductor(n)
 
     def __add__(self, other) -> "Cyclo":
-        other = self._coerce(other)
-        a, b = self._align(other)
-        den = lcm(a.den, b.den)
-        fa, fb = den // a.den, den // b.den
-        return _canonical(a.conductor, [x * fa + y * fb for x, y in zip(a.num, b.num)], den)
+        a, b = self._align(self._coerce(other))
+        return weighted_sum(a.conductor, ((1, a), (1, b)), 1)
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "Cyclo":
         if not isinstance(other, Cyclo):
-            p = other.numerator
-            return _canonical(self.conductor, [c * p for c in self.num],
-                              self.den * other.denominator)
+            return weighted_sum(self.conductor, ((1, self),), other)
         a, b = self._align(other)
         n = a.conductor
         out = [0] * (2 * len(a.num) - 1)

@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     fmt = common.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommands = sub.choices  # name -> parser
     own: dict[str, list[argparse.Action]] = {}  # name -> the actions add_argument returned
 
     p = sub.add_parser("table", parents=[common], help="the 12 reference rows, flagged")

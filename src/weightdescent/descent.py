@@ -419,7 +419,6 @@ def chain(k: int, policy: str = "hi-branch") -> tuple[list[ReductionStep], list[
         raise ValueError(f"policy must be one of {CHAIN_POLICIES}")
     if k in BASE_WEIGHTS:
         return [], [k]
-    _check_weight(k)
     # kernel tuples, (k, p, skips, d, m, t, dt, k_hi, k_lo): the depths of
     # longest read every weight below k, and only the path's steps are built
     step_of = cache(_kernel_step)

@@ -64,6 +64,9 @@ def test_parser_defaults_reproduce_canonical_parameters():
     assert args.b == Fraction(1130289, 1000000)
     assert parser.parse_args(["audit"]).max_k == 10**6
     assert parser.parse_args(["mbound"]).max_k == 10**6
+    assert parser.parse_args(["chain", "16"]).policy == "hi-branch"
+    args = parser.parse_args(["char", "demo"])
+    assert (args.draws, args.trials) == (50, 100)
 
 
 def readme_cli_lines() -> list[str]:
@@ -616,6 +619,12 @@ def test_cli_module_runs_as_a_module():
     _assert_runs_as_a_module("weightdescent.cli")
 
 
+def test_importing_the_package_imports_none_of_its_modules():
+    done = _fresh_process("-c", "import sys, weightdescent\n"
+                          "print(sorted(m for m in sys.modules if m.startswith('weightdescent.')))")
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")
+
+
 @pytest.mark.parametrize("argv", [["table", "--format", "json"], ["audit", "--max-k", "1000"]])
 def test_a_closed_stdout_exits_141_without_a_traceback(argv):
     # not 1, which would read as a violation
@@ -674,12 +683,15 @@ class TestSharedParser:
         assert after_second == after_first
 
 
-_FIRST_WORDS = tuple(build_parser().subcommands) + (
+# the grammar's words come from the parser, so a new subcommand or option is drawn unasked
+_READERS = build_parser().readers
+_FIRST_WORDS = tuple(_READERS) + (
     "nope", "GAPS", "gap", "char-demo", "-h", "--help", "--he", "--", "--format", "-x", "")
-_OPTIONS = ("--low", "--lo", "--l", "--high", "--hi", "--bound", "--b", "--policy", "--pol",
-            "--format", "--form", "--f", "--strict", "--str", "--max-k", "--max", "--m-max",
-            "--m", "--d-max", "--a", "--digits", "--dig", "--typo-variant", "--typo", "--group",
-            "--seed", "--draws", "--trials", "--tr", "--help", "--bogus")
+# every reader's option strings, then abbreviations and words that no reader takes
+_OPTIONS = tuple(dict.fromkeys(option for reader in _READERS.values()
+                               for option in reader.options)) + (
+    "--lo", "--l", "--hi", "--pol", "--form", "--f", "--str", "--max", "--m", "--dig", "--typo",
+    "--tr", "--help", "--bogus")
 _VALUES = ("16", "100", "0", "-3", "x", "1/3", "1/0", "json", "text", "xml", "demo", "verify",
            "S3", "longest", "hi-branch", "", "a b")
 _words = (st.sampled_from(_OPTIONS + _VALUES + ("-h", "-x", "--"))
@@ -726,25 +738,24 @@ class TestDirectDispatch:
     # a missing and an extra positional
     @example(argv=["chain", "--policy", "longest"])
     @example(argv=["reduce", "16", "17"])
-    # every subcommand with no options, so every default
-    @example(argv=["table"])
-    @example(argv=["reduce", "16"])
-    @example(argv=["chain", "36"])
-    @example(argv=["audit"])
-    @example(argv=["gaps"])
-    @example(argv=["gaps-shifted"])
-    @example(argv=["threshold"])
-    @example(argv=["star"])
-    @example(argv=["mbound"])
-    @example(argv=["char", "demo"])
     @settings(max_examples=400, deadline=None)
     def test_parses_as_the_top_level_parser(self, argv):
         assert _parsed(cli._parse, argv) == _parsed(build_parser().parse_args, argv)
 
+    @pytest.mark.parametrize("name", list(_READERS))
+    def test_every_default_parses_as_the_top_level_parser(self, name):
+        # the subcommand with no options; a positional takes its first choice, or 16
+        reader = _READERS[name]
+        assert name in _FIRST_WORDS and set(reader.options) <= set(_OPTIONS)
+        argv = [name, *(str(next(iter(action.choices))) if action.choices else "16"
+                        for action in reader.positionals)]
+        assert _parsed(cli._parse, argv) == _parsed(build_parser().parse_args, argv)
+
     def test_every_argument_of_a_subcommand_is_read_as_a_store_or_a_flag(self):
         parser = build_parser()
-        assert parser.readers.keys() == parser.subcommands.keys()
-        for name, sub in parser.subcommands.items():
+        [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert parser.readers.keys() == subparsers.choices.keys()
+        for name, sub in subparsers.choices.items():
             reader = parser.readers[name]
             read = [*reader.options.values(), *reader.positionals]
             arguments = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
@@ -761,7 +772,7 @@ class TestDirectDispatch:
 
     def test_a_subcommand_argv_never_runs_the_top_level_parse(self, capsys, monkeypatch):
         # nor a subcommand's parse, unless the reader declines the argv
-        assert sorted(argv[0] for argv in self.ONE_OF_EACH) == sorted(build_parser().subcommands)
+        assert sorted(argv[0] for argv in self.ONE_OF_EACH) == sorted(build_parser().readers)
         calls = []
         parse = argparse.ArgumentParser.parse_known_args
 

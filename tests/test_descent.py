@@ -358,6 +358,15 @@ class TestChain:
         with pytest.raises(ValueError):
             chain(36, "sideways")
 
+    @pytest.mark.parametrize("k", [15, 0, -4])
+    def test_a_weight_outside_the_recipe_fails_as_its_step_does(self, k):
+        with pytest.raises(ValueError) as step_error:
+            reduction_step(k)
+        for policy in ("hi-branch", "lo-branch", "longest"):
+            with pytest.raises(ValueError) as chain_error:
+                chain(k, policy)
+            assert str(chain_error.value) == str(step_error.value)
+
 
 class TestAudit:
     @pytest.mark.parametrize("n", [14, 16, 36, 38, 1000, 10000])
