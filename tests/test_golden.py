@@ -9,6 +9,11 @@ small audits before the one-pass descent audit, `status-audit-1000000.json`
 and the full audit before the sweep over consecutive primes), so any change
 to an output byte, an exit status or a verdict fails here.  Every argv set
 runs in text mode and with `--format json`.
+
+`builtin-groups.json` holds the multiplication table of every builtin group
+of order at most the cap, and of S1 and S2, captured before the refactor that
+built each of them from an ordered element list and a product rule, so any
+change to an element's index fails here too.
 """
 
 import contextlib
@@ -19,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from weightdescent import cli
+from weightdescent.charconj.groups import builtin_group, symmetric
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -52,6 +58,8 @@ CASES = {
     for fmt in ("text", "json")
 }
 
+BUILTIN_TABLES = json.loads((GOLDEN / "builtin-groups.json").read_text(encoding="utf-8"))
+
 
 def run_main(argv: list[str]) -> tuple[int, bytes]:
     buf = io.StringIO()
@@ -80,3 +88,11 @@ def test_output_matches_golden(name, statuses):
     status, out = run_main(CASES[name])
     assert out == (GOLDEN / f"{name}.txt").read_bytes()
     assert status == statuses[name]
+
+
+@pytest.mark.parametrize("name", list(BUILTIN_TABLES))
+def test_builtin_table_matches_golden(name):
+    # S1 and S2 are not builtin names, so `symmetric` builds them
+    group = symmetric(int(name[1])) if name in ("S1", "S2") else builtin_group(name)
+    assert group.name == name
+    assert group.table == tuple(map(tuple, BUILTIN_TABLES[name]))
