@@ -6,10 +6,14 @@ Light's test on a generating set, which is complete, and inverses by
 scanning each row.  A `Subgroup` is a subset of its parent's table, in the
 parent's indices, and checks nothing, as its producers only make
 subgroups.  Conjugacy classes, subgroups and double cosets are all
-computed by brute force; the order cap keeps that cheap.
+computed by brute force; the order cap keeps that cheap.  Each builtin is
+a rule over an ordered element list, the identity first: `_from_rule` caps
+the list's length, then tabulates the product, element i at index i.
 """
 
 from __future__ import annotations
+
+from itertools import permutations
 
 MAX_ORDER = 48
 
@@ -183,80 +187,70 @@ def double_cosets(k: Subgroup, h: Subgroup) -> list[int]:
     return reps
 
 
+def _from_rule(name: str, elements, mul) -> FiniteGroup:
+    """The group of `elements` under the product `mul`, element i at index
+    i, so the identity comes first.  The order is read off `len(elements)`
+    and capped before the table is built; a caller that must list its
+    elements caps their number first."""
+    _check_order(len(elements))
+    index = {x: i for i, x in enumerate(elements)}
+    return FiniteGroup([[index[mul(a, b)] for b in elements] for a in elements], name)
+
+
 def cyclic(n: int) -> FiniteGroup:
+    """Z/n: 0..n-1 under addition mod n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_order(n)  # before the n-by-n table is built
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, name=f"C{n}")
+    return _from_rule(f"C{n}", range(n), lambda a, b: (a + b) % n)
 
 
 def dihedral(n: int) -> FiniteGroup:
-    """Symmetries of the regular n-gon, order 2n.  Elements 0..n-1 are the
-    rotations r^i, elements n..2n-1 the reflections s r^i."""
+    """Symmetries of the regular n-gon, order 2n: the rotations r^0..r^(n-1),
+    then the reflections s r^0..s r^(n-1), each s^x r^i as the pair (x, i).
+    As r^i s = s r^-i, (s^x r^i)(s^y r^j) is s^(x+y) r^(j+i) for y = 0 and
+    s^(x+y) r^(j-i) for y = 1."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    _check_order(2 * n)
-    table = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = (i + j) % n                    # r^i r^j
-            table[i][n + j] = n + (j - i) % n            # r^i (s r^j) = s r^(j-i)
-            table[n + i][j] = n + (i + j) % n            # (s r^i) r^j
-            table[n + i][n + j] = (j - i) % n            # (s r^i)(s r^j) = r^(j-i)
-    return FiniteGroup(table, name=f"D{n}")
-
-
-def _perm_mul(a, b):
-    return tuple(a[x] for x in b)
+    _check_order(2 * n)  # before the 2n pairs are listed
+    return _from_rule(f"D{n}", [(x, i) for x in (0, 1) for i in range(n)],
+                      lambda a, b: (a[0] ^ b[0], (b[1] - a[1] if b[0] else b[1] + a[1]) % n))
 
 
 def symmetric(n: int) -> FiniteGroup:
-    """S_n on {0..n-1}; permutations enumerated lexicographically so the
-    identity lands at index 0."""
+    """S_n on {0..n-1}: the permutations in lexicographic order, the
+    identity first, under (a∘b)(x) = a(b(x))."""
     if not 1 <= n <= 4:
         raise ValueError("symmetric groups are provided for n <= 4")
-    from itertools import permutations
+    return _from_rule(f"S{n}", list(permutations(range(n))), lambda a, b: tuple(a[x] for x in b))
 
-    perms = sorted(permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[_perm_mul(a, b)] for b in perms] for a in perms]
-    return FiniteGroup(table, name=f"S{n}")
+
+def _hamilton(p, q):
+    """The product of two quaternions given by their coordinates over 1, i, j, k."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
 
 
 def quaternion() -> FiniteGroup:
-    """Q8 = {±1, ±i, ±j, ±k}."""
-    # (index, sign) encoding over basis 1, i, j, k
-    basis_mul = {
-        (0, 0): (0, 1), (0, 1): (1, 1), (0, 2): (2, 1), (0, 3): (3, 1),
-        (1, 0): (1, 1), (1, 1): (0, -1), (1, 2): (3, 1), (1, 3): (2, -1),
-        (2, 0): (2, 1), (2, 1): (3, -1), (2, 2): (0, -1), (2, 3): (1, 1),
-        (3, 0): (3, 1), (3, 1): (2, 1), (3, 2): (1, -1), (3, 3): (0, -1),
-    }
-    # elements: 0..3 -> 1, i, j, k; 4..7 -> -1, -i, -j, -k
-    def encode(unit, sign):
-        return unit if sign == 1 else unit + 4
-
-    table = [[0] * 8 for _ in range(8)]
-    for a in range(8):
-        for b in range(8):
-            ua, sa = a % 4, 1 if a < 4 else -1
-            ub, sb = b % 4, 1 if b < 4 else -1
-            u, s = basis_mul[(ua, ub)]
-            table[a][b] = encode(u, s * sa * sb)
-    return FiniteGroup(table, name="Q8")
+    """Q8: 1, i, j, k, -1, -i, -j, -k under Hamilton's product."""
+    units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    return _from_rule("Q8", units + [tuple(-c for c in u) for u in units], _hamilton)
 
 
 def builtin_group(name: str) -> FiniteGroup:
-    """Constructors by name, in any case: C<n>, D<n>, S3, S4, Q8."""
+    """Constructors by name, in any case: C<n>, D<n>, S3, S4, Q8, with n in
+    decimal digits."""
     key = name.strip().upper()
     if key == "Q8":
         return quaternion()
     if key in ("S3", "S4"):
         return symmetric(int(key[1]))
-    if key.startswith("C") and key[1:].isdigit():
+    if key.startswith("C") and key[1:].isdecimal():
         return cyclic(int(key[1:]))
-    if key.startswith("D") and key[1:].isdigit():
+    if key.startswith("D") and key[1:].isdecimal():
         return dihedral(int(key[1:]))
     raise ValueError(f"unknown group name: {name}")
 

@@ -421,6 +421,12 @@ class TestChar:
         assert code == 2
         assert capsys.readouterr() == ("", "error: order 1000 exceeds the cap 48\n")
 
+    @pytest.mark.parametrize("group", ["C³", "D²", "c٣⁴"])
+    def test_demo_size_in_non_decimal_digits_is_an_unknown_name(self, capsys, group):
+        code = main(["char", "demo", "--group", group])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: unknown group name: {group}\n")
+
     def test_demo_group_file(self, capsys, tmp_path):
         path = tmp_path / "c2.json"
         path.write_text('{"order": 2, "table": [0, 1, 1, 0], "name": "C2"}', encoding="utf-8")

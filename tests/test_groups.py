@@ -1,6 +1,8 @@
+import contextlib
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,27 @@ from weightdescent.charconj.groups import (
 )
 
 from oracles import associative_by_triples, closure_oracle, element_order, relabelled_classes
+
+
+@contextlib.contextmanager
+def address_space_headroom(extra: int):
+    """Cap this process's address space at its current size plus `extra`
+    bytes for the body, where the platform lets a process read its size."""
+    try:
+        import resource
+        pages = int(Path("/proc/self/statm").read_text(encoding="ascii").split()[0])
+    except (ImportError, OSError):
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = pages * resource.getpagesize() + extra
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def three_cycle(g):
@@ -64,6 +87,14 @@ class TestBuiltins:
         with pytest.raises(ValueError):
             builtin_group("E8")
 
+    def test_a_size_is_read_in_decimal_digits(self):
+        # superscripts pass str.isdigit, but int() refuses them
+        for name in ("C³", "d²", "C1²"):
+            with pytest.raises(ValueError, match=f"^unknown group name: {name}$"):
+                builtin_group(name)
+        # an Arabic-Indic digit is decimal, and int() reads it
+        assert builtin_group("D٣").table == dihedral(3).table
+
     def test_identity_is_element_zero(self):
         for g in (cyclic(7), dihedral(3), symmetric(4), quaternion()):
             assert all(g.table[0][x] == x == g.table[x][0] for x in range(g.order))
@@ -86,16 +117,23 @@ class TestValidation:
         with pytest.raises(GroupError, match="cap"):
             dihedral(25)
 
-    @pytest.mark.parametrize("name", ["C1000", "D500"])  # both of order 1000
-    def test_an_oversized_builtin_is_refused_before_its_table_is_built(self, name):
-        tracemalloc.start()
-        try:
-            with pytest.raises(GroupError, match="order 1000 exceeds the cap 48"):
-                builtin_group(name)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20  # a 1000-by-1000 table alone is tens of MiB
+    @pytest.mark.parametrize("name,order", [
+        ("C1000", 1000), ("D500", 1000), ("C1000000000", 10**9), ("D500000000", 10**9),
+    ], ids=["C1000", "D500", "C1000000000", "D500000000"])
+    def test_an_oversized_builtin_is_refused_before_its_table_is_built(self, name, order):
+        # a 1000-by-1000 table alone is tens of MiB, and a list of 10^9
+        # elements gigabytes, so neither may be built before the cap is
+        # checked; the address-space cap makes a builder that lists them
+        # fail here with a MemoryError instead of filling the host's memory
+        with address_space_headroom(256 << 20):
+            tracemalloc.start()
+            try:
+                with pytest.raises(GroupError, match=f"^order {order} exceeds the cap 48$"):
+                    builtin_group(name)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_missing_inverse(self):
         # associative, with 0 a two-sided identity, but 1 * x is never 0
