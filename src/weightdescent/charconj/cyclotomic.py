@@ -13,6 +13,9 @@ into the lcm.  No floating point anywhere.
 coordinates over one common denominator and canonicalise the result once,
 so a sum of k values costs one gcd pass, not k.  A sum of two values and a
 product by an int or a Fraction are `weighted_sum` cases.
+
+`galois_exponents(n)` lists the j of the automorphisms z -> z^j other than
+the identity, ascending, for `Cyclo.galois`; it is empty when n <= 2.
 """
 
 from __future__ import annotations
@@ -257,3 +260,8 @@ class Cyclo:
         return f"[{', '.join(parts)}] over conductor {self.conductor}"
 
     __repr__ = __str__
+
+
+def galois_exponents(n: int) -> list[int]:
+    """The j of each automorphism z -> z^j but the identity, ascending."""
+    return [j for j in range(2, n) if gcd(j, n) == 1]

@@ -242,16 +242,17 @@ def quaternion() -> FiniteGroup:
 
 def builtin_group(name: str) -> FiniteGroup:
     """Constructors by name, in any case: C<n>, D<n>, S3, S4, Q8, with n in
-    decimal digits."""
+    decimal digits, n >= 1 for C and n >= 2 for D; any other name is unknown."""
     key = name.strip().upper()
     if key == "Q8":
         return quaternion()
     if key in ("S3", "S4"):
         return symmetric(int(key[1]))
-    if key.startswith("C") and key[1:].isdecimal():
-        return cyclic(int(key[1:]))
-    if key.startswith("D") and key[1:].isdecimal():
-        return dihedral(int(key[1:]))
+    n = int(key[1:]) if key[:1] in ("C", "D") and key[1:].isdecimal() else 0
+    if key.startswith("C") and n >= 1:
+        return cyclic(n)
+    if key.startswith("D") and n >= 2:
+        return dihedral(n)
     raise ValueError(f"unknown group name: {name}")
 
 

@@ -29,7 +29,6 @@ from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd
 from operator import attrgetter
 
 from . import descent, gaps
@@ -40,6 +39,7 @@ from .charconj.campaigns import (
     random_brauer_spec,
 )
 from .charconj.characters import verify_conjugation_invariance
+from .charconj.cyclotomic import galois_exponents
 from .charconj.groups import builtin_group, load_group
 from .numeric import CHEBYSHEV_B, RATIO_BOUND, SHIFTED_RATIO_BOUND
 from .primes import CannotCertifyError, sieve
@@ -318,8 +318,8 @@ def _cmd_char(args):
     group = _load_cli_group(args.group)
     rng = random.Random(args.seed)
     spec = random_brauer_spec(rng, group)
-    n = spec.conductor()
-    j = next((x for x in range(2, n) if gcd(x, n) == 1), 1)
+    units = galois_exponents(spec.conductor())
+    j = units[0] if units else 1
     report = verify_conjugation_invariance(spec, j)
     payload = {
         "group": group.name,

@@ -65,25 +65,27 @@ def choose_t(m: int) -> int | None:
 
 @dataclass(frozen=True, slots=True)
 class ReductionStep:
-    """One application of the recipe at weight k, fully checked."""
+    """One application of the recipe at weight k, fully checked; the fields
+    before matches_paper are the kernel's step tuple, in its order."""
 
     k: int
     p: int
+    prime_skips: int
     d: int
     m: int
     t: int
     dt: int
     k_hi: int
     k_lo: int
-    prime_skips: int
     matches_paper: bool | None = None
 
 
 def _recipes(lo: int, hi: int, p: int, out: list[tuple], level: bytearray | None = None) -> None:
     """Run the checked recipe at every even k in [lo, hi], ascending; p is
     the smallest prime above lo.  With no level, append each step (k, p,
-    skips, d, m, t, dt, k_hi, k_lo) to out.  With a level, settle each weight
-    in it and append to out only what the audit reports, in ascending k:
+    skips, d, m, t, dt, k_hi, k_lo), ReductionStep's field order, to out.
+    With a level, settle each weight in it and append to out only what the
+    audit reports, in ascending k:
     (k, "skip", skips), (k, "m", m), (k, "hi", p, k_hi) and (k, "lo", p, k_lo).
 
     Every even k between consecutive primes q < p has p as its next prime, so
@@ -192,18 +194,13 @@ def _kernel_step(k: int, table: PrimeTable | None = None) -> tuple[int, ...]:
     return step
 
 
-def _as_step(step: tuple[int, ...], matches_paper: bool | None = None) -> ReductionStep:
-    k, p, skips, d, m, t, dt, k_hi, k_lo = step
-    return ReductionStep(k, p, d, m, t, dt, k_hi, k_lo, skips, matches_paper)
-
-
 def reduction_step(k: int, table: PrimeTable | None = None) -> ReductionStep:
     """Fully populated, validated reduction step at weight k.
 
     The first prime above k comes from the table when it holds it, otherwise
     from primes.next_prime's single-prime tests just above k.
     """
-    return _as_step(_kernel_step(k, table))
+    return ReductionStep(*_kernel_step(k, table))
 
 
 def _reducible_runs(max_k: int) -> Iterator[tuple[int, int]]:
@@ -247,7 +244,7 @@ def reference_table() -> list[ReductionStep]:
             expected is None or expected == actual
             for expected, actual in zip(published, (p, d, m, t, dt, k_hi, k_lo))
         )
-        rows.append(_as_step(step, matches))
+        rows.append(ReductionStep(*step, matches))
     return rows
 
 
@@ -419,8 +416,8 @@ def chain(k: int, policy: str = "hi-branch") -> tuple[list[ReductionStep], list[
         raise ValueError(f"policy must be one of {CHAIN_POLICIES}")
     if k in BASE_WEIGHTS:
         return [], [k]
-    # kernel tuples, (k, p, skips, d, m, t, dt, k_hi, k_lo): the depths of
-    # longest read every weight below k, and only the path's steps are built
+    # kernel tuples: the depths of longest read every weight below k, and
+    # only the path's steps are built
     step_of = cache(_kernel_step)
 
     @cache
@@ -435,7 +432,7 @@ def chain(k: int, policy: str = "hi-branch") -> tuple[list[ReductionStep], list[
     node = k
     while node not in BASE_WEIGHTS:
         s = step_of(node)
-        path.append(_as_step(s))
+        path.append(ReductionStep(*s))
         hi, lo = s[-2:]
         if policy == "hi-branch":
             node = hi

@@ -427,6 +427,13 @@ class TestChar:
         assert code == 2
         assert capsys.readouterr() == ("", f"error: unknown group name: {group}\n")
 
+    @pytest.mark.parametrize("mode", ["demo", "verify"])
+    @pytest.mark.parametrize("group", ["C0", "D1", "D0"])
+    def test_a_size_below_its_family_minimum_is_an_unknown_name(self, capsys, mode, group):
+        code = main(["char", mode, "--group", group])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: unknown group name: {group}\n")
+
     def test_demo_group_file(self, capsys, tmp_path):
         path = tmp_path / "c2.json"
         path.write_text('{"order": 2, "table": [0, 1, 1, 0], "name": "C2"}', encoding="utf-8")

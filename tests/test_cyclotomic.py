@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightdescent.charconj.cyclotomic import Cyclo, cyclotomic_polynomial
+from weightdescent.charconj.cyclotomic import Cyclo, cyclotomic_polynomial, galois_exponents
 
 from fraction_cyclo import Cyclo as FractionCyclo
 
@@ -115,6 +115,19 @@ class TestGalois:
             units = [j for j in range(1, n) if gcd(j, n) == 1]
             j, k = rng.choice(units), rng.choice(units)
             assert x.galois(j).galois(k) == x.galois((j * k) % n)
+
+    def test_exponents_are_the_non_identity_automorphisms(self):
+        for n in range(1, 61):
+            exponents = galois_exponents(n)
+            assert exponents == sorted(set(exponents))
+            phi = sum(1 for j in range(1, n + 1) if gcd(j, n) == 1)
+            assert len(exponents) == phi - 1
+            if n <= 2:
+                assert exponents == []
+            # each exponent is an automorphism Cyclo.galois accepts, and no
+            # two of them (nor the identity) send zeta to the same power
+            images = [Cyclo.zeta(n).galois(j) for j in [1] + exponents]
+            assert all(x != y for i, x in enumerate(images) for y in images[:i])
 
     def test_conjugation_fixes_rationals(self):
         x = Cyclo.from_rational(Fraction(7, 3))

@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 from fractions import Fraction
 from math import gcd
 
@@ -111,6 +111,14 @@ class TestReductionStep:
             # the twist must change the exponent and avoid its conjugate
             assert s.dt % (s.p - 1) != (s.k - 2) % (s.p - 1)
             assert s.dt % (s.p - 1) != (2 - s.k) % (s.p - 1)
+
+    def test_fields_are_the_kernel_tuple_in_order(self):
+        # every field but matches_paper, in declaration order, is the kernel's
+        # step (k, p, skips, d, m, t, dt, k_hi, k_lo)
+        for k in range(10, 2001, 2):
+            if k not in BASE_WEIGHTS:
+                *fields, matches = astuple(reduction_step(k))
+                assert (tuple(fields), matches) == (descent._kernel_step(k), None)
 
     def test_to_dict_schema(self, table_2k):
         d = json.loads(canonical_json(reduction_step(16, table_2k)))

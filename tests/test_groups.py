@@ -95,6 +95,17 @@ class TestBuiltins:
         # an Arabic-Indic digit is decimal, and int() reads it
         assert builtin_group("D٣").table == dihedral(3).table
 
+    @pytest.mark.parametrize("name", ["C0", "c00", "D0", "d1", "D01"])
+    def test_a_size_below_its_family_minimum_is_an_unknown_name(self, name):
+        with pytest.raises(ValueError, match=f"^unknown group name: {name}$"):
+            builtin_group(name)
+
+    def test_an_undersized_constructor_call_keeps_its_own_error(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            cyclic(0)
+        with pytest.raises(ValueError, match="^n must be >= 2$"):
+            dihedral(1)
+
     def test_identity_is_element_zero(self):
         for g in (cyclic(7), dihedral(3), symmetric(4), quaternion()):
             assert all(g.table[0][x] == x == g.table[x][0] for x in range(g.order))
