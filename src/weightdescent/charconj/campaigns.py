@@ -40,7 +40,7 @@ def random_cyclo(rng: random.Random) -> Cyclo:
     return Cyclo(n, powers)
 
 
-def random_class_function(rng: random.Random, group: FiniteGroup | Subgroup) -> ClassFunction:
+def random_class_function(rng: random.Random, group: FiniteGroup) -> ClassFunction:
     return ClassFunction.aligned(group, [random_cyclo(rng) for _ in group.classes])
 
 

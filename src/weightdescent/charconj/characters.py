@@ -21,7 +21,7 @@ class CharacterError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ClassFunction:
     """A function on a group or subgroup, constant on conjugacy classes, with
     values in a common cyclotomic field: one `Cyclo` per class, all at one
@@ -43,11 +43,11 @@ class ClassFunction:
     Groups define no `__eq__`, so equal class functions share one group
     object."""
 
-    group: FiniteGroup | Subgroup
+    group: FiniteGroup
     values: tuple[Cyclo, ...]
 
     @classmethod
-    def aligned(cls, group: FiniteGroup | Subgroup, values) -> "ClassFunction":
+    def aligned(cls, group: FiniteGroup, values) -> "ClassFunction":
         """The class function with these values, one per class of `group`,
         each coerced to a `Cyclo` and embedded at the lcm of their
         conductors."""
@@ -78,7 +78,7 @@ class ClassFunction:
         return ClassFunction(self.group, tuple(v.galois(j) for v in self.values))
 
 
-def linear_character_of_cyclic(group: FiniteGroup | Subgroup, a: int = 1) -> ClassFunction:
+def linear_character_of_cyclic(group: FiniteGroup, a: int = 1) -> ClassFunction:
     """The degree-1 character g^i -> zeta^(a i) of a cyclic group, taken on
     its smallest generator.  The group is abelian, so each class is one element."""
     n = group.order
@@ -97,7 +97,7 @@ def linear_character_of_cyclic(group: FiniteGroup | Subgroup, a: int = 1) -> Cla
     return ClassFunction(group, tuple(values))
 
 
-def _induced_sum(G: FiniteGroup | Subgroup, parts, conductor: int) -> ClassFunction:
+def _induced_sum(G: FiniteGroup, parts, conductor: int) -> ClassFunction:
     """The class function on G that is the sum of w * Ind_H^G f over the
     list of parts (H, values, w): H a subgroup of G, `values` f's value on each
     H-class, at `conductor`, and w an integer.

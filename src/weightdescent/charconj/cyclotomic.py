@@ -14,6 +14,9 @@ coordinates over one common denominator and canonicalise the result once,
 so a sum of k values costs one gcd pass, not k.  A sum of two values and a
 product by an int or a Fraction are `weighted_sum` cases.
 
+`Cyclo.galois` and `Cyclo.to_conductor` share one power map, `_power`,
+and every value is made by `_canonical`, the one place its fields are set.
+
 `galois_exponents(n)` lists the j of the automorphisms z -> z^j other than
 the identity, ascending, for `Cyclo.galois`; it is empty when n <= 2.
 """
@@ -91,21 +94,18 @@ def _reduce(n: int, vec: list[int]) -> list[int]:
     return out
 
 
-def _fill(obj: "Cyclo", conductor: int, num, den: int) -> "Cyclo":
-    """Make obj the value num / den, num reduced already and den > 0, with
-    the common factor of num and den cancelled."""
+def _canonical(conductor: int, num, den: int) -> "Cyclo":
+    """The value num / den, num reduced already and den > 0, with the
+    common factor of num and den cancelled."""
     g = gcd(den, *num)
     if g != 1:
         num = [c // g for c in num]
         den //= g
+    obj = object.__new__(Cyclo)
     object.__setattr__(obj, "conductor", conductor)
     object.__setattr__(obj, "num", tuple(num))
     object.__setattr__(obj, "den", den)
     return obj
-
-
-def _canonical(conductor: int, num, den: int) -> "Cyclo":
-    return _fill(object.__new__(Cyclo), conductor, num, den)
 
 
 def _add_product(out: list[int], x: tuple[int, ...], y: tuple[int, ...], w: int) -> None:
@@ -168,14 +168,14 @@ class Cyclo:
 
     __slots__ = ("conductor", "num", "den")
 
-    def __init__(self, conductor: int, powers=()):
+    def __new__(cls, conductor: int, powers=()):
         """The sum of powers[e] z^e; each power is an int or a Fraction."""
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
         powers = list(powers)
         den = lcm(*(c.denominator for c in powers))
         vec = [c.numerator * (den // c.denominator) for c in powers]
-        _fill(self, conductor, _reduce(conductor, vec), den)
+        return _canonical(conductor, _reduce(conductor, vec), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclo values are immutable")
@@ -200,11 +200,7 @@ class Cyclo:
             return self
         if big_n % n != 0:
             raise ValueError(f"{n} does not divide {big_n}")
-        stride = big_n // n
-        vec = [0] * big_n
-        for i, c in enumerate(self.num):
-            vec[i * stride] = c
-        return _canonical(big_n, _reduce(big_n, vec), self.den)
+        return self._power(big_n, big_n // n)
 
     def _align(self, other: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
         if self.conductor == other.conductor:
@@ -245,11 +241,16 @@ class Cyclo:
         n = self.conductor
         if gcd(j, n) != 1:
             raise ValueError(f"{j} is not coprime to the conductor {n}")
-        vec = [0] * n
+        return self._power(n, j)
+
+    def _power(self, big_n: int, e: int) -> "Cyclo":
+        """Each z^i replaced by w^(i e), w = zeta_big_n: e = big_n / n embeds,
+        as w^e = z, and big_n = n, e = j is the automorphism z -> z^j."""
+        vec = [0] * big_n
         for i, c in enumerate(self.num):
             if c:
-                vec[(i * j) % n] += c
-        return _canonical(n, _reduce(n, vec), self.den)
+                vec[i * e % big_n] += c
+        return _canonical(big_n, _reduce(big_n, vec), self.den)
 
     def __str__(self) -> str:
         den = self.den

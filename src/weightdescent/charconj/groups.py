@@ -3,12 +3,13 @@
 Elements are indices 0..order-1 with 0 the identity.  Group laws are
 verified once per table, when a `FiniteGroup` is built: associativity by
 Light's test on a generating set, which is complete, and inverses by
-scanning each row.  A `Subgroup` is a subset of its parent's table, in the
-parent's indices, and checks nothing, as its producers only make
-subgroups.  Conjugacy classes, subgroups and double cosets are all
-computed by brute force; the order cap keeps that cheap.  Each builtin is
-a rule over an ordered element list, the identity first: `_from_rule` caps
-the list's length, then tabulates the product, element i at index i.
+scanning each row.  A `Subgroup` is a group record in its parent's
+indices, over a subset of the parent's table, and checks nothing, as its
+producers only make subgroups.  Conjugacy classes, subgroups and double
+cosets are all computed by brute force; the order cap keeps that cheap.
+Each builtin is a rule over an ordered element list, the identity first:
+`_from_rule` caps the list's length, then tabulates the product, element i
+at index i.
 """
 
 from __future__ import annotations
@@ -26,21 +27,6 @@ class GroupError(ValueError):
 def _check_order(n: int) -> None:
     if n > MAX_ORDER:
         raise GroupError(f"order {n} exceeds the cap {MAX_ORDER}")
-
-
-def _conjugacy_classes(table, inverses, elements):
-    """The classes of the group on `elements` (ascending) under `table`, each
-    sorted and ordered by its smallest element, and a dict from each element
-    to the index of its class."""
-    classes = []
-    class_index = {}
-    for a in elements:
-        if a not in class_index:
-            orbit = sorted({table[table[x][a]][inverses[x]] for x in elements})
-            for g in orbit:
-                class_index[g] = len(classes)
-            classes.append(tuple(orbit))
-    return tuple(classes), class_index
 
 
 def _right_closure(table, generators) -> set[int]:
@@ -76,11 +62,6 @@ def _check_associative(table) -> None:
                 raise GroupError(f"associativity fails at triple ({x}, {a}, {y})")
 
 
-def _freeze(obj, **attrs) -> None:
-    for name, value in attrs.items():
-        object.__setattr__(obj, name, value)
-
-
 class FiniteGroup:
     """A group given by its multiplication table, with 0 the identity.
 
@@ -96,9 +77,10 @@ class FiniteGroup:
     x, y contains 0, and is closed under the table's product, because for a
     and b in T
         (x (ab)) y = ((xa) b) y = (xa)(by) = x (a (by)) = x ((ab) y).
-    So T contains every left-bracketed word in A, which is every element."""
+    So T contains every left-bracketed word in A, which is every element.
+    A table group's `parent` is None; a `Subgroup`'s is the group it is in."""
 
-    __slots__ = ("order", "table", "inverses", "elements", "classes", "class_index", "name")
+    __slots__ = ("parent", "order", "table", "inverses", "elements", "classes", "class_index", "name")
 
     def __init__(self, table, name: str = "G"):
         table = tuple(tuple(row) for row in table)
@@ -119,23 +101,35 @@ class FiniteGroup:
             if 0 not in row:
                 raise GroupError(f"element {a} has no two-sided inverse")
             inverses.append(row.index(0))
-        inverses = tuple(inverses)
-        classes, class_index = _conjugacy_classes(table, inverses, range(n))
-        _freeze(self, order=n, table=table, inverses=inverses, elements=range(n),
-                classes=classes, class_index=class_index, name=name)
+        self._settle(None, table, tuple(inverses), range(n), name)
+
+    def _settle(self, parent, table, inverses, elements, name: str) -> None:
+        """Set every field, with the classes on `elements` (ascending) each
+        sorted, ordered by their smallest element and indexed by `class_index`."""
+        classes = []
+        class_index = {}
+        for a in elements:
+            if a not in class_index:
+                orbit = sorted({table[table[x][a]][inverses[x]] for x in elements})
+                for g in orbit:
+                    class_index[g] = len(classes)
+                classes.append(tuple(orbit))
+        values = (parent, len(elements), table, inverses, elements, tuple(classes), class_index, name)
+        for slot, value in zip(FiniteGroup.__slots__, values):
+            object.__setattr__(self, slot, value)
 
     def __setattr__(self, name, value):
-        raise AttributeError("FiniteGroup is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def conjugate(self, g: int, a: int) -> int:
         """g * a * g^-1"""
         return self.table[self.table[g][a]][self.inverses[g]]
 
     def __repr__(self):
-        return f"FiniteGroup({self.name}, order={self.order}, classes={len(self.classes)})"
+        return f"{type(self).__name__}({self.name}, order={self.order}, classes={len(self.classes)})"
 
 
-class Subgroup:
+class Subgroup(FiniteGroup):
     """A subgroup kept in its parent's element indices: `elements` ascending,
     `table` and `inverses` shared with the parent, and classes of its own,
     ordered by their smallest element.  `g in H.class_index` tests membership.
@@ -148,23 +142,15 @@ class Subgroup:
     subgroups is a subgroup.  The parent may itself be a Subgroup, as that
     intersection is taken inside K."""
 
-    __slots__ = ("parent", "order", "table", "inverses", "elements", "classes", "class_index", "name")
+    __slots__ = ()
 
-    def __init__(self, parent: FiniteGroup | Subgroup, elements):
+    def __init__(self, parent: FiniteGroup, elements):
         elems = tuple(sorted(set(elements)))
-        classes, class_index = _conjugacy_classes(parent.table, parent.inverses, elems)
-        _freeze(self, parent=parent, order=len(elems), table=parent.table,
-                inverses=parent.inverses, elements=elems, classes=classes,
-                class_index=class_index, name=f"order {len(elems)} in {parent.name}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subgroup is immutable")
-
-    def __repr__(self):
-        return f"Subgroup({self.name})"
+        self._settle(parent, parent.table, parent.inverses, elems,
+                     f"order {len(elems)} in {parent.name}")
 
 
-def generated_subgroup(parent: FiniteGroup | Subgroup, generators) -> Subgroup:
+def generated_subgroup(parent: FiniteGroup, generators) -> Subgroup:
     """Closure of the generators (always includes the identity): every right
     product of generators from the identity, which is closed under inverses
     too, as in a finite group g^-1 = g^(ord g - 1)."""
@@ -191,7 +177,7 @@ def _from_rule(name: str, elements, mul) -> FiniteGroup:
     """The group of `elements` under the product `mul`, element i at index
     i, so the identity comes first.  The order is read off `len(elements)`
     and capped before the table is built; a caller that must list its
-    elements caps their number first."""
+    elements, or whose count overflows `len`, caps their number first."""
     _check_order(len(elements))
     index = {x: i for i, x in enumerate(elements)}
     return FiniteGroup([[index[mul(a, b)] for b in elements] for a in elements], name)
@@ -201,6 +187,7 @@ def cyclic(n: int) -> FiniteGroup:
     """Z/n: 0..n-1 under addition mod n."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_order(n)  # before len(range(n)), which overflows past sys.maxsize
     return _from_rule(f"C{n}", range(n), lambda a, b: (a + b) % n)
 
 
@@ -242,13 +229,17 @@ def quaternion() -> FiniteGroup:
 
 def builtin_group(name: str) -> FiniteGroup:
     """Constructors by name, in any case: C<n>, D<n>, S3, S4, Q8, with n in
-    decimal digits, n >= 1 for C and n >= 2 for D; any other name is unknown."""
+    decimal digits that `int` converts, n >= 1 for C and n >= 2 for D; any
+    other name is unknown."""
     key = name.strip().upper()
     if key == "Q8":
         return quaternion()
     if key in ("S3", "S4"):
         return symmetric(int(key[1]))
-    n = int(key[1:]) if key[:1] in ("C", "D") and key[1:].isdecimal() else 0
+    try:
+        n = int(key[1:]) if key[:1] in ("C", "D") and key[1:].isdecimal() else 0
+    except ValueError:  # more digits than the interpreter's limit, far above the cap
+        n = 0
     if key.startswith("C") and n >= 1:
         return cyclic(n)
     if key.startswith("D") and n >= 2:

@@ -63,7 +63,7 @@ def choose_t(m: int) -> int | None:
     return t if gcd(t, m) == 1 and 1 < t < m - 1 else None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ReductionStep:
     """One application of the recipe at weight k, fully checked; the fields
     before matches_paper are the kernel's step tuple, in its order."""

@@ -434,6 +434,20 @@ class TestChar:
         assert code == 2
         assert capsys.readouterr() == ("", f"error: unknown group name: {group}\n")
 
+    @pytest.mark.parametrize("mode", ["demo", "verify"])
+    @pytest.mark.parametrize("family", ["C", "D"])
+    def test_a_size_past_the_integer_digit_limit_is_an_unknown_name(self, capsys, mode, family):
+        group = family + "9" * 5000
+        code = main(["char", mode, "--group", group])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: unknown group name: {group}\n")
+
+    @pytest.mark.parametrize("mode", ["demo", "verify"])
+    def test_a_size_past_the_machine_word_is_usage_error(self, capsys, mode):
+        code = main(["char", mode, "--group", "C99999999999999999999"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: order 99999999999999999999 exceeds the cap 48\n")
+
     def test_demo_group_file(self, capsys, tmp_path):
         path = tmp_path / "c2.json"
         path.write_text('{"order": 2, "table": [0, 1, 1, 0], "name": "C2"}', encoding="utf-8")

@@ -100,6 +100,14 @@ class TestBuiltins:
         with pytest.raises(ValueError, match=f"^unknown group name: {name}$"):
             builtin_group(name)
 
+    @pytest.mark.parametrize("family", ["C", "c", "D"])
+    def test_a_size_past_the_integer_digit_limit_is_an_unknown_name(self, family):
+        # 5000 digits is more than `int` converts under the interpreter's
+        # default limit of 4300, and far more than the cap allows
+        name = family + "9" * 5000
+        with pytest.raises(ValueError, match=f"^unknown group name: {name}$"):
+            builtin_group(name)
+
     def test_an_undersized_constructor_call_keeps_its_own_error(self):
         with pytest.raises(ValueError, match="^n must be >= 1$"):
             cyclic(0)
@@ -130,7 +138,9 @@ class TestValidation:
 
     @pytest.mark.parametrize("name,order", [
         ("C1000", 1000), ("D500", 1000), ("C1000000000", 10**9), ("D500000000", 10**9),
-    ], ids=["C1000", "D500", "C1000000000", "D500000000"])
+        # above sys.maxsize, where len(range(n)) overflows
+        ("C99999999999999999999", 10**20 - 1), ("D99999999999999999999", 2 * 10**20 - 2),
+    ], ids=["C1000", "D500", "C1000000000", "D500000000", "C10^20-1", "D10^20-1"])
     def test_an_oversized_builtin_is_refused_before_its_table_is_built(self, name, order):
         # a 1000-by-1000 table alone is tens of MiB, and a list of 10^9
         # elements gigabytes, so neither may be built before the cap is

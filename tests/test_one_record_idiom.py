@@ -7,14 +7,34 @@ calls `object.__new__` or `object.__setattr__`, so that a second, unchecked
 constructor cannot come back.  It also reads `primes.py` and fails while a
 parameter of `iter_primes` has a default, so that the stream's unbounded
 mode cannot come back either.
+
+Every record of the package is immutable: setting a field or any new name
+raises `AttributeError` (a frozen dataclass's `FrozenInstanceError` is one),
+never a `TypeError` from a slotted dataclass's generated `__setattr__`.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import weightdescent
+from weightdescent import descent
+from weightdescent.charconj.characters import ClassFunction
+from weightdescent.charconj.cyclotomic import Cyclo
+from weightdescent.charconj.groups import cyclic, generated_subgroup, symmetric
 
 PACKAGE = Path(weightdescent.__file__).parent
+
+# each kind of record, built cheaply, and one of its fields
+RECORDS = {
+    "ReductionStep": (lambda: descent.reduction_step(16), "k"),
+    "ClassFunction": (lambda: ClassFunction.aligned(cyclic(3), [1, 1, 1]), "values"),
+    "Cyclo": (lambda: Cyclo.zeta(3), "num"),
+    "FiniteGroup": (lambda: symmetric(3), "order"),
+    "Subgroup": (lambda: generated_subgroup(symmetric(3), [1]), "order"),
+    "AuditReport": (lambda: descent.audit(14), "max_k"),
+}
 
 
 def object_calls(path: Path) -> list[str]:
@@ -73,3 +93,14 @@ def test_the_guard_sees_a_defaulted_bound(tmp_path):
         encoding="utf-8",
     )
     assert defaulted_parameters(module, "iter_primes") == ["hi", "size"]
+
+
+@pytest.mark.parametrize("kind", list(RECORDS))
+def test_every_record_refuses_any_assignment(kind):
+    build, field = RECORDS[kind]
+    record = build()
+    for name in (field, "other"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert getattr(record, field) == getattr(build(), field)
+    assert not hasattr(record, "other")
